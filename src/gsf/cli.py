@@ -1,7 +1,8 @@
 """Command-line driver: every verifier and search, JSON certificates out.
 
 Exit codes: 0 for pass/success, 2 for a failing verdict, 3 for
-outside_hypotheses, 1 for usage, encoding and budget errors.  Reports are
+outside_hypotheses, 1 for usage, encoding and budget errors, 4 when an
+internal consistency check fails (a bug, never a verdict).  Reports are
 canonical JSON (sorted keys, UTF-8); `--format table` renders a lossy
 human summary and is excluded from golden comparisons.  The environment
 variable GSF_BUDGET overrides the default enumeration budget.
@@ -450,6 +451,9 @@ def main(argv=None) -> int:
     except (ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except AssertionError as exc:
+        print(f"internal check failed: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

@@ -64,7 +64,7 @@ def rank_many(gf: Gf, mats) -> np.ndarray:
     so the cost is a handful of whole-batch array operations per column.
     """
     if gf.s == 1 and gf.p < 40_000:  # keep p**2 products inside int32
-        return _rank_many_prime(gf.p, mats)
+        return _rank_many_prime(gf, mats)
     m = np.array(mats, dtype=np.int64)
     if m.ndim == 2:
         m = m[None]
@@ -90,41 +90,75 @@ def rank_many(gf: Gf, mats) -> np.ndarray:
     return piv
 
 
-def _rank_many_prime(p: int, mats) -> np.ndarray:
-    """Prime-field specialization of rank_many: in-place int32 arithmetic.
+_I32_MAX = int(np.iinfo(np.int32).max)
 
-    Entry magnitudes stay below p**2 * rows, far inside int32 for desk-scale
-    primes, so the hot elimination update runs without temporaries beyond a
-    single product buffer per column.
+
+def _rank_many_prime(gf: Gf, mats) -> np.ndarray:
+    """Prime-field specialization of rank_many: lazily reduced int32 arithmetic.
+
+    Entries start as codes in [0, p).  At column c only the live block is
+    touched: rows at or past the smallest pivot count of the batch and columns
+    after c.  Everything outside it is never read again, so the pivot row is
+    not written back and swaps move only the displaced row.
+
+    Invariant: every live entry lies in [-bound, bound].  The pivot column and
+    pivot rows are reduced into [0, p) before use, so one rank-1 update
+    subtracts a product of two reduced codes and grows `bound` by at most
+    (p - 1)**2.  The live block is reduced (bound back to p - 1) only when the
+    next update could leave int32, i.e. when bound + (p - 1)**2 > 2**31 - 1:
+    never at p = 11 and n <= 64, before every update but the first for p near
+    40,000.  Normalizing a reduced pivot row multiplies two codes below p.
     """
+    p = gf.p
+    step = (p - 1) ** 2
+    if (p - 1) + step > _I32_MAX:
+        raise ValueError(f"p = {p} is too large for the int32 kernel")
+    inv = gf._inv_t
     m = np.array(mats, dtype=np.int32)
     if m.ndim == 2:
         m = m[None]
     nb, rows, cols = m.shape
     piv = np.zeros(nb, dtype=np.int64)
+    if m.size == 0:
+        return piv
     ridx = np.arange(rows)
-    inv = np.array([0] + [pow(a, p - 2, p) for a in range(1, p)], dtype=np.int32)
-    prow_full = np.empty((nb, cols), dtype=np.int32)
+    bidx = np.arange(nb)
+    prod = np.empty_like(m)
+    bound = p - 1
     for c in range(cols):
-        colv = m[:, :, c]
-        elig = (colv != 0) & (ridx[None, :] >= piv[:, None])
+        lo = int(piv.min())
+        if lo == rows:
+            break
+        # the pivot column, reduced, with rows above each matrix's pivot count
+        # zeroed: they are finished and take no part in pivoting or updates
+        colv = m[:, lo:, c] % p
+        colv *= ridx[None, lo:] >= piv[:, None]
+        elig = colv != 0
         has = elig.any(axis=1)
-        sel = np.nonzero(has)[0]
-        if sel.size == 0:
-            continue
-        prow = np.argmax(elig[sel], axis=1)
-        r0 = piv[sel]
-        pivot_rows = m[sel, prow].copy()
-        m[sel, prow] = m[sel, r0]
-        pivot_rows *= inv[pivot_rows[:, c]][:, None]
+        if c == cols - 1:  # nothing trails the last column
+            piv += has
+            break
+        pl = np.argmax(elig, axis=1)
+        prow = pl + lo
+        # a matrix without a pivot reads inv[0] = 0 and gets a zero pivot row;
+        # its swap (clamped in range) copies a row onto itself or onto a
+        # finished row
+        pivot_rows = m[bidx, prow, c + 1:] % p
+        pivot_rows *= inv[colv[bidx, pl]][:, None]
         pivot_rows %= p
-        m[sel, r0] = pivot_rows
-        prow_full[:] = 0
-        prow_full[sel] = pivot_rows
-        fac = np.where(ridx[None, :] > np.where(has, piv, rows)[:, None], colv, 0)
-        m -= fac[:, :, None] * prow_full[:, None, :]
-        m %= p
-        piv[sel] += 1
+        r0 = np.minimum(piv, rows - 1)
+        m[bidx, prow, c + 1:] = m[bidx, r0, c + 1:]
+        # the pivot entry now sits at r0; the row moved to prow has a zero in
+        # column c, because prow is the first nonzero at or past r0
+        colv[bidx, pl] = 0
+        if bound + step > _I32_MAX:
+            m[:, lo:, c + 1:] %= p
+            bound = p - 1
+        out = prod[:, lo:, c + 1:]
+        np.multiply(colv[:, :, None], pivot_rows[:, None, :], out=out)
+        m[:, lo:, c + 1:] -= out
+        bound += step
+        piv += has
     return piv
 
 

@@ -258,3 +258,16 @@ def test_gsf_budget_env_override(capsys, monkeypatch):
     monkeypatch.setenv("GSF_BUDGET", "junk")
     code, _, err = run(capsys, "rank-laws", "--p", "3", "--n", "3")
     assert code == 1 and "GSF_BUDGET" in err
+
+
+def test_internal_check_failure_exit_four(capsys, monkeypatch):
+    import gsf.extremal
+
+    def broken(*args, **kwargs):
+        raise AssertionError("exhaustive verification found a singular member of a field-derived witness")
+
+    monkeypatch.setattr(gsf.extremal, "_verify_witness", broken)
+    code, out, err = run(capsys, "block", "--p", "3", "--n", "4")
+    assert code == 4 and out == ""
+    assert err.startswith("internal check failed: exhaustive verification found a singular member")
+    assert "Traceback" not in err

@@ -214,3 +214,95 @@ def test_eigenspace_members_satisfy_defining_equation(tower):
             img = t.frobenius_apply(tt % 6, v)
             expect = v if sign == 1 else (-v) % 3
             assert np.array_equal(img, expect)
+
+
+# -- the prime-field kernel against scalar rref ----------------------------------
+
+
+def _low_rank_batch(rng, p, nb, rows, cols, r):
+    """nb products A.B with A rows x r and B r x cols, so every rank is <= r."""
+    a = rng.integers(0, p, size=(nb, rows, r))
+    b = rng.integers(0, p, size=(nb, r, cols))
+    return np.einsum("bij,bjk->bik", a, b) % p
+
+
+def _assert_matches_rref(gf, mats, max_ranks=None):
+    got = rank_many(gf, mats)
+    want = [rank(gf, m) for m in mats]
+    assert got.tolist() == want
+    if max_ranks is not None:
+        assert np.all(np.array(want) <= max_ranks)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_rank_many_prime_matches_rref_on_products(data):
+    p = data.draw(st.sampled_from([3, 11, 39989]))
+    rows = data.draw(st.integers(1, 32))
+    cols = data.draw(st.integers(1, 32))
+    # mixed ranks in one batch: some matrices run out of rows while others pivot
+    ranks = data.draw(st.lists(st.integers(0, min(rows, cols)), min_size=1, max_size=6))
+    rng = np.random.default_rng(data.draw(st.integers(0, 10_000)))
+    mats = np.concatenate([_low_rank_batch(rng, p, 1, rows, cols, r) for r in ranks])
+    if data.draw(st.booleans()):
+        mats[:, 0, :] = 0  # zero leading row: the first pivot needs a swap
+    _assert_matches_rref(Gf(p), mats, ranks)
+
+
+@pytest.mark.parametrize("p", [3, 11, 39989])
+def test_rank_many_prime_2d_zero_and_swapped_inputs(p):
+    gf = Gf(p)
+    rng = np.random.default_rng(43)
+    m = _low_rank_batch(rng, p, 1, 5, 7, 3)[0]
+    assert rank_many(gf, m).tolist() == [rank(gf, m)]
+    assert rank_many(gf, np.zeros((4, 6, 6), dtype=np.int64)).tolist() == [0] * 4
+    # a zero leading diagonal forces a row swap at every pivot
+    anti = np.zeros((6, 6), dtype=np.int64)
+    anti[np.arange(6), 5 - np.arange(6)] = 1
+    mats = np.stack([anti, np.roll(np.eye(6, dtype=np.int64), 1, axis=0), anti * (p - 1)])
+    assert rank_many(gf, mats).tolist() == [6, 6, 6]
+    mats = _low_rank_batch(rng, p, 5, 8, 8, 8)
+    mats[:, np.arange(8), np.arange(8)] = 0
+    _assert_matches_rref(gf, mats)
+    # a wide batch: the first matrix uses up its rows after column 1, the second
+    # pivots at columns 0 and 4, the third is zero
+    wide = np.zeros((3, 2, 5), dtype=np.int64)
+    wide[0, :, :2] = np.eye(2, dtype=np.int64)
+    wide[1, 0, 0] = wide[1, 1, 4] = 1
+    assert rank_many(gf, wide).tolist() == [2, 2, 0]
+
+
+def test_rank_many_prime_reduces_every_column_at_large_p():
+    # (p - 1)**2 > 2**30, so the live block must be reduced before every update
+    # after the first; wraparound in int32 would show up as wrong ranks
+    gf = Gf(39989)
+    rng = np.random.default_rng(47)
+    for r in (31, 32):
+        _assert_matches_rref(gf, _low_rank_batch(rng, 39989, 4, 32, 32, r), r)
+    full = rng.integers(39989 - 50, 39989, size=(4, 32, 32))
+    _assert_matches_rref(gf, full)
+
+
+def test_rank_many_prime_longest_lazy_run():
+    gf = Gf(11)
+    rng = np.random.default_rng(53)
+    for r in (63, 64):
+        _assert_matches_rref(gf, _low_rank_batch(rng, 11, 3, 64, 64, r), r)
+
+
+class _RecordingTable(np.ndarray):
+    reads = 0
+
+    def __getitem__(self, idx):
+        type(self).reads += 1
+        return super().__getitem__(idx)
+
+
+def test_rank_many_prime_reads_the_field_inverse_table():
+    gf = Gf(39989)
+    gf._inv_t = gf._inv_t.view(_RecordingTable)
+    _RecordingTable.reads = 0
+    mats = np.array([np.eye(4), np.diag([1, 2, 0, 3]), np.zeros((4, 4)), np.ones((4, 4))], dtype=np.int64)
+    mats[1, 3, 0] = 39988
+    assert rank_many(gf, mats).tolist() == [4, 3, 0, 1]
+    assert _RecordingTable.reads > 0

@@ -71,6 +71,8 @@ class RunConfig:
             raise UsageError("budget must be positive")
         if self.workers < 1:
             raise UsageError("workers must be >= 1")
+        if self.sample_count < 1:
+            raise UsageError("sample count must be >= 1")
         if self.mode == "sampled" and self.seed is None:
             raise UsageError("sampled mode requires --seed")
 
@@ -134,13 +136,7 @@ def _build_parser() -> _Parser:
     p_tc = sub.add_parser("theorem-c", help="two-power case classification plus refinement census")
     p_tc.add_argument("--q", type=int, required=True, help="base field size (odd prime power, 3 mod 4)")
     p_tc.add_argument("--n", type=int, required=True)
-    p_tc.add_argument("--mode", choices=["auto", "exhaustive", "sampled"], default="auto")
-    p_tc.add_argument("--sample-count", type=int, default=DEFAULT_SAMPLE_COUNT)
-    p_tc.add_argument("--seed", type=int, default=None)
-    p_tc.add_argument("--workers", type=int, default=1)
-    p_tc.add_argument("--budget", type=int, default=None)
-    p_tc.add_argument("--output", dest="output_path", default=None)
-    p_tc.add_argument("--format", choices=["json", "table"], default="json")
+    common(p_tc, tower=False)
 
     p_mr = sub.add_parser("min-rank", help="lower bound census over summed families")
     common(p_mr)

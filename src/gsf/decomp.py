@@ -200,32 +200,13 @@ class _Census:
         self._idx = 0
 
     def profile(self, sub, i: Optional[int] = None) -> RankProfile:
-        prof = rank_profile(
-            self.tower,
-            sub,
-            i,
-            self.mode,
-            sample_count=self.sample_count,
-            seed=self.seed + self._idx,
-            budget=self.budget,
-            workers=self.workers,
-        )
-        self._idx += 1
-        if prof.mode == "sampled":
-            self.any_sampled = True
-        return prof
-
-    def grams_profile(self, grams: np.ndarray) -> RankProfile:
-        prof = _profile_from_grams(
-            self.tower.K,
-            grams,
-            self.tower.n,
-            self.mode,
-            sample_count=self.sample_count,
-            seed=self.seed + self._idx,
-            budget=self.budget,
-            workers=self.workers,
-        )
+        """Census of one piece: a parameter or form subspace, or a raw stack of Grams."""
+        kwargs = {"sample_count": self.sample_count, "seed": self.seed + self._idx,
+                  "budget": self.budget, "workers": self.workers}
+        if isinstance(sub, np.ndarray):
+            prof = _profile_from_grams(self.tower.K, sub, self.tower.n, self.mode, **kwargs)
+        else:
+            prof = rank_profile(self.tower, sub, i, self.mode, **kwargs)
         self._idx += 1
         if prof.mode == "sampled":
             self.any_sampled = True
@@ -343,6 +324,63 @@ def _product_subspace(tower: FieldTower, j: np.ndarray, u: LSubspace) -> LSubspa
     return LSubspace.from_vectors(tower.K, np.asarray(prods, dtype=np.int64), tower.n)
 
 
+def _split_family(tower: FieldTower, i: int) -> tuple[list[tuple], bool]:
+    """Constant-rank pieces of the i-th family, for sigma^i of even order d.
+
+    Order 2 mod 4: U is fixed by sigma^(i*d/2) and V = j*U for the canonical
+    (-1)-eigenvector j of sigma^i.  Order 0 mod 4: the eigenspace chain of
+    sigma^i, whose rank claims are gated by the case classification taken
+    relative to the fixed field of sigma^i (base size q**(n/d)); they are
+    None (recorded, not asserted) when that classification does not apply
+    or lands outside.  Each piece is (name, parameter subspace, claimed dim,
+    claimed ranks); the flag says whether the pieces are independent and
+    span L.
+    """
+    n = tower.n
+    d = tower.sigma_order(i % n)
+    degenerate_rank = n - 2 * n // d
+    if d % 4 == 2:
+        u = eigenspace_of_power(tower, (i * (d // 2)) % n, 1)
+        j = eigenspace_of_power(tower, i, -1).basis[0]
+        pieces = [
+            (f"U_{i}", u, n // 2, [n]),
+            (f"V_{i}", _product_subspace(tower, j, u), n // 2, [degenerate_rank]),
+        ]
+    elif d % 4 == 0:
+        beta, kp = _two_adic(d)
+        q_rel = tower.q ** (n // d)
+        rel_case = rel_a = None
+        if q_rel % 4 == 3:
+            rel = TheoremCParams.from_qn(q_rel, d)
+            rel_case, rel_a = theorem_c_case(rel), rel.a
+        v_ranks = [degenerate_rank] if rel_case in ("case1", "case2") else None
+        vdim = kp * n // d
+        pieces = [
+            (f"V_1^{i}", eigenspace_of_power(tower, (i * kp) % n, 1), vdim, v_ranks),
+            (f"V_2^{i}", eigenspace_of_power(tower, (i * kp) % n, -1), vdim, v_ranks),
+        ]
+        for idx in range(1, beta):
+            e = eigenspace_of_power(tower, (i * (d >> idx)) % n, -1)
+            if rel_case == "case1":
+                e_ranks = [n]
+            elif rel_case == "case2":
+                e_ranks = [n] if idx <= rel_a else [degenerate_rank]
+            else:
+                e_ranks = None
+            pieces.append((f"E_{idx}^{i}", e, None, e_ranks))
+    else:
+        raise ValueError(f"sigma^{i} has odd order {d}: its family does not split")
+    subs = [sub for _, sub, _, _ in pieces]
+    return pieces, is_direct_sum(subs) and _span_dim(subs) == n
+
+
+def _piece_claims(cz: _Census, pieces: list[tuple], i: int) -> list[dict]:
+    return [
+        _claim(name, claimed_dim=cd, observed_dim=sub.dim, claimed_ranks=ranks, profile=cz.profile(sub, i))
+        for name, sub, cd, ranks in pieces
+    ]
+
+
 def refine_A1_2k(tower: FieldTower, mode="auto", *, sample_count=DEFAULT_SAMPLE_COUNT,
                  seed=0, budget=None, workers=1) -> Certificate:
     """Split the first twisted family when n = 2k with k odd.
@@ -351,20 +389,12 @@ def refine_A1_2k(tower: FieldTower, mode="auto", *, sample_count=DEFAULT_SAMPLE_
     (-1)-eigenvector j of sigma.  All nonzero parameters in U give rank n;
     all nonzero parameters in V give rank n - 2.
     """
-    n = tower.n
-    k = n // 2
     inst = _instance(tower, i=1)
-    if n % 2 or k % 2 == 0:
+    if tower.n % 4 != 2:
         return Certificate("a1-split-2k", inst, [], True, "outside_hypotheses", {"mode": "exhaustive"})
     cz = _Census(tower, mode, sample_count, seed, budget, workers)
-    u = eigenspace_of_power(tower, k, 1)
-    j = eigenspace_of_power(tower, 1, -1).basis[0]
-    v = _product_subspace(tower, j, u)
-    claims = [
-        _claim("U_1", claimed_dim=k, observed_dim=u.dim, claimed_ranks=[n], profile=cz.profile(u, 1)),
-        _claim("V_1", claimed_dim=k, observed_dim=v.dim, claimed_ranks=[n - 2], profile=cz.profile(v, 1)),
-    ]
-    ds = is_direct_sum([u, v]) and u.sum(v).dim == n
+    pieces, ds = _split_family(tower, 1)
+    claims = _piece_claims(cz, pieces, 1)
     return Certificate("a1-split-2k", inst, claims, ds, _verdict(claims, ds), cz.record())
 
 
@@ -376,23 +406,13 @@ def refine_Ai_mod2(tower: FieldTower, i: int, mode="auto", *, sample_count=DEFAU
     realized concretely as K-subspaces: U_i is fixed by sigma^(i*d/2),
     V_i = j_i * U_i for the canonical (-1)-eigenvector j_i of sigma^i.
     """
-    n = tower.n
-    d = tower.sigma_order(i % n)
+    d = tower.sigma_order(i % tower.n)
     inst = _instance(tower, i=i, order=d)
     if d % 4 != 2 or d == 2:
         return Certificate("ai-split-mod2", inst, [], True, "outside_hypotheses", {"mode": "exhaustive"})
     cz = _Census(tower, mode, sample_count, seed, budget, workers)
-    kp = d // 2
-    u = eigenspace_of_power(tower, (i * kp) % n, 1)
-    j = eigenspace_of_power(tower, i, -1).basis[0]
-    v = _product_subspace(tower, j, u)
-    degenerate_rank = n - 2 * n // d
-    claims = [
-        _claim(f"U_{i}", claimed_dim=n // 2, observed_dim=u.dim, claimed_ranks=[n], profile=cz.profile(u, i)),
-        _claim(f"V_{i}", claimed_dim=n // 2, observed_dim=v.dim, claimed_ranks=[degenerate_rank],
-               profile=cz.profile(v, i)),
-    ]
-    ds = is_direct_sum([u, v]) and u.sum(v).dim == n
+    pieces, ds = _split_family(tower, i)
+    claims = _piece_claims(cz, pieces, i)
     return Certificate("ai-split-mod2", inst, claims, ds, _verdict(claims, ds), cz.record())
 
 
@@ -422,29 +442,13 @@ def refine_A1_pow4(tower: FieldTower, mode="auto", *, sample_count=DEFAULT_SAMPL
     case = theorem_c_case(params)
     inst = _instance(tower, i=1, q=q, a=params.a, l=params.l, alpha=alpha, k=k, case=case)
     cz = _Census(tower, mode, sample_count, seed, budget, workers)
-
-    pieces: list[tuple[str, LSubspace, Optional[int], Optional[list[int]]]] = []
-    v1 = eigenspace_of_power(tower, k, 1)
-    v2 = eigenspace_of_power(tower, k, -1)
-    v_ranks = None if case == "outside" else [n - 2]
-    pieces.append(("V_1", v1, k, v_ranks))
-    pieces.append(("V_2", v2, k, v_ranks))
-    for idx in range(1, alpha):
-        e = eigenspace_of_power(tower, n >> idx, -1)
-        if case == "case1":
-            e_ranks = [n]
-        elif case == "case2":
-            e_ranks = [n] if idx <= params.a else [n - 2]
-        else:
-            e_ranks = None
-        pieces.append((f"E_{idx}", e, n >> idx, e_ranks))
-
-    claims = [
-        _claim(name, claimed_dim=cd, observed_dim=sub.dim, claimed_ranks=ranks, profile=cz.profile(sub, 1))
-        for name, sub, cd, ranks in pieces
+    pieces, ds = _split_family(tower, 1)
+    # this certificate drops the "^1" suffix and claims dim E_idx = n >> idx
+    pieces = [
+        (name.removesuffix("^1"), sub, cd if cd is not None else n >> (pos - 1), ranks)
+        for pos, (name, sub, cd, ranks) in enumerate(pieces)
     ]
-    subs = [sub for _, sub, _, _ in pieces]
-    ds = is_direct_sum(subs) and _span_dim(subs) == n
+    claims = _piece_claims(cz, pieces, 1)
     return Certificate("a1-split-pow4", inst, claims, ds, _verdict(claims, ds, outside=case == "outside"),
                        cz.record())
 
@@ -453,13 +457,11 @@ def verify_full_refined(tower: FieldTower, mode="auto", *, sample_count=DEFAULT_
                         seed=0, budget=None, workers=1) -> Certificate:
     """Compose the global decomposition with every applicable per-family split.
 
-    Families of odd order stay whole (constant rank n).  Order 2 mod 4 gets
-    the U/V split.  Order 0 mod 4 gets the eigenspace chain of sigma^i; its
-    rank claims are gated by the case classification taken relative to the
-    fixed field of sigma^i (base size q**(n/d)), and are recorded without
-    pass/fail when that relative classification lands outside.
+    Families of odd order stay whole (constant rank n); families of even
+    order split through `_split_family` (U/V for order 2 mod 4, the
+    relatively gated eigenspace chain for order 0 mod 4).
     """
-    n, q, kf = tower.n, tower.q, tower.K
+    n, kf = tower.n, tower.K
     if n % 2:
         raise ValueError("the fully refined decomposition is stated for even n")
     amb = n * (n + 1) // 2
@@ -482,52 +484,13 @@ def verify_full_refined(tower: FieldTower, mode="auto", *, sample_count=DEFAULT_
     for i in reps:
         fi = family(tower, i)
         global_parts.append(fi)
-        d = tower.sigma_order(i)
-        if d % 2 == 1:
+        if tower.sigma_order(i) % 2:
             claims.append(_claim(f"A^{i}", claimed_dim=n, observed_dim=fi.dim, claimed_ranks=[n],
                                  profile=cz.profile(full, i)))
             continue
-        if d % 4 == 2:
-            kp = d // 2
-            u = eigenspace_of_power(tower, (i * kp) % n, 1)
-            j = eigenspace_of_power(tower, i, -1).basis[0]
-            v = _product_subspace(tower, j, u)
-            claims.append(_claim(f"U_{i}", claimed_dim=n // 2, observed_dim=u.dim, claimed_ranks=[n],
-                                 profile=cz.profile(u, i)))
-            claims.append(_claim(f"V_{i}", claimed_dim=n // 2, observed_dim=v.dim,
-                                 claimed_ranks=[n - 2 * n // d], profile=cz.profile(v, i)))
-            audits.append(is_direct_sum([u, v]) and u.sum(v).dim == n)
-            continue
-        # d = 0 mod 4: eigenspace chain of sigma^i, gated by the relative case
-        beta, kp = _two_adic(d)
-        q_rel = q ** (n // d)
-        rel_case = None
-        rel_a = None
-        if q_rel % 4 == 3:
-            rel = TheoremCParams.from_qn(q_rel, d)
-            rel_case = theorem_c_case(rel)
-            rel_a = rel.a
-        degenerate_rank = n - 2 * n // d
-        v_ranks = [degenerate_rank] if rel_case in ("case1", "case2") else None
-        vdim = kp * n // d
-        pieces = [
-            (f"V_1^{i}", eigenspace_of_power(tower, (i * kp) % n, 1), vdim, v_ranks),
-            (f"V_2^{i}", eigenspace_of_power(tower, (i * kp) % n, -1), vdim, v_ranks),
-        ]
-        for idx in range(1, beta):
-            e = eigenspace_of_power(tower, (i * (d >> idx)) % n, -1)
-            if rel_case == "case1":
-                e_ranks = [n]
-            elif rel_case == "case2":
-                e_ranks = [n] if idx <= rel_a else [degenerate_rank]
-            else:
-                e_ranks = None
-            pieces.append((f"E_{idx}^{i}", e, None, e_ranks))
-        for name, sub, cd, ranks in pieces:
-            claims.append(_claim(name, claimed_dim=cd, observed_dim=sub.dim, claimed_ranks=ranks,
-                                 profile=cz.profile(sub, i)))
-        subs = [sub for _, sub, _, _ in pieces]
-        audits.append(is_direct_sum(subs) and _span_dim(subs) == n)
+        pieces, ok = _split_family(tower, i)
+        claims.extend(_piece_claims(cz, pieces, i))
+        audits.append(ok)
 
     audits.append(is_direct_sum(global_parts))
     claims.append(_claim("Sym_K(L)", claimed_dim=amb, observed_dim=_span_dim(global_parts)))
@@ -540,12 +503,12 @@ def min_rank_lower_bound(tower: FieldTower, kk: int, mode="auto", *, sample_coun
     """Every nonzero parameter tuple over the first kk twisted families must
     produce a form of rank at least n - 2*kk."""
     n = tower.n
-    m = (n - 1) // 2 if n % 2 else n // 2 - 1
+    m = len(_pair_representatives(n)[0])
     if not 1 <= kk <= m:
         raise ValueError(f"kk = {kk} out of range 1..{m}")
     cz = _Census(tower, mode, sample_count, seed, budget, workers)
     grams = np.concatenate([gram_basis(tower, i) for i in range(1, kk + 1)])
-    prof = cz.grams_profile(grams)
+    prof = cz.profile(grams)
     bound = n - 2 * kk
     claims = [
         _claim(

@@ -22,7 +22,18 @@ import numpy as np
 
 from gsf.exactla import rank_many, rref
 from gsf.ffield import FieldTower, Gf, prime_power_decompose
-from gsf.formspace import BudgetExceededError, DEFAULT_BUDGET, flatten_sym, gram_basis, unflatten_sym
+from gsf.formspace import (
+    BudgetExceededError,
+    DEFAULT_BUDGET,
+    _chunk_size,
+    _combine_forms,
+    _profile_from_grams,
+    _range_chunks,
+    _rank_chunks,
+    flatten_sym,
+    gram_basis,
+    unflatten_sym,
+)
 
 __all__ = [
     "RhoDecomposition",
@@ -129,91 +140,42 @@ def gaussian_binomial(nn: int, k: int, q: int) -> int:
     return num // den
 
 
-def _canonical_witness(gf: Gf, mats: list[np.ndarray], symmetric: bool) -> list[np.ndarray]:
+def _canonical_witness(gf: Gf, mats, symmetric: bool) -> list[np.ndarray]:
     """Echelonize the flattened witness so equal subspaces print identically."""
-    if not mats:
+    if len(mats) == 0:
         return []
-    n = mats[0].shape[0]
-    if symmetric:
-        flat = np.stack([flatten_sym(m, n) for m in mats])
-    else:
-        flat = np.stack([m.reshape(-1) for m in mats])
+    mats = np.asarray(mats, dtype=np.int64)
+    n = mats.shape[1]
+    flat = flatten_sym(mats, n) if symmetric else mats.reshape(len(mats), -1)
     r, pivots = rref(gf, flat)
     rows = r[: len(pivots)]
-    if symmetric:
-        return [unflatten_sym(row, n) for row in rows]
-    return [row.reshape(n, n) for row in rows]
+    return list(unflatten_sym(rows, n) if symmetric else rows.reshape(-1, n, n))
 
 
-def _combo_codes(q: int, d: int, lo: int, hi: int) -> np.ndarray:
-    vals = np.arange(lo, hi, dtype=np.int64)
-    out = np.zeros((vals.size, d), dtype=np.int64)
-    for t in range(d):
-        out[:, t] = vals % q
-        vals //= q
-    return out
+def _all_combos_invertible(gf: Gf, mats, budget: int) -> Optional[bool]:
+    """Whether every nonzero combination of `mats` is invertible.
 
-
-def _combine(gf: Gf, coeffs: np.ndarray, basis: np.ndarray) -> np.ndarray:
-    if gf.s == 1:
-        return np.einsum("bt,tjk->bjk", coeffs, basis) % gf.p
-    out = np.zeros((coeffs.shape[0],) + basis.shape[1:], dtype=np.int64)
-    for t in range(coeffs.shape[1]):
-        out = gf.add(out, gf.mul(coeffs[:, t, None, None], basis[t][None]))
-    return out
-
-
-_CHUNK = 4096
-
-
-def _all_combos_invertible(gf: Gf, mats: list[np.ndarray], budget: int) -> tuple[Optional[bool], int]:
-    """Exhaustively check every nonzero combination; (None, total) if over budget.
-
-    Returns (verdict, combos_checked); stops at the first singular member.
+    Stops at the first singular member; None when the q**d - 1 combinations
+    exceed the budget.
     """
-    d = len(mats)
-    n = mats[0].shape[0]
+    basis = np.asarray(mats, dtype=np.int64)
+    d, n = basis.shape[0], basis.shape[1]
     total = gf.q**d - 1
     if total > budget:
-        return None, total
-    basis = np.stack(mats)
-    checked = 0
-    for lo in range(1, total + 1, _CHUNK):
-        codes = _combo_codes(gf.q, d, lo, min(lo + _CHUNK, total + 1))
-        ranks = rank_many(gf, _combine(gf, codes, basis))
-        checked += codes.shape[0]
-        if np.any(ranks < n):
-            return False, checked
-    return True, checked
-
-
-def _sampled_combos_invertible(gf: Gf, mats: list[np.ndarray], count: int, seed: int) -> bool:
-    d = len(mats)
-    n = mats[0].shape[0]
-    basis = np.stack(mats)
-    rng = np.random.default_rng(seed)
-    codes = rng.integers(0, gf.q, size=(count, d), dtype=np.int64)
-    bad = ~codes.any(axis=1)
-    while bad.any():
-        codes[bad] = rng.integers(0, gf.q, size=(int(bad.sum()), d), dtype=np.int64)
-        bad = ~codes.any(axis=1)
-    for lo in range(0, count, _CHUNK):
-        ranks = rank_many(gf, _combine(gf, codes[lo : lo + _CHUNK], basis))
-        if np.any(ranks < n):
-            return False
-    return True
+        return None
+    chunks = _range_chunks(gf.q, d, total, _chunk_size(n))
+    return all((ranks == n).all() for ranks in _rank_chunks(gf, basis, chunks))
 
 
 def _verify_witness(gf: Gf, mats: list[np.ndarray], budget: int, sample_count: int, seed: int):
-    ok, _ = _all_combos_invertible(gf, mats, budget)
-    if ok is None:
-        sampled_ok = _sampled_combos_invertible(gf, mats, sample_count, seed)
-        if not sampled_ok:
-            raise AssertionError("sampled verification found a singular member of a field-derived witness")
-        return {"mode": "sampled", "count": sample_count, "seed": seed}, False
-    if not ok:
-        raise AssertionError("exhaustive verification found a singular member of a field-derived witness")
-    return {"mode": "exhaustive"}, True
+    """Census of a field-derived witness (exhaustive within the budget, else
+    sampled); every nonzero member must have full rank."""
+    basis = np.stack(mats)
+    n = basis.shape[1]
+    prof = _profile_from_grams(gf, basis, n, "auto", sample_count=sample_count, seed=seed, budget=budget)
+    if prof.ranks != {n}:
+        raise AssertionError(f"{prof.mode} verification found a singular member of a field-derived witness")
+    return prof.mode_record(), prof.mode == "exhaustive"
 
 
 def construct_regular_rep_subspace(tower: FieldTower, budget: int | None = None,
@@ -260,7 +222,7 @@ def block_construction(u: SearchResult, budget: int | None = None) -> SearchResu
         b[:m, m:] = a
         b[m:, :m] = a.T
         blocks.append(b)
-    ok, _ = _all_combos_invertible(gf, blocks, budget)
+    ok = _all_combos_invertible(gf, blocks, budget)
     if ok is None:
         raise BudgetExceededError(gf.q ** len(blocks) - 1, budget)
     if not ok:
@@ -275,10 +237,6 @@ def _ambient(target: str, n: int) -> int:
     if target == "mu":
         return n * (n + 1) // 2
     raise ValueError(f"target must be 'tau' or 'mu', got {target!r}")
-
-
-def _mat_from_flat(target: str, row: np.ndarray, n: int) -> np.ndarray:
-    return row.reshape(n, n) if target == "tau" else unflatten_sym(row, n)
 
 
 def _iter_rref_bases(q: int, ambient: int, k: int):
@@ -326,8 +284,8 @@ def exhaustive_search(target: str, n: int, q: int, budget: int | None = None,
         if count > budget:
             raise BudgetExceededError(count, budget)
         for flat in _iter_rref_bases(q, ambient, k):
-            mats = [_mat_from_flat(target, row, n) for row in flat]
-            ok, _ = _all_combos_invertible(gf, mats, budget)
+            mats = flat.reshape(k, n, n) if target == "tau" else unflatten_sym(flat, n)
+            ok = _all_combos_invertible(gf, mats, budget)
             if ok is None:
                 raise BudgetExceededError(q**k - 1, budget)
             if ok:
@@ -376,10 +334,7 @@ def greedy_search(target: str, n: int, q: int, seed: int = 0, restarts: int = 0,
                 break
             back_left -= 1
             basis.pop(int(rng.integers(0, len(basis))))
-    verified = False
-    if best and q ** len(best) - 1 <= budget:
-        ok, _ = _all_combos_invertible(gf, best, budget)
-        verified = bool(ok)
+    verified = bool(best) and _all_combos_invertible(gf, best, budget) is True
     return SearchResult(
         target,
         n,
@@ -411,10 +366,8 @@ def _find_extension(gf: Gf, target: str, n: int, basis: list[np.ndarray], rng,
     d = len(basis)
     if d:
         stack = np.stack(basis)
-        for lo in range(1, gf.q**d, _CHUNK):
-            codes = _combo_codes(gf.q, d, lo, min(lo + _CHUNK, gf.q**d))
-            bases = _combine(gf, codes, stack)
-            for b in bases:
+        for codes in _range_chunks(gf.q, d, gf.q**d - 1, _chunk_size(n)):
+            for b in _combine_forms(gf, codes, stack):
                 idx = np.nonzero(alive)[0]
                 if idx.size == 0:
                     return None

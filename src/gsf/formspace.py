@@ -7,16 +7,18 @@ tr(b * x^(j+k)) and F_i the Frobenius matrix: the whole family is K-linear
 in b, so enumerating a parameter subspace of b's is a matter of combining a
 few precomputed basis Grams.
 
-`rank_profile` is the enumeration engine.  Exhaustive mode walks every
-nonzero coefficient vector of the parameter space (refusing politely once
-the count passes the budget); sampled mode draws a fixed number of nonzero
-vectors from a seeded generator.  Either way the histogram is a
-deterministic function of (tower, subspace, i, mode, seed) and is
-independent of how the work is partitioned across workers.
+`rank_profile` runs the enumeration engine, which the extremal witness
+checks and searches share.  Exhaustive mode walks every nonzero coefficient
+vector of the parameter space (refusing politely once the count passes the
+budget); sampled mode draws a fixed number of nonzero vectors from a seeded
+generator.  Either way the histogram is a deterministic function of
+(tower, subspace, i, mode, seed) and is independent of how the work is
+partitioned across workers.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -110,9 +112,7 @@ class FormSubspace:
         return self.tower.K
 
     def gram_mats(self) -> np.ndarray:
-        return np.stack([unflatten_sym(row, self.tower.n) for row in self.basis]) if self.dim else np.zeros(
-            (0, self.tower.n, self.tower.n), dtype=np.int64
-        )
+        return unflatten_sym(self.basis, self.tower.n)
 
     def to_dict(self) -> dict:
         return {
@@ -159,17 +159,30 @@ class RankProfile:
         return d
 
 
+@functools.lru_cache(maxsize=64)
+def _triu(n: int) -> tuple[np.ndarray, np.ndarray]:
+    rows, cols = np.triu_indices(n)
+    rows.setflags(write=False)
+    cols.setflags(write=False)
+    return rows, cols
+
+
 def flatten_sym(mat: np.ndarray, n: int) -> np.ndarray:
-    """Upper triangle, row-major: Sym becomes plain K**(n(n+1)/2)."""
-    iu = np.triu_indices(n)
-    return np.asarray(mat, dtype=np.int64)[iu]
+    """Upper triangle, row-major: Sym becomes plain K**(n(n+1)/2).
+
+    Leading axes are batch axes: (..., n, n) becomes (..., n(n+1)/2).
+    """
+    rows, cols = _triu(n)
+    return np.asarray(mat, dtype=np.int64)[..., rows, cols]
 
 
 def unflatten_sym(vec: np.ndarray, n: int) -> np.ndarray:
-    iu = np.triu_indices(n)
-    out = np.zeros((n, n), dtype=np.int64)
-    out[iu] = vec
-    out.T[iu] = vec
+    """Inverse of `flatten_sym`: (..., n(n+1)/2) becomes (..., n, n)."""
+    rows, cols = _triu(n)
+    vec = np.asarray(vec, dtype=np.int64)
+    out = np.zeros(vec.shape[:-1] + (n, n), dtype=np.int64)
+    out[..., rows, cols] = vec
+    out[..., cols, rows] = vec
     return out
 
 
@@ -277,7 +290,7 @@ def family(tower: FieldTower, i: int) -> FormSubspace:
     """The subspace of forms swept by b, echelonized into a canonical basis."""
     n, kf = tower.n, tower.K
     grams = gram_basis(tower, i)
-    flat = np.stack([flatten_sym(g, n) for g in grams])
+    flat = flatten_sym(grams, n)
     r, pivots = rref(kf, flat)
     basis = r[: len(pivots)].copy()
     basis.setflags(write=False)
@@ -286,6 +299,10 @@ def family(tower: FieldTower, i: int) -> FormSubspace:
 
 
 # -- enumeration engine ---------------------------------------------------------
+#
+# A census is a code source (coefficient vectors over the basis Grams, in
+# chunks), then `_rank_chunks` (combine and rank each chunk), then a reducer:
+# the histogram of `_profile_from_grams`, or a stop at the first singular form.
 
 
 def _combine_forms(kf, coeffs: np.ndarray, basis_grams: np.ndarray) -> np.ndarray:
@@ -299,19 +316,27 @@ def _combine_forms(kf, coeffs: np.ndarray, basis_grams: np.ndarray) -> np.ndarra
     return out
 
 
-def _codes_from_range(q: int, d: int, start: int, stop: int) -> np.ndarray:
-    vals = np.arange(start, stop, dtype=np.int64)
-    out = np.zeros((vals.size, d), dtype=np.int64)
-    for t in range(d):
-        out[:, t] = vals % q
-        vals //= q
-    return out
+def _range_chunks(q: int, d: int, total: int, chunk: int):
+    """Coefficient vectors of the codes 1..total (base-q digits, little-endian), in chunks."""
+    for lo in range(1, total + 1, chunk):
+        vals = np.arange(lo, min(lo + chunk, total + 1), dtype=np.int64)
+        codes = np.zeros((vals.size, d), dtype=np.int64)
+        for t in range(d):
+            codes[:, t] = vals % q
+            vals //= q
+        yield codes
 
 
-def _histogram_for_codes(kf, codes: np.ndarray, basis_grams: np.ndarray, nbins: int) -> np.ndarray:
-    forms = _combine_forms(kf, codes, basis_grams)
-    ranks = rank_many(kf, forms)
-    return np.bincount(ranks, minlength=nbins)
+def _sample_codes(q: int, d: int, count: int, seed: int, chunk: int):
+    """`count` nonzero coefficient vectors drawn from a generator seeded by `seed`, in chunks."""
+    rng = np.random.default_rng(seed)
+    codes = rng.integers(0, q, size=(count, d), dtype=np.int64)
+    bad = ~codes.any(axis=1)
+    while bad.any():
+        codes[bad] = rng.integers(0, q, size=(int(bad.sum()), d), dtype=np.int64)
+        bad = ~codes.any(axis=1)
+    for lo in range(0, count, chunk):
+        yield codes[lo : lo + chunk]
 
 
 def _chunk_size(n: int) -> int:
@@ -319,14 +344,22 @@ def _chunk_size(n: int) -> int:
     return int(min(8192, max(256, 2_000_000 // max(n * n, 1))))
 
 
-def _census(kf, basis_grams: np.ndarray, codes_chunks, nbins: int, workers: int) -> np.ndarray:
-    chunks = list(codes_chunks)
-    if workers > 1 and len(chunks) > 1:
+def _rank_chunks(kf, basis_grams: np.ndarray, code_chunks, workers: int = 1):
+    """Ranks of the combined forms, one array per code chunk, in chunk order.
+
+    With several workers the chunks are ranked on a thread pool; the order of
+    the yielded arrays does not depend on the worker count.
+    """
+
+    def ranks(codes):
+        return rank_many(kf, _combine_forms(kf, codes, basis_grams))
+
+    if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(lambda ch: _histogram_for_codes(kf, ch, basis_grams, nbins), chunks))
+            yield from pool.map(ranks, code_chunks)
     else:
-        parts = [_histogram_for_codes(kf, ch, basis_grams, nbins) for ch in chunks]
-    return sum(parts, np.zeros(nbins, dtype=np.int64))
+        for codes in code_chunks:
+            yield ranks(codes)
 
 
 def _profile_from_grams(
@@ -351,29 +384,19 @@ def _profile_from_grams(
     if mode == "auto":
         mode = "exhaustive" if total <= budget else "sampled"
 
-    nbins = n + 1
-    if d == 0:
-        return RankProfile({}, mode, count=sample_count if mode == "sampled" else None,
-                           seed=seed if mode == "sampled" else None)
-
+    sampled = mode == "sampled"
     chunk = _chunk_size(n)
-    if mode == "exhaustive":
-        chunks = (
-            _codes_from_range(q, d, lo, min(lo + chunk, total + 1))
-            for lo in range(1, total + 1, chunk)
-        )
-        hist = _census(kf, basis_grams, chunks, nbins, workers)
-        return RankProfile({r: int(c) for r, c in enumerate(hist) if c}, "exhaustive")
-
-    rng = np.random.default_rng(seed)
-    codes = rng.integers(0, q, size=(sample_count, d), dtype=np.int64)
-    bad = ~codes.any(axis=1)
-    while bad.any():
-        codes[bad] = rng.integers(0, q, size=(int(bad.sum()), d), dtype=np.int64)
-        bad = ~codes.any(axis=1)
-    chunks = (codes[lo : lo + chunk] for lo in range(0, sample_count, chunk))
-    hist = _census(kf, basis_grams, chunks, nbins, workers)
-    return RankProfile({r: int(c) for r, c in enumerate(hist) if c}, "sampled", count=sample_count, seed=seed)
+    if d == 0:
+        chunks = ()
+    elif sampled:
+        chunks = _sample_codes(q, d, sample_count, seed, chunk)
+    else:
+        chunks = _range_chunks(q, d, total, chunk)
+    hist = np.zeros(n + 1, dtype=np.int64)
+    for ranks in _rank_chunks(kf, basis_grams, chunks, workers):
+        hist += np.bincount(ranks, minlength=n + 1)
+    return RankProfile({r: int(c) for r, c in enumerate(hist) if c}, mode,
+                       count=sample_count if sampled else None, seed=seed if sampled else None)
 
 
 def _parameter_grams(tower: FieldTower, sub, i: Optional[int]) -> np.ndarray:
@@ -382,17 +405,7 @@ def _parameter_grams(tower: FieldTower, sub, i: Optional[int]) -> np.ndarray:
     if isinstance(sub, LSubspace):
         if i is None:
             raise ValueError("an automorphism power is required for a parameter subspace of b's")
-        basis_grams = gram_basis(tower, i)
-        kf = tower.K
-        if sub.dim == 0:
-            return np.zeros((0, tower.n, tower.n), dtype=np.int64)
-        if kf.s == 1:
-            return np.einsum("vt,tjk->vjk", sub.basis, basis_grams) % kf.p
-        out = np.zeros((sub.dim, tower.n, tower.n), dtype=np.int64)
-        for v in range(sub.dim):
-            for t in range(tower.n):
-                out[v] = kf.add(out[v], kf.mul(int(sub.basis[v, t]), basis_grams[t]))
-        return out
+        return _combine_forms(tower.K, sub.basis, gram_basis(tower, i))
     raise TypeError(f"expected LSubspace or FormSubspace, got {type(sub).__name__}")
 
 

@@ -271,3 +271,11 @@ def test_internal_check_failure_exit_four(capsys, monkeypatch):
     assert code == 4 and out == ""
     assert err.startswith("internal check failed: exhaustive verification found a singular member")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("count", ["0", "-5"])
+def test_nonpositive_sample_count_usage_error(capsys, count):
+    code, out, err = run(capsys, "rank-laws", "--p", "3", "--n", "4", "--mode", "sampled",
+                         "--seed", "0", "--sample-count", count)
+    assert code == 1 and out == ""
+    assert "sample count must be >= 1" in err

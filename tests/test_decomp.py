@@ -335,3 +335,22 @@ def test_verdict_matches_claim_audit(tower):
     for cert in (verify_global(tower(3, 1, 4)), verify_rank_laws(tower(3, 1, 3))):
         expected = "pass" if cert.direct_sum_ok and all(claim_ok(c) for c in cert.claims) else "fail"
         assert cert.verdict == expected
+
+
+@pytest.mark.parametrize("p,n", [(3, 6), (3, 8), (7, 4), (3, 10)])
+def test_refiners_match_the_full_refinement(p, n, tower):
+    t = tower(p, 1, n)
+    full = _claims_by_name(verify_full_refined(t))
+    refined = [refine_A1_2k(t) if n % 4 == 2 else refine_A1_pow4(t)]
+    refined += [refine_Ai_mod2(t, i) for i in range(1, n // 2) if t.sigma_order(i) % 4 == 2]
+    for cert in refined:
+        assert cert.verdict == "pass" and cert.claims
+        for claim in cert.claims:
+            name = claim["subspace_name"]
+            twin = full[name] if name in full else full[name + "^1"]
+            if name.startswith("E_"):
+                # only a1-split-pow4 claims the E dimensions
+                assert twin["claimed_dim"] is None
+                assert claim["claimed_dim"] == claim["observed_dim"] == n >> int(name[2:])
+                claim = dict(claim, claimed_dim=None)
+            assert claim == dict(twin, subspace_name=name)

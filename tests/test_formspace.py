@@ -322,3 +322,34 @@ def test_flatten_unflatten_roundtrip(seed, n):
     m = rng.integers(0, 3, size=(n, n))
     sym = (m + m.T) % 3
     assert np.array_equal(unflatten_sym(flatten_sym(sym, n), n), sym)
+
+
+@pytest.mark.parametrize("n", [1, 3, 5])
+def test_flatten_unflatten_batched(n):
+    rng = np.random.default_rng(n)
+    m = rng.integers(0, 7, size=(2, 3, n, n))
+    sym = (m + np.swapaxes(m, -1, -2)) % 7
+    flat = flatten_sym(sym, n)
+    assert flat.shape == (2, 3, n * (n + 1) // 2)
+    # each batch entry matches the single-matrix call
+    for idx in np.ndindex(2, 3):
+        assert np.array_equal(flat[idx], flatten_sym(sym[idx], n))
+        assert np.array_equal(unflatten_sym(flat[idx], n), sym[idx])
+    assert np.array_equal(unflatten_sym(flat, n), sym)
+    empty = unflatten_sym(np.zeros((0, n * (n + 1) // 2), dtype=np.int64), n)
+    assert empty.shape == (0, n, n)
+    assert flatten_sym(empty, n).shape == (0, n * (n + 1) // 2)
+
+
+def test_rank_profile_worker_invariance_over_several_chunks(tower):
+    # 3**9 - 1 = 19,682 forms of size 9 are three chunks, so the thread pool runs
+    t = tower(3, 1, 9)
+    full = LSubspace.full(t.K, 9)
+    one = rank_profile(t, full, 1, workers=1)
+    many = rank_profile(t, full, 1, workers=8)
+    assert one.mode == "exhaustive" and one.total == 3**9 - 1
+    assert one.to_dict() == many.to_dict()
+    one = rank_profile(t, full, 1, "sampled", sample_count=9000, seed=3, workers=1)
+    many = rank_profile(t, full, 1, "sampled", sample_count=9000, seed=3, workers=8)
+    assert one.total == 9000
+    assert one.to_dict() == many.to_dict()

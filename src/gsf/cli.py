@@ -100,6 +100,10 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="gsf", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def output(p):
+        p.add_argument("--output", dest="output_path", default=None)
+        p.add_argument("--format", choices=["json", "table"], default="json")
+
     def common(p, tower=True, enum=True):
         if tower:
             p.add_argument("--p", type=int, required=True, help="odd prime characteristic")
@@ -111,8 +115,7 @@ def _build_parser() -> _Parser:
             p.add_argument("--seed", type=int, default=None)
             p.add_argument("--workers", type=int, default=1)
         p.add_argument("--budget", type=int, default=None)
-        p.add_argument("--output", dest="output_path", default=None)
-        p.add_argument("--format", choices=["json", "table"], default="json")
+        output(p)
 
     common(sub.add_parser("tower", help="construct and print a field tower"), enum=False)
 
@@ -144,13 +147,11 @@ def _build_parser() -> _Parser:
 
     p_rho = sub.add_parser("rho", help="Radon-Hurwitz number")
     p_rho.add_argument("--n", type=int, required=True)
-    p_rho.add_argument("--output", dest="output_path", default=None)
-    p_rho.add_argument("--format", choices=["json", "table"], default="json")
+    output(p_rho)
 
     p_mu = sub.add_parser("real-mu", help="real-field symmetric interval")
     p_mu.add_argument("--n", type=int, required=True)
-    p_mu.add_argument("--output", dest="output_path", default=None)
-    p_mu.add_argument("--format", choices=["json", "table"], default="json")
+    output(p_mu)
 
     p_search = sub.add_parser("search", help="invertible-closed subspace search")
     p_search.add_argument("--target", choices=["tau", "mu"], required=True)
@@ -160,8 +161,7 @@ def _build_parser() -> _Parser:
     p_search.add_argument("--seed", type=int, default=0)
     p_search.add_argument("--restarts", type=int, default=0)
     p_search.add_argument("--budget", type=int, default=None)
-    p_search.add_argument("--output", dest="output_path", default=None)
-    p_search.add_argument("--format", choices=["json", "table"], default="json")
+    output(p_search)
 
     p_block = sub.add_parser("block", help="lift a full-matrix witness to symmetric blocks")
     common(p_block, enum=False)

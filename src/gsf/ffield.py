@@ -8,10 +8,17 @@ length-n int64 vectors of K codes, their coordinates in the power basis
 
 Defining polynomials are always the first irreducible in the canonical scan
 order (coefficient vectors read as base-q integers), so towers, Gram
-matrices and certificates are reproducible bit for bit.  Every automorphism
-power b -> b**(q**i) is precomputed as an n x n matrix over K when the tower
-is built; trace, norm and all downstream Gram-matrix work then reduce to
-exact linear algebra on integer arrays.
+matrices and certificates are reproducible bit for bit.  The scan is a
+batched sieve followed by an exact confirmation: blocks of candidates f are
+screened with one `rank_many` call on their Frobenius matrices Q_f - I
+(Berlekamp: the kernel dimension counts the distinct irreducible factors of
+f), and only the survivors, in scan order, meet `is_irreducible`, which alone
+accepts a polynomial.  For s > 1 the GF(q) lookup tables are built with whole
+(q, q) array products of base-p digits.
+
+Every automorphism power b -> b**(q**i) is precomputed as an n x n matrix
+over K when the tower is built; trace, norm and all downstream Gram-matrix
+work then reduce to exact linear algebra on integer arrays.
 """
 
 from __future__ import annotations
@@ -123,34 +130,28 @@ class Gf:
 
     def _build_tables(self):
         p, s, q = self.p, self.s, self.q
-        modl = [int(c) for c in self.modulus]
-        digs = [[(a // p**i) % p for i in range(s)] for a in range(q)]
+        dg = self.to_digits(np.arange(q, dtype=np.int64))
+        # ys[i][b] holds the digits of y**i * b reduced by the modulus, so
+        # digit k of a * b is sum_i a_i * ys[i][b, k]: one (q, s) @ (s, q)
+        # product of digit arrays per k.  Both tables are summed digit by
+        # digit through one scratch plane, so three (q, q) planes are live.
+        ys = [dg]
+        for _ in range(1, s):
+            ys.append(_mul_x_many(Gf(p), ys[-1], self.modulus[:s]))
         mul = np.zeros((q, q), dtype=np.int64)
-        for a in range(q):
-            da = digs[a]
-            for b in range(a, q):
-                db = digs[b]
-                conv = [0] * (2 * s - 1)
-                for i in range(s):
-                    ai = da[i]
-                    if ai:
-                        for j in range(s):
-                            conv[i + j] = (conv[i + j] + ai * db[j]) % p
-                for m in range(2 * s - 2, s - 1, -1):
-                    cm = conv[m]
-                    if cm:
-                        conv[m] = 0
-                        for t in range(s):
-                            conv[m - s + t] = (conv[m - s + t] - cm * modl[t]) % p
-                code = sum(conv[i] * p**i for i in range(s))
-                mul[a, b] = code
-                mul[b, a] = code
-        dg = np.array(digs, dtype=np.int64)
-        pw = p ** np.arange(s, dtype=np.int64)
-        add = ((dg[:, None, :] + dg[None, :, :]) % p) @ pw
+        add = np.zeros((q, q), dtype=np.int64)
+        tmp = np.empty((q, q), dtype=np.int64)
+        for k in range(s):
+            np.matmul(dg, np.stack([y[:, k] for y in ys]), out=tmp)
+            tmp %= p
+            tmp *= p**k
+            mul += tmp
+            np.add.outer(dg[:, k], dg[:, k], out=tmp)
+            tmp %= p
+            tmp *= p**k
+            add += tmp
         inv = np.zeros(q, dtype=np.int64)
-        for a in range(1, q):
-            inv[a] = int(np.nonzero(mul[a] == 1)[0][0])
+        inv[1:] = np.argmax(mul[1:] == 1, axis=1)
         neg = np.argmax(add == 0, axis=1)
         for t in (mul, add, inv, neg):
             t.setflags(write=False)
@@ -368,25 +369,127 @@ def is_irreducible(gf: Gf, f) -> bool:
     return True
 
 
+# Candidates per sieve block.  The first block is small because low degrees
+# meet their polynomial among the first few candidates; blocks then double up
+# to the cap, which bounds the (block, n, n) stack of Frobenius matrices.
+_SIEVE_FIRST, _SIEVE_CAP = 8, 256
+_I64_MAX = int(np.iinfo(np.int64).max)
+
+
+def _scan_tails(q: int, degree: int, start: int, count: int) -> np.ndarray:
+    """Low coefficients (count, degree) of the scan candidates start, start + 1, ...
+
+    The digits of `start` are taken with python ints, because q**degree can
+    be far past int64 (about 2**111 at q = 11, degree = 32); the offsets
+    0..count-1 are then added with carries, which keeps every entry below
+    q + count.
+    """
+    tails = np.zeros((count, degree), dtype=np.int64)
+    r = start
+    for i in range(degree):
+        r, tails[:, i] = divmod(r, q)
+    tails[:, 0] += np.arange(count)
+    for i in range(degree - 1):
+        carry, tails[:, i] = np.divmod(tails[:, i], q)
+        tails[:, i + 1] += carry
+    return tails
+
+
+def _mul_x_many(gf: Gf, a, tails) -> np.ndarray:
+    """Rows a * x mod f for the monic f = x**n + tails.
+
+    `tails` is (B, n), one f per row, or (n,), one f for every row.
+    """
+    out = np.zeros_like(a)
+    out[:, 1:] = a[:, :-1]
+    return gf.sub(out, gf.mul(a[:, -1:], tails))
+
+
+def _matvec_many(gf: Gf, m, v, lazy: bool) -> np.ndarray:
+    """Batched products m @ v over K, shapes (B, n, n) and (B, n) -> (B, n).
+
+    With `lazy` (s = 1 only) the dot products are summed as plain integers
+    and reduced once: each is at most n products of two codes below p, so
+    the caller sets it only when n * (p - 1)**2 fits int64.  Otherwise the
+    sum runs term by term through the field's reduced add and mul (the
+    tables for s > 1).
+    """
+    if lazy:
+        return np.matmul(m, v[:, :, None])[:, :, 0] % gf.p
+    out = gf.mul(m[:, :, 0], v[:, :1])
+    for k in range(1, v.shape[1]):
+        out = gf.add(out, gf.mul(m[:, :, k], v[:, k : k + 1]))
+    return out
+
+
+def _mul_matrices(gf: Gf, a, tails) -> np.ndarray:
+    """Matrices (B, n, n) of t -> a * t mod f: column k holds a * x**k mod f."""
+    m = np.empty(a.shape + a.shape[1:], dtype=np.int64)
+    m[:, :, 0] = a
+    for k in range(1, a.shape[1]):
+        a = _mul_x_many(gf, a, tails)
+        m[:, :, k] = a
+    return m
+
+
+def _frobenius_many(gf: Gf, tails) -> np.ndarray:
+    """Matrices Q_f of t -> t**q on K[x]/(f) for the monic f = x**n + tails.
+
+    Shape (B, n, n); column j of Q_f holds x**(q*j) mod f.  x**q comes from
+    square-and-multiply (the multiplications are shifts by x), the columns
+    from n - 1 products with the matrix of multiplication by x**q, all
+    batched over the B polynomials.
+    """
+    nb, n = tails.shape
+    lazy = gf.s == 1 and n * (gf.p - 1) ** 2 <= _I64_MAX
+    col = np.zeros((nb, n), dtype=np.int64)
+    col[:, 0] = 1
+    xq = _mul_x_many(gf, col, tails)
+    for bit in bin(gf.q)[3:]:
+        xq = _matvec_many(gf, _mul_matrices(gf, xq, tails), xq, lazy)
+        if bit == "1":
+            xq = _mul_x_many(gf, xq, tails)
+    by_xq = _mul_matrices(gf, xq, tails)
+    frob = np.empty((nb, n, n), dtype=np.int64)
+    frob[:, :, 0] = col
+    for j in range(1, n):
+        col = _matvec_many(gf, by_xq, col, lazy)
+        frob[:, :, j] = col
+    return frob
+
+
 def find_irreducible(gf: Gf, degree: int) -> np.ndarray:
     """First monic irreducible of the given degree in canonical scan order.
 
     Monic candidates x**d + c_{d-1} x**(d-1) + ... + c_0 are scanned in
     increasing order of the base-q integer sum(c_i * q**i); the first
     irreducible wins, making every defining polynomial reproducible.
+
+    The scan runs in blocks of candidates (_SIEVE_FIRST, doubling up to
+    _SIEVE_CAP).  First a sieve: by Berlekamp's criterion the kernel of
+    Q_f - I has dimension equal to the number of distinct irreducible
+    factors of f, squarefree or not, so one batched `rank_many` over the
+    block drops every candidate with rank(Q_f - I) < n - 1.  Then the exact
+    confirmation: the survivors (irreducibles and powers g**e of one
+    irreducible) go in scan order to `is_irreducible`, which alone accepts.
     """
+    from gsf import exactla  # exactla imports this module
+
     if degree < 1:
         raise ValueError("degree must be >= 1")
-    q = gf.q
-    coeffs = np.zeros(degree + 1, dtype=np.int64)
-    coeffs[degree] = 1
-    for m in range(q**degree):
-        r = m
-        for i in range(degree):
-            coeffs[i] = r % q
-            r //= q
-        if is_irreducible(gf, coeffs):
-            return coeffs.copy()
+    total = gf.q**degree
+    ident = np.eye(degree, dtype=np.int64)
+    start, size = 0, _SIEVE_FIRST
+    while start < total:
+        count = min(size, total - start)
+        tails = _scan_tails(gf.q, degree, start, count)
+        ranks = exactla.rank_many(gf, gf.sub(_frobenius_many(gf, tails), ident))
+        for tail in tails[ranks == degree - 1]:
+            f = np.append(tail, 1)
+            if is_irreducible(gf, f):
+                return f
+        start += count
+        size = min(2 * size, _SIEVE_CAP)
     raise AssertionError("unreachable: irreducibles exist in every degree")
 
 
@@ -445,16 +548,7 @@ class FieldTower:
 
         frob = [np.eye(n, dtype=np.int64)]
         if n > 1:
-            xq = poly_powmod(K, _X, K.q, self.ext_poly)
-            xq_vec = np.zeros(n, dtype=np.int64)
-            xq_vec[: len(xq)] = xq
-            f1 = np.zeros((n, n), dtype=np.int64)
-            col = np.zeros(n, dtype=np.int64)
-            col[0] = 1
-            f1[:, 0] = col
-            for j in range(1, n):
-                col = self.mul(col, xq_vec)
-                f1[:, j] = col
+            f1 = _frobenius_many(K, self.ext_poly[None, :n])[0]
             frob.append(f1)
             for _ in range(2, n):
                 frob.append(K.matmul(f1, frob[-1]))

@@ -279,3 +279,20 @@ def test_nonpositive_sample_count_usage_error(capsys, count):
                          "--seed", "0", "--sample-count", count)
     assert code == 1 and out == ""
     assert "sample count must be >= 1" in err
+
+
+def test_parser_flag_sets_and_search_defaults():
+    import argparse
+
+    from gsf.cli import _build_parser
+
+    sub = next(a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+
+    def flags(name):
+        return sorted(o for a in sub.choices[name]._actions for o in a.option_strings if o.startswith("--"))
+
+    assert flags("rho") == flags("real-mu") == ["--format", "--help", "--n", "--output"]
+    assert flags("search") == ["--budget", "--format", "--help", "--method", "--n", "--output", "--q",
+                               "--restarts", "--seed", "--target"]
+    args = sub.choices["search"].parse_args(["--target", "mu", "--n", "3", "--q", "3"])
+    assert (args.seed, args.budget, args.output_path, args.format) == (0, None, None, "json")

@@ -1,8 +1,10 @@
 import math
+import random
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import assume, example
 from hypothesis import strategies as st
 
 from gsf.exactla import kernel, rank
@@ -360,3 +362,253 @@ def test_gf9_table_field_laws(a, b):
 
 
 _GF9 = Gf(3, 2)
+
+
+# -- the batched Berlekamp sieve in find_irreducible ---------------------------
+
+
+def reference_first_irreducible(gf, degree):
+    """The canonical scan, one `is_irreducible` call per candidate."""
+    coeffs = np.zeros(degree + 1, dtype=np.int64)
+    coeffs[degree] = 1
+    for m in range(gf.q**degree):
+        r = m
+        for i in range(degree):
+            r, coeffs[i] = divmod(r, gf.q)
+        if is_irreducible(gf, coeffs):
+            return coeffs.tolist()
+    raise AssertionError
+
+
+_GF343 = Gf(7, 3)
+
+
+@pytest.mark.parametrize(
+    "gf,degree",
+    [(Gf(3), d) for d in range(1, 9)]
+    + [(Gf(5), 6), (Gf(7), 5), (Gf(11), 8), (Gf(11), 16), (Gf(3), 20), (_GF9, 4), (_GF9, 6), (_GF343, 4)],
+    ids=lambda v: f"q{v.q}" if isinstance(v, Gf) else f"n{v}",
+)
+def test_find_irreducible_equals_reference_scan(gf, degree):
+    assert find_irreducible(gf, degree).tolist() == reference_first_irreducible(gf, degree)
+
+
+def test_find_irreducible_pinned_gf11_32():
+    got = find_irreducible(Gf(11), 32).tolist()
+    assert got == [9, 1, 8] + [0] * 29 + [1]
+    assert sum(c * 11**i for i, c in enumerate(got[:-1])) == 988  # its scan index
+
+
+def test_find_irreducible_pinned_gf343_4():
+    assert _GF343.modulus.tolist() == [2, 0, 0, 1]
+    assert find_irreducible(_GF343, 4).tolist() == [1, 1, 0, 0, 1]
+
+
+@pytest.mark.parametrize("gf", [Gf(3), Gf(7), _GF9, _GF343, Gf(39989)], ids=lambda g: f"q{g.q}")
+def test_find_irreducible_degree_one_is_x(gf):
+    assert find_irreducible(gf, 1).tolist() == [0, 1]
+
+
+def test_find_irreducible_large_prime_cubic():
+    # p = 39989: the Frobenius products sum to about 3 * p**2, past int32.
+    # p = 2 mod 3 makes every x**3 + c reducible (cubing is onto), so the scan
+    # reaches x**3 + x + c; a cubic is irreducible iff it has no root
+    p = 39989
+    got = find_irreducible(Gf(p), 3).tolist()
+    assert got == [6, 1, 0, 1]
+    xs = np.arange(p, dtype=np.int64)
+    values = set(((-(xs * xs % p * xs + xs)) % p).tolist())  # the c with a root of x**3 + x + c
+    assert all(c in values for c in range(6)) and 6 not in values
+    assert find_irreducible(Gf(p), 2).tolist() == reference_first_irreducible(Gf(p), 2)
+
+
+@pytest.mark.parametrize("p,degree", [(11, 16), (39989, 3)])
+def test_find_irreducible_accepts_only_through_is_irreducible(monkeypatch, p, degree):
+    import gsf.ffield as ffield
+
+    seen = []
+
+    def counted(gf, f):
+        seen.append((f.tolist(), is_irreducible(gf, f)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(ffield, "is_irreducible", counted)
+    got = find_irreducible(Gf(p), degree).tolist()
+    assert [f for f, ok in seen if ok] == [got] and seen[-1][0] == got
+    # the sieve leaves a handful of the 1,462 (resp. 39,996) candidates scanned
+    assert len(seen) <= 5
+
+
+def test_find_irreducible_sieves_every_candidate_in_order(monkeypatch):
+    import gsf.ffield as ffield
+
+    blocks = []
+    sieve = ffield._frobenius_many
+
+    def recorded(gf, tails):
+        blocks.append(tails.tolist())
+        return sieve(gf, tails)
+
+    monkeypatch.setattr(ffield, "_frobenius_many", recorded)
+    assert find_irreducible(Gf(11), 16).tolist()[:3] == [5, 1, 1]  # scan index 137
+    sizes = [len(b) for b in blocks]
+    assert sizes == sorted(sizes) and sizes[-1] <= ffield._SIEVE_CAP
+    scanned = [row for b in blocks for row in b]
+    assert scanned == [_digits(m, 11, 16) for m in range(len(scanned))] and len(scanned) > 137
+
+
+# -- Berlekamp's criterion: dim ker(Q_f - I) = number of distinct factors -------
+
+
+def _poly_quo(a, b, p):
+    """Quotient of a by the monic b over GF(p)."""
+    a = list(a)
+    db = len(b) - 1
+    quo = [0] * (len(a) - db)
+    for k in range(len(a) - 1 - db, -1, -1):
+        c = a[k + db]
+        quo[k] = c
+        for i, bc in enumerate(b):
+            a[k + i] = (a[k + i] - c * bc) % p
+    return quo
+
+
+def _poly_mul(a, b, p):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ac in enumerate(a):
+        for j, bc in enumerate(b):
+            out[i + j] = (out[i + j] + ac * bc) % p
+    return out
+
+
+def oracle_distinct_factors(p, f):
+    """Distinct monic irreducible factors of f over GF(p), by trial division.
+
+    Factors are divided out by increasing degree, so every monic divisor met
+    at degree d is irreducible; what is left without a divisor of degree up
+    to half its own is irreducible (or 1).
+    """
+    f = list(f)
+    count, deg = 0, 1
+    while len(f) - 1 >= 2 * deg:
+        for m in range(p**deg):
+            g = _digits(m, p, deg) + [1]
+            if not _poly_rem(f, g, p):
+                count += 1
+                while len(f) > deg and not _poly_rem(f, g, p):
+                    f = _poly_quo(f, g, p)
+        deg += 1
+    return count + (len(f) > 1)
+
+
+def _checked_frobenius(gf, polys):
+    """The sieve's Frobenius matrices of a stack of monic polys, each column
+    checked against x**(q*j) mod f from `poly_powmod`."""
+    from gsf.ffield import _frobenius_many, poly_powmod
+
+    polys = np.asarray(polys, dtype=np.int64)
+    n = polys.shape[1] - 1
+    mats = _frobenius_many(gf, polys[:, :n])
+    for f, q_f in zip(polys, mats):
+        for j in range(n):
+            col = poly_powmod(gf, np.array([0, 1]), gf.q * j, f).tolist()
+            assert q_f[:, j].tolist() == col + [0] * (n - len(col))
+    return mats
+
+
+def _frobenius_rank(p, f):
+    from gsf.exactla import rank_many
+
+    gf, n = Gf(p), len(f) - 1
+    q_f = _checked_frobenius(gf, [f])[0]
+    return int(rank_many(gf, (q_f - np.eye(n, dtype=np.int64)) % p)[0])
+
+
+@pytest.mark.parametrize(
+    "gf,degree", [(Gf(39989), 3), (Gf(39989), 5), (_GF9, 4), (_GF343, 3), (Gf(11), 12)], ids=str
+)
+def test_frobenius_matrices_match_powmod(gf, degree):
+    # p = 39989: each column entry sums up to n products near p**2, past int32
+    rng = np.random.default_rng(degree)
+    polys = np.hstack([rng.integers(0, gf.q, size=(6, degree)), np.ones((6, 1), dtype=np.int64)])
+    _checked_frobenius(gf, polys)
+
+
+@pytest.mark.parametrize("q,degree", [(3, 1), (3, 7), (11, 32), (343, 4), (39989, 3)])
+def test_scan_tails_match_base_q_digits(q, degree):
+    from gsf.ffield import _scan_tails
+
+    total = q**degree  # past int64 at q = 11, degree = 32
+    rng = random.Random(degree)
+    starts = {0, max(total - 256, 0), q ** (degree - 1) - 100 if degree > 1 else 0}
+    starts |= {rng.randrange(max(total - 256, 1)) for _ in range(3)}
+    for start in starts:
+        count = min(256, total - start)
+        want = [_digits(start + k, q, degree) for k in range(count)]
+        assert _scan_tails(q, degree, start, count).tolist() == want
+
+
+@st.composite
+def _monic_products(draw):
+    """A monic f of degree 1..6 over GF(3) or GF(5), often with repeated factors."""
+    p = draw(st.sampled_from([3, 5]))
+    f = [1]
+    for _ in range(draw(st.integers(1, 3))):
+        d = draw(st.integers(1, 3))
+        g = draw(st.lists(st.integers(0, p - 1), min_size=d, max_size=d)) + [1]
+        for _ in range(draw(st.integers(1, 3))):
+            if len(f) - 1 + d <= 6:
+                f = _poly_mul(f, g, p)
+    return p, f
+
+
+@settings(max_examples=150, deadline=None)
+@given(pf=_monic_products())
+@example(pf=(3, [1, 0, 2, 0, 1]))  # (x**2 + 1)**2
+@example(pf=(5, [1, 0, 2, 0, 1]))  # (x**2 + 1)**2 = (x + 2)**2 (x + 3)**2
+@example(pf=(3, [0, 0, 0, 0, 0, 0, 1]))  # x**6
+def test_berlekamp_kernel_counts_distinct_factors(pf):
+    p, f = pf
+    assert len(f) - 1 - _frobenius_rank(p, f) == oracle_distinct_factors(p, f)
+
+
+@settings(max_examples=60, deadline=None)
+@given(p=st.sampled_from([3, 5]), g=st.lists(st.integers(0, 4), min_size=1, max_size=3), e=st.integers(1, 3))
+@example(p=3, g=[1, 0], e=2)  # (x**2 + 1)**2 over GF(3)
+def test_prime_power_survives_sieve_and_fails_exact_test(p, g, e):
+    g = [c % p for c in g] + [1]
+    assume(oracle_irreducible(p, g) and (len(g) - 1) * e <= 6)
+    f = [1]
+    for _ in range(e):
+        f = _poly_mul(f, g, p)
+    assert _frobenius_rank(p, f) == len(f) - 2  # one distinct factor: the sieve keeps f
+    assert is_irreducible(Gf(p), np.array(f)) == (e == 1)
+
+
+def _reference_tables(gf):
+    """Multiplication, inverse and negation tables by schoolbook loops."""
+    p, s, q = gf.p, gf.s, gf.q
+    g = gf.modulus.tolist()
+    digs = [_digits(a, p, s) for a in range(q)]
+    mul = np.zeros((q, q), dtype=np.int64)
+    for a in range(q):
+        for b in range(q):
+            conv = [0] * (2 * s - 1)
+            for i in range(s):
+                for j in range(s):
+                    conv[i + j] = (conv[i + j] + digs[a][i] * digs[b][j]) % p
+            for m in range(2 * s - 2, s - 1, -1):
+                for t in range(s):
+                    conv[m - s + t] = (conv[m - s + t] - conv[m] * g[t]) % p
+            mul[a, b] = sum(conv[i] * p**i for i in range(s))
+    inv = [0] + [int(np.nonzero(mul[a] == 1)[0][0]) for a in range(1, q)]
+    neg = [sum((-d) % p * p**i for i, d in enumerate(digs[a])) for a in range(q)]
+    return mul, inv, neg
+
+
+@pytest.mark.parametrize("p,s", [(3, 2), (3, 3), (5, 2), (3, 4), (7, 3)])
+def test_gf_tables_equal_schoolbook_reference(p, s):
+    gf = _GF343 if (p, s) == (7, 3) else Gf(p, s)
+    mul, inv, neg = _reference_tables(gf)
+    assert np.array_equal(gf._mul_t, mul)
+    assert gf._inv_t.tolist() == inv and gf._neg_t.tolist() == neg

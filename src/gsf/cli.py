@@ -57,7 +57,6 @@ class _Parser(argparse.ArgumentParser):
 class RunConfig:
     """Shared run options; sampled mode requires an explicit seed."""
 
-    command: str
     mode: str = "auto"
     sample_count: int = DEFAULT_SAMPLE_COUNT
     seed: Optional[int] = None
@@ -230,7 +229,6 @@ def _emit_certificate(cert: Certificate, cfg: RunConfig) -> int:
 
 def _config(args) -> RunConfig:
     return RunConfig(
-        command=args.command,
         mode=getattr(args, "mode", "auto"),
         sample_count=getattr(args, "sample_count", DEFAULT_SAMPLE_COUNT),
         seed=getattr(args, "seed", None),

@@ -151,10 +151,6 @@ class Certificate:
     verdict: str
     enumeration: dict
 
-    @property
-    def passed(self) -> bool:
-        return self.verdict == "pass"
-
     def to_dict(self) -> dict:
         claims = []
         for c in self.claims:

@@ -219,9 +219,6 @@ class LSubspace:
     def dim(self) -> int:
         return self.basis.shape[0]
 
-    def is_zero(self) -> bool:
-        return self.dim == 0
-
     def sum(self, other: "LSubspace") -> "LSubspace":
         self._check_ambient(other)
         stacked = np.vstack([self.basis, other.basis])

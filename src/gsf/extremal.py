@@ -29,7 +29,6 @@ from gsf.formspace import (
     _combine_forms,
     _profile_from_grams,
     _range_chunks,
-    _rank_chunks,
     flatten_sym,
     gram_basis,
     unflatten_sym,
@@ -48,6 +47,12 @@ __all__ = [
     "greedy_search",
     "gaussian_binomial",
 ]
+
+# combined matrices per rank pass of the exhaustive search (larger batches gain
+# little time and raise peak memory); greedy draws per step, backtracks per restart
+_SEARCH_BATCH = 1024
+_GREEDY_TRIES = 512
+_GREEDY_BACKTRACKS = 64
 
 
 @dataclass(frozen=True)
@@ -152,19 +157,28 @@ def _canonical_witness(gf: Gf, mats, symmetric: bool) -> list[np.ndarray]:
     return list(unflatten_sym(rows, n) if symmetric else rows.reshape(-1, n, n))
 
 
-def _all_combos_invertible(gf: Gf, mats, budget: int) -> Optional[bool]:
-    """Whether every nonzero combination of `mats` is invertible.
-
-    Stops at the first singular member; None when the q**d - 1 combinations
-    exceed the budget.
+def _all_combos_invertible(gf: Gf, bases, budget: int) -> Optional[np.ndarray]:
+    """Mask (C,) of the candidate bases, shape (C, d, n, n), whose every nonzero
+    combination is invertible; None when the q**d - 1 combinations exceed the
+    budget.  Each code chunk is combined with every live candidate and ranked
+    in one batched call; the walk stops once no candidate is alive.
     """
-    basis = np.asarray(mats, dtype=np.int64)
-    d, n = basis.shape[0], basis.shape[1]
+    bases = np.asarray(bases, dtype=np.int64)
+    c, d, n = bases.shape[:3]
     total = gf.q**d - 1
     if total > budget:
         return None
-    chunks = _range_chunks(gf.q, d, total, _chunk_size(n))
-    return all((ranks == n).all() for ranks in _rank_chunks(gf, basis, chunks))
+    alive = np.ones(c, dtype=bool)
+    for codes in _range_chunks(gf.q, d, total, max(1, _chunk_size(n) // c)):
+        idx = np.nonzero(alive)[0]
+        # (d, C'*n, n): member t of every live candidate, stacked by rows
+        stack = bases[idx].transpose(1, 0, 2, 3).reshape(d, idx.size * n, n)
+        forms = _combine_forms(gf, codes, stack).reshape(-1, n, n)
+        ranks = rank_many(gf, forms).reshape(codes.shape[0], idx.size)
+        alive[idx] = (ranks == n).all(axis=0)
+        if not alive.any():
+            break
+    return alive
 
 
 def _verify_witness(gf: Gf, mats: list[np.ndarray], budget: int, sample_count: int, seed: int):
@@ -222,10 +236,10 @@ def block_construction(u: SearchResult, budget: int | None = None) -> SearchResu
         b[:m, m:] = a
         b[m:, :m] = a.T
         blocks.append(b)
-    ok = _all_combos_invertible(gf, blocks, budget)
+    ok = _all_combos_invertible(gf, np.stack(blocks)[None], budget)
     if ok is None:
         raise BudgetExceededError(gf.q ** len(blocks) - 1, budget)
-    if not ok:
+    if not ok[0]:
         raise AssertionError("block lift of an invertible-closed subspace has a singular member")
     return SearchResult("mu", 2 * m, u.q, u.best_dim, _canonical_witness(gf, blocks, symmetric=True),
                         {"mode": "exhaustive"}, True)
@@ -262,52 +276,56 @@ def _iter_rref_bases(q: int, ambient: int, k: int):
             yield b
 
 
-def exhaustive_search(target: str, n: int, q: int, budget: int | None = None,
-                      dims: Optional[list[int]] = None) -> SearchResult:
+def exhaustive_search(target: str, n: int, q: int, budget: int | None = None) -> SearchResult:
     """Exact maximal invertible-closed dimension on a tiny instance.
 
     Scans dimensions downward from n + 1 (capped by the ambient dimension),
-    enumerating canonical echelon bases; a candidate dies on its first
-    singular nonzero member.  The first dimension with a surviving candidate
-    is the exact maximum, and every larger dimension scanned without a
-    witness is recorded in `dims_exhausted`.
+    enumerating canonical echelon bases in `_iter_rref_bases` order.  The
+    candidates of a dimension go through `_all_combos_invertible` in batches
+    of about `_SEARCH_BATCH` combined matrices, so one rank pass covers
+    several candidates.  The first survivor in scan order of the first
+    dimension with one is the witness of the exact maximum, and every larger
+    dimension scanned without a witness is recorded in `dims_exhausted`.
     """
     budget = DEFAULT_BUDGET if budget is None else budget
     p, s = prime_power_decompose(q)
     gf = Gf(p, s)
     ambient = _ambient(target, n)
-    if dims is None:
-        dims = list(range(min(ambient, n + 1), 0, -1))
     exhausted = []
-    for k in dims:
+    for k in range(min(ambient, n + 1), 0, -1):
         count = gaussian_binomial(ambient, k, q)
         if count > budget:
             raise BudgetExceededError(count, budget)
-        for flat in _iter_rref_bases(q, ambient, k):
-            mats = flat.reshape(k, n, n) if target == "tau" else unflatten_sym(flat, n)
+        bases = _iter_rref_bases(q, ambient, k)
+        per_batch = max(1, _SEARCH_BATCH // (q**k - 1))
+        while batch := list(itertools.islice(bases, per_batch)):
+            flat = np.stack(batch)
+            mats = flat.reshape(-1, k, n, n) if target == "tau" else unflatten_sym(flat, n)
             ok = _all_combos_invertible(gf, mats, budget)
             if ok is None:
                 raise BudgetExceededError(q**k - 1, budget)
-            if ok:
-                return SearchResult(target, n, q, k, _canonical_witness(gf, mats, target == "mu"),
-                                    {"mode": "exhaustive"}, True, dims_exhausted=exhausted)
+            if ok.any():
+                witness = _canonical_witness(gf, mats[np.argmax(ok)], target == "mu")
+                return SearchResult(target, n, q, k, witness, {"mode": "exhaustive"}, True,
+                                    dims_exhausted=exhausted)
         exhausted.append(k)
     return SearchResult(target, n, q, 0, [], {"mode": "exhaustive"}, True, dims_exhausted=exhausted)
 
 
 def greedy_search(target: str, n: int, q: int, seed: int = 0, restarts: int = 0,
-                  budget: int | None = None, max_tries: int = 512,
-                  backtracks: int = 64) -> SearchResult:
+                  budget: int | None = None) -> SearchResult:
     """Randomized greedy basis extension with exact verification of each step.
 
-    Per restart: draw a bulk of random candidate matrices, filter out every
-    one that breaks invertible-closure (vectorized, one batched rank pass
-    per existing combination), and append the first survivor.  When no
+    Per restart: draw `_GREEDY_TRIES` random candidate matrices, filter out
+    every one that breaks invertible-closure (vectorized, one batched rank
+    pass per existing combination), and append the first survivor.  When no
     candidate survives the walk backtracks by dropping a random member, up
-    to `backtracks` times, keeping the best basis seen.  Restart streams
-    derive deterministically from (seed, restart index), so restarts = 0 is
-    the deterministic first pass.  An extension past dimension n succeeding
-    would contradict the column bound, so it raises.
+    to `_GREEDY_BACKTRACKS` times, keeping the best basis seen.  Restart
+    streams derive deterministically from (seed, restart index), so
+    restarts = 0 is the deterministic first pass.  An extension past
+    dimension n succeeding would contradict the column bound, so it raises.
+    The best basis is verified by `_all_combos_invertible` as a stack of
+    one; over the budget it is reported unverified.
     """
     budget = DEFAULT_BUDGET if budget is None else budget
     p, s = prime_power_decompose(q)
@@ -317,11 +335,11 @@ def greedy_search(target: str, n: int, q: int, seed: int = 0, restarts: int = 0,
     for restart in range(restarts + 1):
         rng = np.random.default_rng([seed, restart])
         basis: list[np.ndarray] = []
-        back_left = backtracks
+        back_left = _GREEDY_BACKTRACKS
         while True:
             if q ** len(basis) > budget:
                 break
-            cand = _find_extension(gf, target, n, basis, rng, max_tries)
+            cand = _find_extension(gf, target, n, basis, rng, _GREEDY_TRIES)
             if cand is not None:
                 if len(basis) == n:
                     raise AssertionError("greedy extension exceeded the dimension bound n")
@@ -334,7 +352,8 @@ def greedy_search(target: str, n: int, q: int, seed: int = 0, restarts: int = 0,
                 break
             back_left -= 1
             basis.pop(int(rng.integers(0, len(basis))))
-    verified = bool(best) and _all_combos_invertible(gf, best, budget) is True
+    ok = _all_combos_invertible(gf, np.stack(best)[None], budget) if best else None
+    verified = ok is not None and bool(ok[0])
     return SearchResult(
         target,
         n,

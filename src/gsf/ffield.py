@@ -119,9 +119,18 @@ class Gf:
         self.modulus.setflags(write=False)
         self._inv_t = None
         if s == 1:
-            inv = np.zeros(p, dtype=np.int64)
-            for a in range(1, p):
-                inv[a] = pow(a, p - 2, p)
+            # a**(p - 2) for every a at once, by square-and-multiply
+            base = np.arange(p, dtype=np.int64)
+            inv = np.ones(p, dtype=np.int64)
+            e = p - 2
+            while e:
+                if e & 1:
+                    inv *= base
+                    inv %= p
+                base *= base
+                base %= p
+                e >>= 1
+            inv[0] = 0
             self._inv_t = inv
         else:
             self._build_tables()
@@ -185,19 +194,6 @@ class Gf:
             raise ZeroDivisionError("inverse of 0 in GF(q)")
         return self._inv_t[a]
 
-    def pow_scalar(self, a: int, e: int) -> int:
-        if self.s == 1:
-            return pow(int(a), e, self.p) if e >= 0 else int(self.inv(pow(int(a), -e, self.p)))
-        if e < 0:
-            a, e = int(self.inv(a)), -e
-        r, base = 1, int(a)
-        while e:
-            if e & 1:
-                r = int(self._mul_t[r, base])
-            base = int(self._mul_t[base, base])
-            e >>= 1
-        return r
-
     def matmul(self, a, b):
         """Exact matrix product of code arrays (2-D @ 2-D or 2-D @ 1-D)."""
         a = np.asarray(a, dtype=np.int64)
@@ -220,9 +216,6 @@ class Gf:
         for x in np.atleast_1d(prods):
             acc = int(self._add_t[acc, x])
         return acc
-
-    def elements(self) -> np.ndarray:
-        return np.arange(self.q, dtype=np.int64)
 
     # -- base-p digit codecs --------------------------------------------------
 
@@ -703,16 +696,13 @@ class FieldTower:
             raise ValueError(f"digits must lie in 0..{self.p - 1}")
         return self.K.from_digits(digits.reshape(self.n, self.s))
 
-    def _poly_digits(self, f) -> list[int]:
-        return [int(d) for d in self.K.to_digits(np.asarray(f, dtype=np.int64)).ravel()]
-
     def to_dict(self) -> dict:
         return {
             "p": self.p,
             "s": self.s,
             "n": self.n,
             "base_poly": [int(c) for c in self.base_poly],
-            "ext_poly": self._poly_digits(self.ext_poly),
+            "ext_poly": self.element_to_digits(self.ext_poly),
         }
 
     @classmethod

@@ -302,15 +302,14 @@ def family(tower: FieldTower, i: int) -> FormSubspace:
 #
 # A census is a code source (coefficient vectors over the basis Grams, in
 # chunks), then `_rank_chunks` (combine and rank each chunk), then a reducer:
-# the histogram of `_profile_from_grams`, or a stop at the first singular form.
+# the histogram of `_profile_from_grams`.  `extremal._all_combos_invertible`
+# walks the same code source for a stack of candidate bases at once.
 
 
 def _combine_forms(kf, coeffs: np.ndarray, basis_grams: np.ndarray) -> np.ndarray:
     if kf.s == 1:
         return np.einsum("bt,tjk->bjk", coeffs, basis_grams) % kf.p
-    nb = coeffs.shape[0]
-    n = basis_grams.shape[1]
-    out = np.zeros((nb, n, n), dtype=np.int64)
+    out = np.zeros((coeffs.shape[0],) + basis_grams.shape[1:], dtype=np.int64)
     for t in range(coeffs.shape[1]):
         out = kf.add(out, kf.mul(coeffs[:, t, None, None], basis_grams[t][None]))
     return out

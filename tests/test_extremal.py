@@ -1,9 +1,14 @@
+import itertools
+import json
+
 import numpy as np
 import pytest
 
+from gsf import extremal
 from gsf.exactla import rank
 from gsf.extremal import (
     RhoDecomposition,
+    _all_combos_invertible,
     block_construction,
     construct_regular_rep_subspace,
     construct_symmetric_witness,
@@ -15,7 +20,7 @@ from gsf.extremal import (
     rho_decompose,
     _iter_rref_bases,
 )
-from gsf.ffield import Gf
+from gsf.ffield import FieldTower, Gf, prime_power_decompose
 from gsf.formspace import BudgetExceededError
 
 
@@ -205,3 +210,138 @@ def test_greedy_matches_construction_on_small_grid():
     for n, q in [(2, 3), (3, 3), (2, 5)]:
         res = greedy_search("tau", n, q, seed=1, restarts=1)
         assert res.best_dim == n
+
+
+# -- batched closure test and the exhaustive scan --------------------------------
+
+
+def _sym(row, n):
+    m = np.zeros((n, n), dtype=np.int64)
+    m[np.triu_indices(n)] = row
+    return m + np.triu(m, 1).T
+
+
+def _closed(gf, mats):
+    """Every nonzero combination of `mats` has full rank, one `rank` each."""
+    n = len(mats[0])
+    for coeffs in itertools.product(range(gf.q), repeat=len(mats)):
+        if any(coeffs):
+            acc = np.zeros((n, n), dtype=np.int64)
+            for c, m in zip(coeffs, mats):
+                acc = gf.add(acc, gf.mul(c, np.asarray(m, dtype=np.int64)))
+            if rank(gf, acc) < n:
+                return False
+    return True
+
+
+def _reference_search(target, n, q):
+    """(k, flat basis, dims exhausted): the first closed candidate in
+    `_iter_rref_bases` order, scanning k downward from n + 1."""
+    gf = Gf(*prime_power_decompose(q))
+    ambient = n * n if target == "tau" else n * (n + 1) // 2
+    exhausted = []
+    for k in range(min(ambient, n + 1), 0, -1):
+        for flat in _iter_rref_bases(q, ambient, k):
+            mats = [row.reshape(n, n) if target == "tau" else _sym(row, n) for row in flat]
+            if _closed(gf, mats):
+                return k, flat, exhausted
+        exhausted.append(k)
+    return 0, None, exhausted
+
+
+def _flat_witness(res):
+    n = res.n
+    if res.target == "tau":
+        return np.array([np.asarray(w).ravel() for w in res.witness_basis])
+    return np.array([np.asarray(w)[np.triu_indices(n)] for w in res.witness_basis])
+
+
+SEARCH_GRID = [("tau", 2, 3), ("mu", 2, 3), ("tau", 2, 5), ("mu", 2, 5), ("tau", 2, 7),
+               ("mu", 2, 7), ("tau", 2, 9), ("mu", 2, 9), ("mu", 3, 3), ("tau", 1, 3),
+               ("mu", 1, 3), ("tau", 1, 9), ("mu", 1, 5)]
+
+
+@pytest.mark.parametrize("target,n,q", SEARCH_GRID)
+def test_exhaustive_search_equals_reference_scan(target, n, q):
+    k, flat, exhausted = _reference_search(target, n, q)
+    res = exhaustive_search(target, n, q)
+    assert res.best_dim == k and res.dims_exhausted == exhausted and res.verified
+    assert np.array_equal(_flat_witness(res), flat)
+
+
+def test_exhaustive_search_mu_3_3_pinned_and_batched(monkeypatch):
+    sizes = []
+    orig = extremal.rank_many
+
+    def counting(gf, mats):
+        sizes.append(len(mats))
+        return orig(gf, mats)
+
+    monkeypatch.setattr(extremal, "rank_many", counting)
+    res = exhaustive_search("mu", 3, 3)
+    assert json.dumps(res.to_dict(), sort_keys=True) == (
+        '{"best_dim": 3, "dims_exhausted": [4], "mode": {"mode": "exhaustive"}, "n": 3, '
+        '"q": 3, "target": "mu", "verified": true, "witness_basis": '
+        '[[[1, 0, 0], [0, 0, 1], [0, 1, 1]], [[0, 1, 0], [1, 2, 0], [0, 0, 1]], '
+        '[[0, 0, 1], [0, 1, 0], [1, 0, 0]]]}'
+    )
+    # 11,011 candidates of dimension 4 and 1,039 of dimension 3, ranked in
+    # shared passes instead of one pass each
+    assert len(sizes) < 1000 and max(sizes) <= extremal._SEARCH_BATCH
+
+
+@pytest.mark.parametrize("target,per_batch", [("mu", b) for b in (1, 2, 3, 5, 13)]
+                         + [("tau", b) for b in (1, 4, 5, 7, 20, 130)])
+def test_first_survivor_wins_whatever_the_batching(monkeypatch, target, per_batch):
+    # at k = 2 over GF(3) the survivors sit at scan positions 2, 4, 7 (mu) and
+    # 13, 14, 15, ... (tau): small batches put the first one in a later batch,
+    # larger ones at a later position of a batch that holds other survivors
+    want = exhaustive_search(target, 2, 3).to_dict()
+    monkeypatch.setattr(extremal, "_SEARCH_BATCH", 8 * per_batch)
+    res = exhaustive_search(target, 2, 3)
+    assert res.to_dict() == want
+    k, flat, _ = _reference_search(target, 2, 3)
+    assert np.array_equal(_flat_witness(res), flat)
+
+
+def _mixed_stack(gf, n, d, count, seed):
+    rng = np.random.default_rng(seed)
+    stack = rng.integers(0, gf.q, size=(count, d, n, n), dtype=np.int64)
+    tower = FieldTower(gf.p, gf.s, n)
+    stack[count // 2, :] = extremal.construct_regular_rep_subspace(tower).witness_basis[:d]
+    return stack
+
+
+@pytest.mark.parametrize("p,s,n,d", [(3, 1, 2, 2), (5, 1, 2, 2), (3, 2, 2, 2), (3, 1, 3, 3), (7, 1, 3, 2)])
+def test_batched_closure_mask_equals_per_basis_reference(p, s, n, d):
+    gf = Gf(p, s)
+    stack = _mixed_stack(gf, n, d, 24, seed=p * 100 + s * 10 + n)
+    want = [_closed(gf, list(b)) for b in stack]
+    assert any(want) and not all(want)
+    assert _all_combos_invertible(gf, stack, gf.q**d - 1).tolist() == want
+    assert _all_combos_invertible(gf, stack, gf.q**d - 2) is None
+
+
+def test_batched_closure_drops_dead_candidates_and_stops(monkeypatch):
+    gf = Gf(3)
+    closed = [np.eye(2, dtype=np.int64), np.array([[0, 1], [2, 0]])]  # x**2 + 1 is irreducible
+    early = [np.eye(2, dtype=np.int64), np.array([[0, 1], [1, 0]])]  # I + X is singular
+    late = [np.eye(2, dtype=np.int64), np.array([[1, 1], [0, 1]])]  # 2I + X is singular
+    sizes = []
+    orig = extremal.rank_many
+
+    def counting(gf, mats):
+        sizes.append(len(mats))
+        return orig(gf, mats)
+
+    monkeypatch.setattr(extremal, "rank_many", counting)
+    monkeypatch.setattr(extremal, "_chunk_size", lambda n: 3)  # one code per chunk
+    stack = np.array([early, closed, late])
+    assert _all_combos_invertible(gf, stack, 8).tolist() == [False, True, False]
+    assert _closed(gf, closed) and not _closed(gf, early) and not _closed(gf, late)
+    # codes are little-endian digits: `early` dies at code 4 = (1, 1) and
+    # `late` at code 5 = (2, 1), so the live count falls from 3 to 2 to 1
+    assert sizes == [3, 3, 3, 3, 2, 1, 1, 1]
+    sizes.clear()
+    assert _all_combos_invertible(gf, np.array([early, late]), 8).tolist() == [False, False]
+    assert sizes == [2, 2, 2, 2, 1]  # stops once no candidate is alive

@@ -612,3 +612,9 @@ def test_gf_tables_equal_schoolbook_reference(p, s):
     mul, inv, neg = _reference_tables(gf)
     assert np.array_equal(gf._mul_t, mul)
     assert gf._inv_t.tolist() == inv and gf._neg_t.tolist() == neg
+
+
+@pytest.mark.parametrize("p", [3, 5, 11, 39989])
+def test_prime_inverse_table_equals_pow_loop(p):
+    want = [0] + [pow(a, p - 2, p) for a in range(1, p)]
+    assert Gf(p)._inv_t.tolist() == want

@@ -28,6 +28,7 @@ from gsf.formspace import (
     _chunk_size,
     _combine_forms,
     _profile_from_grams,
+    _projective_spans,
     _range_chunks,
     flatten_sym,
     gram_basis,
@@ -160,8 +161,10 @@ def _canonical_witness(gf: Gf, mats, symmetric: bool) -> list[np.ndarray]:
 def _all_combos_invertible(gf: Gf, bases, budget: int) -> Optional[np.ndarray]:
     """Mask (C,) of the candidate bases, shape (C, d, n, n), whose every nonzero
     combination is invertible; None when the q**d - 1 combinations exceed the
-    budget.  Each code chunk is combined with every live candidate and ranked
-    in one batched call; the walk stops once no candidate is alive.
+    budget.  A nonzero multiple of an invertible matrix is invertible, so only
+    the (q**d - 1)/(q - 1) projective codes, one per K-line, are ranked.  Each
+    code chunk is combined with every live candidate and ranked in one batched
+    call; the walk stops once no candidate is alive.
     """
     bases = np.asarray(bases, dtype=np.int64)
     c, d, n = bases.shape[:3]
@@ -169,7 +172,7 @@ def _all_combos_invertible(gf: Gf, bases, budget: int) -> Optional[np.ndarray]:
     if total > budget:
         return None
     alive = np.ones(c, dtype=bool)
-    for codes in _range_chunks(gf.q, d, total, max(1, _chunk_size(n) // c)):
+    for codes in _range_chunks(gf.q, d, _projective_spans(gf.q, d), max(1, _chunk_size(n) // c)):
         idx = np.nonzero(alive)[0]
         # (d, C'*n, n): member t of every live candidate, stacked by rows
         stack = bases[idx].transpose(1, 0, 2, 3).reshape(d, idx.size * n, n)
@@ -281,29 +284,40 @@ def exhaustive_search(target: str, n: int, q: int, budget: int | None = None) ->
 
     Scans dimensions downward from n + 1 (capped by the ambient dimension),
     enumerating canonical echelon bases in `_iter_rref_bases` order.  The
-    candidates of a dimension go through `_all_combos_invertible` in batches
-    of about `_SEARCH_BATCH` combined matrices, so one rank pass covers
-    several candidates.  The first survivor in scan order of the first
-    dimension with one is the witness of the exact maximum, and every larger
-    dimension scanned without a witness is recorded in `dims_exhausted`.
+    candidates of a dimension go through `_all_combos_invertible`, which
+    ranks one combination per K-line, in batches of about `_SEARCH_BATCH`
+    combined matrices, so one rank pass covers several candidates.  The
+    first survivor in scan order of the first dimension with one is the
+    witness of the exact maximum, and every larger dimension scanned without
+    a witness is recorded in `dims_exhausted`.
+
+    The budget counts candidates and forms (q**k - 1 per candidate), not
+    ranks.  No (n + 1)-dimensional subspace is invertible-closed (column
+    bound), so the scan always reaches dimension n: every dimension down to
+    n is checked against the budget before anything is scanned.
     """
     budget = DEFAULT_BUDGET if budget is None else budget
     p, s = prime_power_decompose(q)
     gf = Gf(p, s)
     ambient = _ambient(target, n)
+    top = min(ambient, n + 1)
+
+    def check_budget(k):
+        for needed in (gaussian_binomial(ambient, k, q), q**k - 1):
+            if needed > budget:
+                raise BudgetExceededError(needed, budget)
+
+    for k in range(top, min(ambient, n) - 1, -1):
+        check_budget(k)
     exhausted = []
-    for k in range(min(ambient, n + 1), 0, -1):
-        count = gaussian_binomial(ambient, k, q)
-        if count > budget:
-            raise BudgetExceededError(count, budget)
+    for k in range(top, 0, -1):
+        check_budget(k)
         bases = _iter_rref_bases(q, ambient, k)
-        per_batch = max(1, _SEARCH_BATCH // (q**k - 1))
+        per_batch = max(1, _SEARCH_BATCH // ((q**k - 1) // (q - 1)))
         while batch := list(itertools.islice(bases, per_batch)):
             flat = np.stack(batch)
             mats = flat.reshape(-1, k, n, n) if target == "tau" else unflatten_sym(flat, n)
             ok = _all_combos_invertible(gf, mats, budget)
-            if ok is None:
-                raise BudgetExceededError(q**k - 1, budget)
             if ok.any():
                 witness = _canonical_witness(gf, mats[np.argmax(ok)], target == "mu")
                 return SearchResult(target, n, q, k, witness, {"mode": "exhaustive"}, True,
@@ -385,7 +399,7 @@ def _find_extension(gf: Gf, target: str, n: int, basis: list[np.ndarray], rng,
     d = len(basis)
     if d:
         stack = np.stack(basis)
-        for codes in _range_chunks(gf.q, d, gf.q**d - 1, _chunk_size(n)):
+        for codes in _range_chunks(gf.q, d, [(1, gf.q**d)], _chunk_size(n)):
             for b in _combine_forms(gf, codes, stack):
                 idx = np.nonzero(alive)[0]
                 if idx.size == 0:

@@ -8,12 +8,14 @@ in b, so enumerating a parameter subspace of b's is a matter of combining a
 few precomputed basis Grams.
 
 `rank_profile` runs the enumeration engine, which the extremal witness
-checks and searches share.  Exhaustive mode walks every nonzero coefficient
-vector of the parameter space (refusing politely once the count passes the
-budget); sampled mode draws a fixed number of nonzero vectors from a seeded
-generator.  Either way the histogram is a deterministic function of
-(tower, subspace, i, mode, seed) and is independent of how the work is
-partitioned across workers.
+checks and searches share.  Exhaustive mode covers every nonzero coefficient
+vector of the parameter space, refusing politely once their count passes the
+budget.  Rank is constant on K-lines, rank(c*G) = rank(G) for c in K*, so it
+ranks one form per line and counts that rank q - 1 times; the budget still
+counts forms, q**d - 1.  Sampled mode draws a fixed number of nonzero
+vectors from a seeded generator.  Either way the histogram is a deterministic
+function of (tower, subspace, i, mode, seed) and is independent of how the
+work is partitioned across workers.
 """
 
 from __future__ import annotations
@@ -301,9 +303,10 @@ def family(tower: FieldTower, i: int) -> FormSubspace:
 # -- enumeration engine ---------------------------------------------------------
 #
 # A census is a code source (coefficient vectors over the basis Grams, in
-# chunks), then `_rank_chunks` (combine and rank each chunk), then a reducer:
-# the histogram of `_profile_from_grams`.  `extremal._all_combos_invertible`
-# walks the same code source for a stack of candidate bases at once.
+# chunks of `_range_chunks` over code spans, or seeded samples), then
+# `_rank_chunks` (combine and rank each chunk), then a reducer: the histogram
+# of `_profile_from_grams`.  `extremal._all_combos_invertible` walks the same
+# projective source for a stack of candidate bases at once.
 
 
 def _combine_forms(kf, coeffs: np.ndarray, basis_grams: np.ndarray) -> np.ndarray:
@@ -315,15 +318,39 @@ def _combine_forms(kf, coeffs: np.ndarray, basis_grams: np.ndarray) -> np.ndarra
     return out
 
 
-def _range_chunks(q: int, d: int, total: int, chunk: int):
-    """Coefficient vectors of the codes 1..total (base-q digits, little-endian), in chunks."""
-    for lo in range(1, total + 1, chunk):
-        vals = np.arange(lo, min(lo + chunk, total + 1), dtype=np.int64)
-        codes = np.zeros((vals.size, d), dtype=np.int64)
-        for t in range(d):
-            codes[:, t] = vals % q
-            vals //= q
-        yield codes
+def _projective_spans(q: int, d: int) -> list[tuple[int, int]]:
+    """One code per K-line: the codes whose leading base-q digit is 1.
+
+    The last nonzero coefficient of each nonzero vector can be scaled to the
+    unit (code 1 in every `Gf`), so these (q**d - 1)/(q - 1) codes times K*
+    are every nonzero vector exactly once.
+    """
+    return [(q**k, 2 * q**k) for k in range(d)]
+
+
+def _range_chunks(q: int, d: int, spans, chunk: int):
+    """Coefficient vectors of the codes in the half-open spans (base-q digits,
+    little-endian), in chunks of `chunk` codes that run across span boundaries."""
+    parts, size = [], 0
+    for lo, hi in spans:
+        while lo < hi:
+            take = min(hi - lo, chunk - size)
+            parts.append(np.arange(lo, lo + take, dtype=np.int64))
+            lo += take
+            size += take
+            if size == chunk:
+                yield _digits(np.concatenate(parts), q, d)
+                parts, size = [], 0
+    if size:
+        yield _digits(np.concatenate(parts), q, d)
+
+
+def _digits(vals: np.ndarray, q: int, d: int) -> np.ndarray:
+    codes = np.zeros((vals.size, d), dtype=np.int64)
+    for t in range(d):
+        codes[:, t] = vals % q
+        vals //= q
+    return codes
 
 
 def _sample_codes(q: int, d: int, count: int, seed: int, chunk: int):
@@ -371,6 +398,13 @@ def _profile_from_grams(
     budget: int | None = None,
     workers: int = 1,
 ) -> RankProfile:
+    """Rank histogram of the nonzero combinations of `basis_grams`, shape (d, n, n).
+
+    Exhaustive mode ranks the (q**d - 1)/(q - 1) projective codes, one per
+    K-line, and multiplies every bin by q - 1, so the histogram counts all
+    q**d - 1 forms; the budget and `auto`'s choice compare that form count.
+    Sampled mode ranks `sample_count` seeded draws and counts each once.
+    """
     if budget is None:
         budget = DEFAULT_BUDGET
     d = basis_grams.shape[0]
@@ -390,10 +424,15 @@ def _profile_from_grams(
     elif sampled:
         chunks = _sample_codes(q, d, sample_count, seed, chunk)
     else:
-        chunks = _range_chunks(q, d, total, chunk)
+        chunks = _range_chunks(q, d, _projective_spans(q, d), chunk)
     hist = np.zeros(n + 1, dtype=np.int64)
     for ranks in _rank_chunks(kf, basis_grams, chunks, workers):
         hist += np.bincount(ranks, minlength=n + 1)
+    if not sampled:
+        hist *= q - 1  # rank(c*G) = rank(G): one rank per line counts its q - 1 forms
+        counted = int(hist.sum())
+        if counted != total:
+            raise AssertionError(f"projective census counted {counted} of {total} nonzero forms")
     return RankProfile({r: int(c) for r, c in enumerate(hist) if c}, mode,
                        count=sample_count if sampled else None, seed=seed if sampled else None)
 

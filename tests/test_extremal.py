@@ -184,6 +184,23 @@ def test_exhaustive_search_budget_refusal():
         exhaustive_search("tau", 3, 3, budget=1000)
 
 
+@pytest.mark.parametrize("target,n,q,budget,needed", [("mu", 3, 5, None, 2_558_556), ("tau", 2, 3, 100, 130)])
+def test_exhaustive_search_refuses_before_scanning(monkeypatch, target, n, q, budget, needed):
+    # dimension n + 1 fits the budget and dimension n does not; the column
+    # bound means the scan would reach n, so nothing is scanned first
+    calls = []
+
+    def scan(*args):
+        calls.append(args)
+        raise AssertionError("scanned before the budget check")
+
+    monkeypatch.setattr(extremal, "_all_combos_invertible", scan)
+    with pytest.raises(BudgetExceededError) as exc:
+        exhaustive_search(target, n, q, budget=budget)
+    assert exc.value.needed == needed
+    assert calls == []
+
+
 def test_exhaustive_search_rejects_bad_target():
     with pytest.raises(ValueError):
         exhaustive_search("nu", 2, 3)
@@ -322,6 +339,19 @@ def test_batched_closure_mask_equals_per_basis_reference(p, s, n, d):
     assert _all_combos_invertible(gf, stack, gf.q**d - 2) is None
 
 
+@pytest.mark.parametrize("p,s,n,d", [(3, 1, 3, 3), (3, 1, 4, 4), (5, 1, 3, 3), (3, 2, 3, 3)])
+@pytest.mark.parametrize("chunk", [1, 5, 64])
+def test_projective_closure_mask_equals_full_range_reference(monkeypatch, p, s, n, d, chunk):
+    # `_closed` ranks every nonzero combination; tiny chunks make the
+    # projective walk cross its span boundaries inside one rank pass
+    gf = Gf(p, s)
+    stack = _mixed_stack(gf, n, d, 12, seed=chunk * 1000 + p * 100 + s * 10 + n)
+    want = [_closed(gf, list(b)) for b in stack]
+    assert any(want) and not all(want)
+    monkeypatch.setattr(extremal, "_chunk_size", lambda n: chunk * len(stack))
+    assert _all_combos_invertible(gf, stack, gf.q**d - 1).tolist() == want
+
+
 def test_batched_closure_drops_dead_candidates_and_stops(monkeypatch):
     gf = Gf(3)
     closed = [np.eye(2, dtype=np.int64), np.array([[0, 1], [2, 0]])]  # x**2 + 1 is irreducible
@@ -339,9 +369,19 @@ def test_batched_closure_drops_dead_candidates_and_stops(monkeypatch):
     stack = np.array([early, closed, late])
     assert _all_combos_invertible(gf, stack, 8).tolist() == [False, True, False]
     assert _closed(gf, closed) and not _closed(gf, early) and not _closed(gf, late)
-    # codes are little-endian digits: `early` dies at code 4 = (1, 1) and
+    # codes are little-endian digits and only the projective ones (leading
+    # digit 1) are walked, 1, 3, 4, 5: `early` dies at code 4 = (1, 1) and
     # `late` at code 5 = (2, 1), so the live count falls from 3 to 2 to 1
-    assert sizes == [3, 3, 3, 3, 2, 1, 1, 1]
+    assert sizes == [3, 3, 3, 2]
     sizes.clear()
     assert _all_combos_invertible(gf, np.array([early, late]), 8).tolist() == [False, False]
-    assert sizes == [2, 2, 2, 2, 1]  # stops once no candidate is alive
+    assert sizes == [2, 2, 2, 1]
+    # d = 3 walks codes 1, 3, 4, 5, 9, 10, ..., 17: `early3` dies at code 4
+    # and leaves the batch, `late3` at code 13 = (1, 1, 1), and the walk stops
+    # there with codes 14..17 unranked
+    m = np.array([[1, 1], [1, 2]])
+    early3, late3 = early + [m], closed + [m]
+    assert not _closed(gf, early3) and not _closed(gf, late3)
+    sizes.clear()
+    assert _all_combos_invertible(gf, np.array([early3, late3]), 26).tolist() == [False, False]
+    assert sizes == [2, 2, 2, 1, 1, 1, 1, 1, 1]

@@ -3,9 +3,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gsf import formspace
+from gsf.decomp import _split_family
 from gsf.exactla import LSubspace, eigenspace_of_power, rank_many
+from gsf.ffield import Gf
 from gsf.formspace import (
     BudgetExceededError,
+    _projective_spans,
+    _range_chunks,
     degenerate_by_norm,
     degenerate_rank_value,
     family,
@@ -353,3 +358,65 @@ def test_rank_profile_worker_invariance_over_several_chunks(tower):
     many = rank_profile(t, full, 1, "sampled", sample_count=9000, seed=3, workers=8)
     assert one.total == 9000
     assert one.to_dict() == many.to_dict()
+
+
+# -- projective source: references that enumerate every code ---------------------
+
+_GF_BY_Q = {3: (3, 1), 5: (5, 1), 7: (7, 1), 9: (3, 2)}
+
+
+def _all_codes(q, d):
+    """Every nonzero coefficient vector, little-endian base-q digits of 1..q**d - 1."""
+    return np.array([[(c // q**t) % q for t in range(d)] for c in range(1, q**d)], dtype=np.int64)
+
+
+def _full_census(kf, grams, n):
+    """Histogram over every nonzero combination of `grams`, one rank per form."""
+    d = grams.shape[0]
+    forms = np.zeros((kf.q**d - 1, n, n), dtype=np.int64)
+    for t, col in enumerate(_all_codes(kf.q, d).T):
+        forms = kf.add(forms, kf.mul(col[:, None, None], grams[t][None]))
+    hist = np.bincount(rank_many(kf, forms), minlength=n + 1)
+    return {int(r): int(c) for r, c in enumerate(hist) if c}
+
+
+@pytest.mark.parametrize("q", sorted(_GF_BY_Q))
+@pytest.mark.parametrize("chunk", [1, 2, 7, 100])
+def test_projective_source_times_units_covers_every_vector_once(q, chunk):
+    kf = Gf(*_GF_BY_Q[q])
+    for d in range(1, 5):
+        chunks = list(_range_chunks(q, d, _projective_spans(q, d), chunk))
+        # chunks run across span boundaries: only the last one may be short
+        assert all(len(c) == chunk for c in chunks[:-1]) and 0 < len(chunks[-1]) <= chunk
+        reps = np.concatenate(chunks)
+        assert len(reps) == (q**d - 1) // (q - 1)
+        weights = q ** np.arange(d)
+        seen = np.concatenate([kf.mul(lam, reps) @ weights for lam in range(1, q)])
+        assert sorted(seen.tolist()) == list(range(1, q**d))
+
+
+_CENSUS_TOWERS = ([(3, 1, n) for n in range(1, 9)] + [(5, 1, n) for n in range(1, 6)]
+                  + [(7, 1, n) for n in range(1, 5)] + [(11, 1, n) for n in range(1, 4)]
+                  + [(3, 2, n) for n in range(1, 5)])
+
+
+@pytest.mark.parametrize("p,s,n", _CENSUS_TOWERS)
+def test_rank_profile_equals_full_range_census(p, s, n, tower):
+    # every tower with q**n <= 3**8 over q in {3, 5, 7, 11}, and GF(9) towers
+    t = tower(p, s, n)
+    full = LSubspace.full(t.K, n)
+    for i in range(n):
+        prof = rank_profile(t, full, i)
+        assert prof.mode == "exhaustive"
+        assert prof.histogram == _full_census(t.K, gram_basis(t, i), n)
+        if t.sigma_order(i) % 2 == 0:
+            for name, sub, _, _ in _split_family(t, i)[0]:
+                grams = formspace._combine_forms(t.K, sub.basis, gram_basis(t, i))
+                assert rank_profile(t, sub, i).histogram == _full_census(t.K, grams, n), name
+
+
+def test_projective_census_checks_its_weighted_total(monkeypatch, tower):
+    t = tower(3, 1, 4)
+    monkeypatch.setattr(formspace, "_projective_spans", lambda q, d: [(1, 2), (q, 2 * q)])
+    with pytest.raises(AssertionError, match="counted 8 of 80 nonzero forms"):
+        rank_profile(t, LSubspace.full(t.K, 4), 1)

@@ -19,7 +19,7 @@ from typing import Optional
 
 import numpy as np
 
-from gsf.exactla import LSubspace, eigenspace_of_power, is_direct_sum, rank
+from gsf.exactla import LSubspace, eigenspace_of_power, rank
 from gsf.ffield import FieldTower
 from gsf.formspace import (
     DEFAULT_BUDGET,
@@ -226,10 +226,12 @@ def _pair_representatives(n: int) -> tuple[list[int], Optional[int]]:
     return list(range(1, m + 1)), (n // 2 if n % 2 == 0 else None)
 
 
-def _span_dim(parts) -> int:
-    gf = parts[0].gf
+def _span_audit(parts) -> tuple[int, bool]:
+    """Dimension of the joint span of the subspaces, and whether their sum is
+    direct (the span dimension equals the sum of the dims), from one rank."""
     stacked = np.vstack([p.basis for p in parts])
-    return rank(gf, stacked) if stacked.size else 0
+    span = rank(parts[0].gf, stacked) if stacked.size else 0
+    return span, span == sum(p.dim for p in parts)
 
 
 # -- verifiers --------------------------------------------------------------------
@@ -258,8 +260,8 @@ def verify_global(tower: FieldTower) -> Certificate:
         fi = family(tower, i)
         claims.append(_claim(f"A^{i}", claimed_dim=n, observed_dim=fi.dim))
         parts.append(fi)
-    ds = is_direct_sum(parts)
-    claims.append(_claim("Sym_K(L)", claimed_dim=amb, observed_dim=_span_dim(parts)))
+    span, ds = _span_audit(parts)
+    claims.append(_claim("Sym_K(L)", claimed_dim=amb, observed_dim=span))
     return Certificate(
         "global-decomposition",
         _instance(tower),
@@ -366,8 +368,8 @@ def _split_family(tower: FieldTower, i: int) -> tuple[list[tuple], bool]:
             pieces.append((f"E_{idx}^{i}", e, None, e_ranks))
     else:
         raise ValueError(f"sigma^{i} has odd order {d}: its family does not split")
-    subs = [sub for _, sub, _, _ in pieces]
-    return pieces, is_direct_sum(subs) and _span_dim(subs) == n
+    span, ds = _span_audit([sub for _, sub, _, _ in pieces])
+    return pieces, ds and span == n
 
 
 def _piece_claims(cz: _Census, pieces: list[tuple], i: int) -> list[dict]:
@@ -488,8 +490,9 @@ def verify_full_refined(tower: FieldTower, mode="auto", *, sample_count=DEFAULT_
         claims.extend(_piece_claims(cz, pieces, i))
         audits.append(ok)
 
-    audits.append(is_direct_sum(global_parts))
-    claims.append(_claim("Sym_K(L)", claimed_dim=amb, observed_dim=_span_dim(global_parts)))
+    span, direct = _span_audit(global_parts)
+    audits.append(direct)
+    claims.append(_claim("Sym_K(L)", claimed_dim=amb, observed_dim=span))
     ds = all(audits)
     return Certificate("full-refinement", _instance(tower), claims, ds, _verdict(claims, ds), cz.record())
 

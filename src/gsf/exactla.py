@@ -293,4 +293,6 @@ def eigenspace_of_power(tower: FieldTower, t: int, sign: int) -> LSubspace:
     ft = tower.frobenius_mats[t % tower.n]
     sgn = 1 if sign == 1 else int(kf.neg(1))
     m = kf.sub(ft, kf.mul(sgn, np.eye(tower.n, dtype=np.int64)))
-    return LSubspace(kf, tower.n, _canonical_basis(kf, kernel(kf, m), tower.n))
+    basis = kernel(kf, m)  # already the reduced echelon basis
+    basis.setflags(write=False)
+    return LSubspace(kf, tower.n, basis)

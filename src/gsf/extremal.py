@@ -202,12 +202,8 @@ def construct_regular_rep_subspace(tower: FieldTower, budget: int | None = None,
     field elements."""
     budget = DEFAULT_BUDGET if budget is None else budget
     n, kf = tower.n, tower.K
-    mats = []
-    for j in range(n):
-        m = np.zeros((n, n), dtype=np.int64)
-        for k in range(n):
-            m[:, k] = tower.xpow[j + k]
-        mats.append(m)
+    # column k of the matrix of x**j holds x**(j + k)
+    mats = [tower.xpow[j : j + n].T for j in range(n)]
     mode, verified = _verify_witness(kf, mats, budget, sample_count, seed)
     return SearchResult("tau", n, kf.q, n, _canonical_witness(kf, mats, symmetric=False), mode, verified)
 

@@ -19,6 +19,14 @@ accepts a polynomial.  For s > 1 the GF(q) lookup tables are built with whole
 Every automorphism power b -> b**(q**i) is precomputed as an n x n matrix
 over K when the tower is built; trace, norm and all downstream Gram-matrix
 work then reduce to exact linear algebra on integer arrays.
+
+`Gf.matmul` is the one sum of products over K: products in L, the trace
+table, the Frobenius matrices of the sieve, the Hankel trace matrices and
+every combination of basis Grams go through it.  It takes numpy matmul
+shapes and decides in one place whether an int64 sum of k products can
+overflow (for s = 1 it sums plainly and reduces once only when
+k * (p - 1)**2 fits; otherwise it sums term by term through reduced codes).
+`base_digits` is the one base-b digit codec for int64 code arrays.
 """
 
 from __future__ import annotations
@@ -31,12 +39,15 @@ import numpy as np
 __all__ = [
     "PrimePower",
     "Gf",
+    "base_digits",
     "FieldTower",
     "find_irreducible",
     "is_irreducible",
     "is_prime",
     "prime_power_decompose",
 ]
+
+_I64_MAX = int(np.iinfo(np.int64).max)
 
 
 def is_prime(m: int) -> bool:
@@ -195,39 +206,42 @@ class Gf:
         return self._inv_t[a]
 
     def matmul(self, a, b):
-        """Exact matrix product of code arrays (2-D @ 2-D or 2-D @ 1-D)."""
+        """Exact product a @ b over K of code arrays, with numpy matmul shapes.
+
+        Leading batch axes broadcast, and a 1-D operand on either side is a
+        vector whose axis is dropped from the result (1-D @ 1-D is a 0-d
+        array).  For s = 1, when the contracted length k has
+        k * (p - 1)**2 <= 2**63 - 1, the products are summed as plain int64
+        and reduced once; otherwise, and always for s > 1, the sum runs term
+        by term through the reduced `add` and `mul`, so no sum can overflow.
+        """
         a = np.asarray(a, dtype=np.int64)
         b = np.asarray(b, dtype=np.int64)
-        if self.s == 1:
-            return (a @ b) % self.p
-        vec = b.ndim == 1
-        if vec:
+        a_vec, b_vec = a.ndim == 1, b.ndim == 1
+        if a_vec:
+            a = a[None, :]
+        if b_vec:
             b = b[:, None]
-        out = np.zeros((a.shape[0], b.shape[1]), dtype=np.int64)
-        for l in range(a.shape[1]):
-            out = self.add(out, self.mul(a[:, l : l + 1], b[l : l + 1, :]))
-        return out[:, 0] if vec else out
+        k = a.shape[-1]
+        if self.s == 1 and k * (self.p - 1) ** 2 <= _I64_MAX:
+            out = np.einsum("...ij,...jk->...ik", a, b) % self.p
+        else:
+            shape = np.broadcast_shapes(a.shape[:-2], b.shape[:-2]) + (a.shape[-2], b.shape[-1])
+            out = np.zeros(shape, dtype=np.int64)
+            for l in range(k):
+                out = self.add(out, self.mul(a[..., :, l : l + 1], b[..., l : l + 1, :]))
+        if a_vec:
+            out = out[..., 0, :]
+        return out[..., 0] if b_vec else out
 
     def dot(self, u, v) -> int:
-        if self.s == 1:
-            return int(np.dot(np.asarray(u, dtype=np.int64), v) % self.p)
-        acc = 0
-        prods = self.mul(u, v)
-        for x in np.atleast_1d(prods):
-            acc = int(self._add_t[acc, x])
-        return acc
+        return int(self.matmul(u, v))
 
     # -- base-p digit codecs --------------------------------------------------
 
     def to_digits(self, codes) -> np.ndarray:
         """Base-p digits (little-endian, width s) of an array of K codes."""
-        codes = np.asarray(codes, dtype=np.int64)
-        out = np.zeros(codes.shape + (self.s,), dtype=np.int64)
-        rem = codes.copy()
-        for i in range(self.s):
-            out[..., i] = rem % self.p
-            rem //= self.p
-        return out
+        return base_digits(codes, self.p, self.s)
 
     def from_digits(self, digits) -> np.ndarray:
         digits = np.asarray(digits, dtype=np.int64) % self.p
@@ -236,6 +250,19 @@ class Gf:
 
     def __repr__(self):
         return f"Gf(p={self.p}, s={self.s})"
+
+
+def base_digits(values, base: int, width: int) -> np.ndarray:
+    """Little-endian base-`base` digits, shape values.shape + (width,).
+
+    Any leading shape is kept and `values` is left as it is; digits of
+    values at or past base**width are dropped.
+    """
+    rem = np.asarray(values, dtype=np.int64)
+    out = np.empty(rem.shape + (width,), dtype=np.int64)
+    for i in range(width):
+        rem, out[..., i] = np.divmod(rem, base)
+    return out
 
 
 # -- polynomial arithmetic over a Gf (little-endian code arrays) --------------
@@ -366,7 +393,6 @@ def is_irreducible(gf: Gf, f) -> bool:
 # meet their polynomial among the first few candidates; blocks then double up
 # to the cap, which bounds the (block, n, n) stack of Frobenius matrices.
 _SIEVE_FIRST, _SIEVE_CAP = 8, 256
-_I64_MAX = int(np.iinfo(np.int64).max)
 
 
 def _scan_tails(q: int, degree: int, start: int, count: int) -> np.ndarray:
@@ -398,23 +424,6 @@ def _mul_x_many(gf: Gf, a, tails) -> np.ndarray:
     return gf.sub(out, gf.mul(a[:, -1:], tails))
 
 
-def _matvec_many(gf: Gf, m, v, lazy: bool) -> np.ndarray:
-    """Batched products m @ v over K, shapes (B, n, n) and (B, n) -> (B, n).
-
-    With `lazy` (s = 1 only) the dot products are summed as plain integers
-    and reduced once: each is at most n products of two codes below p, so
-    the caller sets it only when n * (p - 1)**2 fits int64.  Otherwise the
-    sum runs term by term through the field's reduced add and mul (the
-    tables for s > 1).
-    """
-    if lazy:
-        return np.matmul(m, v[:, :, None])[:, :, 0] % gf.p
-    out = gf.mul(m[:, :, 0], v[:, :1])
-    for k in range(1, v.shape[1]):
-        out = gf.add(out, gf.mul(m[:, :, k], v[:, k : k + 1]))
-    return out
-
-
 def _mul_matrices(gf: Gf, a, tails) -> np.ndarray:
     """Matrices (B, n, n) of t -> a * t mod f: column k holds a * x**k mod f."""
     m = np.empty(a.shape + a.shape[1:], dtype=np.int64)
@@ -434,19 +443,18 @@ def _frobenius_many(gf: Gf, tails) -> np.ndarray:
     batched over the B polynomials.
     """
     nb, n = tails.shape
-    lazy = gf.s == 1 and n * (gf.p - 1) ** 2 <= _I64_MAX
     col = np.zeros((nb, n), dtype=np.int64)
     col[:, 0] = 1
     xq = _mul_x_many(gf, col, tails)
     for bit in bin(gf.q)[3:]:
-        xq = _matvec_many(gf, _mul_matrices(gf, xq, tails), xq, lazy)
+        xq = gf.matmul(_mul_matrices(gf, xq, tails), xq[:, :, None])[:, :, 0]
         if bit == "1":
             xq = _mul_x_many(gf, xq, tails)
     by_xq = _mul_matrices(gf, xq, tails)
     frob = np.empty((nb, n, n), dtype=np.int64)
     frob[:, :, 0] = col
     for j in range(1, n):
-        col = _matvec_many(gf, by_xq, col, lazy)
+        col = gf.matmul(by_xq, col[:, :, None])[:, :, 0]
         frob[:, :, j] = col
     return frob
 
@@ -535,7 +543,7 @@ class FieldTower:
         xpow = np.zeros((top, n), dtype=np.int64)
         xpow[0, 0] = 1
         for m in range(1, top):
-            xpow[m] = self._shift_reduce(xpow[m - 1])
+            xpow[m] = _mul_x_many(K, xpow[m - 1 : m], self.ext_poly[:n])[0]
         xpow.setflags(write=False)
         self.xpow = xpow
 
@@ -557,18 +565,8 @@ class FieldTower:
             raise AssertionError("trace of a basis element left the base field")
         self.trace_vec = total[0].copy()
         self.trace_vec.setflags(write=False)
-        self.tau3 = np.array([K.dot(self.trace_vec, xpow[m]) for m in range(top)], dtype=np.int64)
+        self.tau3 = K.matmul(xpow, self.trace_vec)
         self.tau3.setflags(write=False)
-
-    def _shift_reduce(self, v: np.ndarray) -> np.ndarray:
-        """v * x mod ext_poly for a coefficient vector v."""
-        K, n = self.K, self.n
-        out = np.zeros(n, dtype=np.int64)
-        out[1:] = v[: n - 1]
-        lead = int(v[n - 1])
-        if lead:
-            out = K.sub(out, K.mul(lead, self.ext_poly[:n]))
-        return out
 
     # -- elements --------------------------------------------------------------
 
@@ -603,12 +601,7 @@ class FieldTower:
         """All q**n coefficient vectors as a (q**n, n) array (small towers only)."""
         if self.size > limit:
             raise ValueError(f"refusing to materialize {self.size} elements")
-        vals = np.arange(self.size, dtype=np.int64)
-        out = np.zeros((self.size, self.n), dtype=np.int64)
-        for t in range(self.n):
-            out[:, t] = vals % self.q
-            vals //= self.q
-        return out
+        return base_digits(np.arange(self.size, dtype=np.int64), self.q, self.n)
 
     def add(self, a, b):
         return self.K.add(a, b)
@@ -620,19 +613,8 @@ class FieldTower:
         return self.K.neg(a)
 
     def mul(self, a, b) -> np.ndarray:
-        K, n = self.K, self.n
-        if K.s == 1:
-            conv = np.convolve(a, b) % K.p
-        else:
-            conv = np.zeros(2 * n - 1, dtype=np.int64)
-            for i in range(n):
-                if a[i]:
-                    conv[i : i + n] = K.add(conv[i : i + n], K.mul(int(a[i]), b))
-        out = np.zeros(n, dtype=np.int64)
-        for m in range(len(conv)):
-            if conv[m]:
-                out = K.add(out, K.mul(int(conv[m]), self.xpow[m]))
-        return out
+        conv = poly_mul(self.K, a, b)
+        return self.K.matmul(conv, self.xpow[: len(conv)])
 
     def inv(self, a) -> np.ndarray:
         r = poly_invmod(self.K, a, self.ext_poly)

@@ -29,7 +29,7 @@ from typing import Optional, Union
 import numpy as np
 
 from gsf.exactla import LSubspace, kernel, rank_many, rref
-from gsf.ffield import FieldTower
+from gsf.ffield import FieldTower, _mul_x_many, base_digits
 
 __all__ = [
     "DEFAULT_BUDGET",
@@ -190,14 +190,9 @@ def unflatten_sym(vec: np.ndarray, n: int) -> np.ndarray:
 
 def _hankel_trace(tower: FieldTower, b: np.ndarray) -> np.ndarray:
     """Matrix of (j, k) -> tr(b * x^(j+k)), a Hankel slice of tau3."""
-    n, kf = tower.n, tower.K
-    if kf.s == 1:
-        windows = np.lib.stride_tricks.sliding_window_view(tower.tau3, n)[: 2 * n - 1]
-        tvec = (windows @ b) % kf.p
-    else:
-        tvec = np.zeros(2 * n - 1, dtype=np.int64)
-        for m in range(2 * n - 1):
-            tvec[m] = kf.dot(tower.tau3[m : m + n], b)
+    n = tower.n
+    windows = np.lib.stride_tricks.sliding_window_view(tower.tau3, n)[: 2 * n - 1]
+    tvec = tower.K.matmul(windows, b)
     idx = np.add.outer(np.arange(n), np.arange(n))
     return tvec[idx]
 
@@ -240,7 +235,7 @@ def gram_alt(tower: FieldTower, b, i: int) -> SymForm:
         for k in range(n):
             out[j, k] = tower.trace_to_base(u)
             if k + 1 < n:
-                u = tower._shift_reduce(u)
+                u = _mul_x_many(kf, u[None], tower.ext_poly[:n])[0]
     return SymForm(tower, b, i, out)
 
 
@@ -310,12 +305,11 @@ def family(tower: FieldTower, i: int) -> FormSubspace:
 
 
 def _combine_forms(kf, coeffs: np.ndarray, basis_grams: np.ndarray) -> np.ndarray:
-    if kf.s == 1:
-        return np.einsum("bt,tjk->bjk", coeffs, basis_grams) % kf.p
-    out = np.zeros((coeffs.shape[0],) + basis_grams.shape[1:], dtype=np.int64)
-    for t in range(coeffs.shape[1]):
-        out = kf.add(out, kf.mul(coeffs[:, t, None, None], basis_grams[t][None]))
-    return out
+    """Combinations (B, ...) of the d members of `basis_grams`, shape (d, ...),
+    with the coefficient rows (B, d): one product over K on the flattened members."""
+    shape = basis_grams.shape
+    flat = kf.matmul(coeffs, basis_grams.reshape(shape[0], math.prod(shape[1:])))
+    return flat.reshape(coeffs.shape[:1] + shape[1:])
 
 
 def _projective_spans(q: int, d: int) -> list[tuple[int, int]]:
@@ -339,18 +333,10 @@ def _range_chunks(q: int, d: int, spans, chunk: int):
             lo += take
             size += take
             if size == chunk:
-                yield _digits(np.concatenate(parts), q, d)
+                yield base_digits(np.concatenate(parts), q, d)
                 parts, size = [], 0
     if size:
-        yield _digits(np.concatenate(parts), q, d)
-
-
-def _digits(vals: np.ndarray, q: int, d: int) -> np.ndarray:
-    codes = np.zeros((vals.size, d), dtype=np.int64)
-    for t in range(d):
-        codes[:, t] = vals % q
-        vals //= q
-    return codes
+        yield base_digits(np.concatenate(parts), q, d)
 
 
 def _sample_codes(q: int, d: int, count: int, seed: int, chunk: int):

@@ -6,6 +6,7 @@ import pytest
 from gsf.decomp import (
     Certificate,
     TheoremCParams,
+    _span_audit,
     claim_ok,
     min_rank_lower_bound,
     refine_A1_2k,
@@ -16,7 +17,7 @@ from gsf.decomp import (
     verify_global,
     verify_rank_laws,
 )
-from gsf.exactla import eigenspace_of_power
+from gsf.exactla import LSubspace, eigenspace_of_power, is_direct_sum
 
 
 def _claims_by_name(cert):
@@ -354,3 +355,13 @@ def test_refiners_match_the_full_refinement(p, n, tower):
                 assert claim["claimed_dim"] == claim["observed_dim"] == n >> int(name[2:])
                 claim = dict(claim, claimed_dim=None)
             assert claim == dict(twin, subspace_name=name)
+
+
+def test_span_audit_agrees_with_is_direct_sum(tower):
+    t = tower(3, 1, 6)
+    rng = np.random.default_rng(5)
+    for _ in range(40):
+        parts = [LSubspace.from_vectors(t.K, rng.integers(0, 3, size=(int(k), 6)), 6)
+                 for k in rng.integers(0, 4, size=3)]
+        joint = parts[0].sum(parts[1]).sum(parts[2])
+        assert _span_audit(parts) == (joint.dim, is_direct_sum(parts))

@@ -306,3 +306,13 @@ def test_rank_many_prime_reads_the_field_inverse_table():
     mats[1, 3, 0] = 39988
     assert rank_many(gf, mats).tolist() == [4, 3, 0, 1]
     assert _RecordingTable.reads > 0
+
+
+def test_eigenspace_basis_is_read_only_reduced_echelon(tower):
+    for p, s, n in [(3, 1, 8), (3, 2, 4), (7, 3, 4), (5, 1, 6)]:
+        t = tower(p, s, n)
+        for tt in range(1, n + 1):
+            for sign in (1, -1):
+                e = eigenspace_of_power(t, tt, sign)
+                assert not e.basis.flags.writeable
+                assert e == LSubspace.from_vectors(t.K, e.basis, n)

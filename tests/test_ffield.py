@@ -7,10 +7,12 @@ from hypothesis import given, settings
 from hypothesis import assume, example
 from hypothesis import strategies as st
 
+from gsf import ffield
 from gsf.exactla import kernel, rank
 from gsf.ffield import (
     FieldTower,
     Gf,
+    base_digits,
     PrimePower,
     find_irreducible,
     is_irreducible,
@@ -618,3 +620,118 @@ def test_gf_tables_equal_schoolbook_reference(p, s):
 def test_prime_inverse_table_equals_pow_loop(p):
     want = [0] + [pow(a, p - 2, p) for a in range(1, p)]
     assert Gf(p)._inv_t.tolist() == want
+
+
+# -- Gf.matmul against a schoolbook reference -------------------------------------
+
+
+def _ref_code_mul(gf, x, y):
+    """Base-p digits of the product of two K codes: schoolbook polynomial
+    product of their digits, reduced by the modulus, in python ints."""
+    p, s = gf.p, gf.s
+    g = gf.modulus.tolist()
+    dx, dy = _digits(x, p, s), _digits(y, p, s)
+    conv = [0] * (2 * s - 1)
+    for i in range(s):
+        for j in range(s):
+            conv[i + j] += dx[i] * dy[j]
+    for m in range(2 * s - 2, s - 1, -1):
+        for t in range(s):
+            conv[m - s + t] -= conv[m] * g[t]
+    return conv[:s]
+
+
+def _ref_matmul(gf, a, b):
+    """2-D product with every entry summed digit by digit as python ints."""
+    out = np.zeros((a.shape[0], b.shape[1]), dtype=np.int64)
+    for i in range(a.shape[0]):
+        for j in range(b.shape[1]):
+            acc = [0] * gf.s
+            for l in range(a.shape[1]):
+                acc = [u + v for u, v in zip(acc, _ref_code_mul(gf, int(a[i, l]), int(b[l, j])))]
+            out[i, j] = sum(c % gf.p * gf.p**t for t, c in enumerate(acc))
+    return out
+
+
+def _matmul_cases(gf, rng):
+    """(shape name, a, b, expected a @ b) for every operand shape `Gf.matmul` takes."""
+
+    def r(*shape):
+        return rng.integers(0, gf.q, size=shape, dtype=np.int64)
+
+    a, b = r(3, 4), r(4, 2)
+    yield "2-D @ 2-D", a, b, _ref_matmul(gf, a, b)
+    a, b = np.full((2, 7), gf.q - 1), np.full((7, 3), gf.q - 1)
+    yield "2-D @ 2-D, every code q - 1", a, b, _ref_matmul(gf, a, b)
+    a, v = r(3, 4), r(4)
+    yield "2-D @ 1-D", a, v, _ref_matmul(gf, a, v[:, None])[:, 0]
+    u, b = r(4), r(4, 2)
+    yield "1-D @ 2-D", u, b, _ref_matmul(gf, u[None], b)[0]
+    u, v = r(5), r(5)
+    yield "1-D @ 1-D", u, v, _ref_matmul(gf, u[None], v[:, None])[0, 0]
+    a, b = r(3, 2, 4), r(3, 4, 1)
+    yield "(B, r, k) @ (B, k, 1)", a, b, np.stack([_ref_matmul(gf, x, y) for x, y in zip(a, b)])
+    c, g = r(6, 3), r(3, 8)
+    yield "(B, d) @ (d, N)", c, g, _ref_matmul(gf, c, g)
+    a, b = r(2, 1, 2, 3), r(3, 3, 2)
+    yield "broadcast batch axes", a, b, np.stack([[_ref_matmul(gf, a[i, 0], b[j]) for j in range(3)] for i in range(2)])
+    a, b = r(2, 0), r(0, 3)
+    yield "empty contraction", a, b, np.zeros((2, 3), dtype=np.int64)
+
+
+_MATMUL_FIELDS = [Gf(3), Gf(11), Gf(39989), _GF9, _GF343]
+
+
+@pytest.mark.parametrize("gf", _MATMUL_FIELDS, ids=lambda g: f"q{g.q}")
+def test_gf_matmul_equals_schoolbook_reference(gf):
+    for name, a, b, want in _matmul_cases(gf, np.random.default_rng(gf.q)):
+        got = gf.matmul(a, b)
+        assert got.shape == np.shape(want), name
+        assert np.array_equal(got, want), name
+
+
+def _count_adds(monkeypatch, gf) -> list:
+    calls = []
+    add = gf.add
+
+    def counted(x, y):
+        calls.append(1)
+        return add(x, y)
+
+    monkeypatch.setattr(gf, "add", counted)
+    return calls
+
+
+@pytest.mark.parametrize("p", [3, 11, 39989])
+def test_gf_matmul_term_by_term_path_equals_int64_path(monkeypatch, p):
+    gf = Gf(p)
+    cases = list(_matmul_cases(gf, np.random.default_rng(p)))
+    fast = [gf.matmul(a, b) for _, a, b, _ in cases]
+    calls = _count_adds(monkeypatch, gf)
+    monkeypatch.setattr(ffield, "_I64_MAX", 0)
+    for (name, a, b, want), f in zip(cases, fast):
+        slow = gf.matmul(a, b)
+        assert slow.shape == f.shape and np.array_equal(slow, f), name
+        assert np.array_equal(slow, want), name
+    assert calls  # the guard sent the products through add and mul
+
+
+def test_gf_matmul_guard_is_k_times_p_minus_one_squared(monkeypatch):
+    gf = Gf(11)
+    a, b = np.full((2, 4), 10), np.full((4, 3), 10)
+    calls = _count_adds(monkeypatch, gf)
+    monkeypatch.setattr(ffield, "_I64_MAX", 4 * 10**2)
+    assert np.array_equal(gf.matmul(a, b), np.full((2, 3), 400 % 11)) and not calls
+    monkeypatch.setattr(ffield, "_I64_MAX", 4 * 10**2 - 1)
+    assert np.array_equal(gf.matmul(a, b), np.full((2, 3), 400 % 11)) and len(calls) == 4
+
+
+def test_base_digits_keeps_leading_shape_and_input():
+    vals = np.arange(24, dtype=np.int64).reshape(2, 3, 4) * 37
+    before = vals.copy()
+    got = base_digits(vals, 5, 4)
+    assert got.shape == (2, 3, 4, 4)
+    assert np.array_equal(vals, before)
+    for idx in np.ndindex(vals.shape):
+        assert got[idx].tolist() == _digits(int(vals[idx]), 5, 4)
+    assert base_digits(7, 3, 2).tolist() == [1, 2]

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -347,7 +349,7 @@ def test_flatten_unflatten_batched(n):
 
 
 def test_rank_profile_worker_invariance_over_several_chunks(tower):
-    # 3**9 - 1 = 19,682 forms of size 9 are three chunks, so the thread pool runs
+    # (3**9 - 1)/2 = 9,841 projective codes of size 9 are two chunks, so the thread pool runs
     t = tower(3, 1, 9)
     full = LSubspace.full(t.K, 9)
     one = rank_profile(t, full, 1, workers=1)
@@ -420,3 +422,33 @@ def test_projective_census_checks_its_weighted_total(monkeypatch, tower):
     monkeypatch.setattr(formspace, "_projective_spans", lambda q, d: [(1, 2), (q, 2 * q)])
     with pytest.raises(AssertionError, match="counted 8 of 80 nonzero forms"):
         rank_profile(t, LSubspace.full(t.K, 4), 1)
+
+
+def _digest(arrays) -> str:
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(np.ascontiguousarray(a, dtype="<i8").tobytes())
+    return h.hexdigest()[:16]
+
+
+# sha256 prefixes of xpow, tau3, the Frobenius matrices and the basis Grams of
+# every power: any change in how the tower or the Grams are computed shows here
+@pytest.mark.parametrize(
+    "p,s,n,want",
+    [
+        (7, 3, 4, ("66a22f7aae04dcc5", "feffe7bf65741668", "eb9fb33f732fe200", "280b937b8f532f03")),
+        (3, 2, 4, ("88ae85ff1de0d0e6", "64eb2bbf521465f2", "ac245d1fc0a8eb45", "d472b9e611943e88")),
+        (3, 1, 8, ("230365b74caf7010", "fc4d238150ae992c", "b889c0d6718c4aee", "b3f4420037e55d72")),
+        (11, 1, 32, ("4230ba28f7c05a8b", "775d299b2744199b", "d407f6b799a8b70c", "6c01f026d049f5c0")),
+    ],
+    ids=["gf343_4", "gf9_4", "gf3_8", "gf11_32"],
+)
+def test_tower_tables_and_gram_basis_pinned(tower, p, s, n, want):
+    t = tower(p, s, n)
+    got = (
+        _digest([t.xpow]),
+        _digest([t.tau3]),
+        _digest(t.frobenius_mats),
+        _digest([gram_basis(t, i) for i in range(n)]),
+    )
+    assert got == want

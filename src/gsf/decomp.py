@@ -19,7 +19,7 @@ from typing import Optional
 
 import numpy as np
 
-from gsf.exactla import LSubspace, eigenspace_of_power, rank
+from gsf.exactla import LSubspace, _span_audit, eigenspace_of_power
 from gsf.ffield import FieldTower
 from gsf.formspace import (
     DEFAULT_BUDGET,
@@ -224,14 +224,6 @@ def _pair_representatives(n: int) -> tuple[list[int], Optional[int]]:
     """One power per inverse pair {i, n-i}, plus the involution when n is even."""
     m = (n - 1) // 2 if n % 2 else n // 2 - 1
     return list(range(1, m + 1)), (n // 2 if n % 2 == 0 else None)
-
-
-def _span_audit(parts) -> tuple[int, bool]:
-    """Dimension of the joint span of the subspaces, and whether their sum is
-    direct (the span dimension equals the sum of the dims), from one rank."""
-    stacked = np.vstack([p.basis for p in parts])
-    span = rank(parts[0].gf, stacked) if stacked.size else 0
-    return span, span == sum(p.dim for p in parts)
 
 
 # -- verifiers --------------------------------------------------------------------

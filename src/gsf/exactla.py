@@ -4,7 +4,8 @@ Matrices are int64 arrays of K codes paired with the `Gf` that interprets
 them.  Subspaces are kept in reduced row echelon form, which is unique per
 subspace, so subspace equality and direct-sum audits are literal array
 comparisons.  `rank_many` eliminates a whole batch of matrices in lockstep;
-it is the hot kernel behind every rank census.
+it is the hot kernel behind every rank census and the one elimination loop
+for every GF(q).  `_span_audit` is the one direct-sum audit.
 """
 
 from __future__ import annotations
@@ -60,61 +61,32 @@ def rank_many(gf: Gf, mats) -> np.ndarray:
     """Ranks of a batch of matrices, shape (B, r, c) -> (B,).
 
     Column-synchronous Gaussian elimination: each iteration picks, swaps,
-    normalizes and eliminates pivots for every matrix of the batch at once,
-    so the cost is a handful of whole-batch array operations per column.
-    """
-    if gf.s == 1 and gf.p < 40_000:  # keep p**2 products inside int32
-        return _rank_many_prime(gf, mats)
-    m = np.array(mats, dtype=np.int64)
-    if m.ndim == 2:
-        m = m[None]
-    nb, rows, cols = m.shape
-    piv = np.zeros(nb, dtype=np.int64)
-    ridx = np.arange(rows)
-    for c in range(cols):
-        elig = (m[:, :, c] != 0) & (ridx[None, :] >= piv[:, None])
-        sel = np.nonzero(elig.any(axis=1))[0]
-        if sel.size == 0:
-            continue
-        prow = np.argmax(elig[sel], axis=1)
-        r0 = piv[sel]
-        pivot_rows = m[sel, prow].copy()
-        m[sel, prow] = m[sel, r0]
-        pivot_rows = gf.mul(pivot_rows, gf.inv(pivot_rows[:, c])[:, None])
-        m[sel, r0] = pivot_rows
-        sub = m[sel]
-        upd = gf.sub(sub, gf.mul(sub[:, :, c][:, :, None], pivot_rows[:, None, :]))
-        below = ridx[None, :] > r0[:, None]
-        m[sel] = np.where(below[:, :, None], upd, sub)
-        piv[sel] += 1
-    return piv
+    normalizes and eliminates pivots for every matrix of the batch at once.
+    At column c only the live block is touched: rows at or past the smallest
+    pivot count of the batch and columns after c.  Everything outside it is
+    never read again, so the pivot row is not written back and swaps move
+    only the displaced row.
 
-
-_I32_MAX = int(np.iinfo(np.int32).max)
-
-
-def _rank_many_prime(gf: Gf, mats) -> np.ndarray:
-    """Prime-field specialization of rank_many: lazily reduced int32 arithmetic.
-
-    Entries start as codes in [0, p).  At column c only the live block is
-    touched: rows at or past the smallest pivot count of the batch and columns
-    after c.  Everything outside it is never read again, so the pivot row is
-    not written back and swaps move only the displaced row.
-
-    Invariant: every live entry lies in [-bound, bound].  The pivot column and
-    pivot rows are reduced into [0, p) before use, so one rank-1 update
+    Only the arithmetic depends on the field.  For s > 1 the pivot column,
+    the pivot rows and the update go through the reduced `Gf` tables.  For
+    s = 1 entries start as codes in [0, p) and are reduced lazily.
+    Invariant: every live entry lies in [-bound, bound].  The pivot column
+    and pivot rows are reduced into [0, p) before use, so one rank-1 update
     subtracts a product of two reduced codes and grows `bound` by at most
-    (p - 1)**2.  The live block is reduced (bound back to p - 1) only when the
-    next update could leave int32, i.e. when bound + (p - 1)**2 > 2**31 - 1:
-    never at p = 11 and n <= 64, before every update but the first for p near
-    40,000.  Normalizing a reduced pivot row multiplies two codes below p.
+    (p - 1)**2.  The live block is reduced (bound back to p - 1) only when
+    the next update could leave the dtype: int32 when (p - 1) + (p - 1)**2
+    fits it, else int64 (the field table cap keeps p below 2**24).  That is
+    never at p = 11 and n <= 64, and before every update but the first for
+    the largest int32 primes.  Normalizing a reduced pivot row multiplies
+    two codes below p.
     """
     p = gf.p
+    lazy = gf.s == 1
     step = (p - 1) ** 2
-    if (p - 1) + step > _I32_MAX:
-        raise ValueError(f"p = {p} is too large for the int32 kernel")
+    dtype = np.int32 if lazy and (p - 1) + step <= np.iinfo(np.int32).max else np.int64
+    limit = int(np.iinfo(dtype).max)
     inv = gf._inv_t
-    m = np.array(mats, dtype=np.int32)
+    m = np.array(mats, dtype=dtype)
     if m.ndim == 2:
         m = m[None]
     nb, rows, cols = m.shape
@@ -123,16 +95,17 @@ def _rank_many_prime(gf: Gf, mats) -> np.ndarray:
         return piv
     ridx = np.arange(rows)
     bidx = np.arange(nb)
-    prod = np.empty_like(m)
+    prod = np.empty_like(m) if lazy else None
     bound = p - 1
     for c in range(cols):
         lo = int(piv.min())
         if lo == rows:
             break
-        # the pivot column, reduced, with rows above each matrix's pivot count
-        # zeroed: they are finished and take no part in pivoting or updates
-        colv = m[:, lo:, c] % p
-        colv *= ridx[None, lo:] >= piv[:, None]
+        # the pivot column with rows above each matrix's pivot count zeroed:
+        # they are finished and take no part in pivoting or updates
+        colv = m[:, lo:, c] * (ridx[None, lo:] >= piv[:, None])
+        if lazy:
+            colv %= p
         elig = colv != 0
         has = elig.any(axis=1)
         if c == cols - 1:  # nothing trails the last column
@@ -143,21 +116,29 @@ def _rank_many_prime(gf: Gf, mats) -> np.ndarray:
         # a matrix without a pivot reads inv[0] = 0 and gets a zero pivot row;
         # its swap (clamped in range) copies a row onto itself or onto a
         # finished row
-        pivot_rows = m[bidx, prow, c + 1:] % p
-        pivot_rows *= inv[colv[bidx, pl]][:, None]
-        pivot_rows %= p
+        pivot_rows = m[bidx, prow, c + 1:]
+        if lazy:
+            pivot_rows %= p
+            pivot_rows *= inv[colv[bidx, pl]][:, None]
+            pivot_rows %= p
+        else:
+            pivot_rows = gf.mul(pivot_rows, inv[colv[bidx, pl]][:, None])
         r0 = np.minimum(piv, rows - 1)
         m[bidx, prow, c + 1:] = m[bidx, r0, c + 1:]
         # the pivot entry now sits at r0; the row moved to prow has a zero in
         # column c, because prow is the first nonzero at or past r0
         colv[bidx, pl] = 0
-        if bound + step > _I32_MAX:
-            m[:, lo:, c + 1:] %= p
-            bound = p - 1
-        out = prod[:, lo:, c + 1:]
-        np.multiply(colv[:, :, None], pivot_rows[:, None, :], out=out)
-        m[:, lo:, c + 1:] -= out
-        bound += step
+        live = m[:, lo:, c + 1:]
+        if lazy:
+            if bound + step > limit:
+                live %= p
+                bound = p - 1
+            out = prod[:, lo:, c + 1:]
+            np.multiply(colv[:, :, None], pivot_rows[:, None, :], out=out)
+            live -= out
+            bound += step
+        else:
+            live[...] = gf.sub(live, gf.mul(colv[:, :, None], pivot_rows[:, None, :]))
         piv += has
     return piv
 
@@ -267,20 +248,24 @@ class LSubspace:
         return f"LSubspace(dim={self.dim}, ambient={self.ambient_dim})"
 
 
+def _span_audit(parts) -> tuple[int, bool]:
+    """Dimension of the joint span of the subspaces, and whether their sum is
+    direct (the span dimension equals the sum of the dims), from one rank."""
+    parts = list(parts)
+    if not parts:
+        return 0, True
+    stacked = np.vstack([p.basis for p in parts])
+    span = rank(parts[0].gf, stacked) if stacked.size else 0
+    return span, span == sum(p.dim for p in parts)
+
+
 def is_direct_sum(parts) -> bool:
     """True iff the listed subspaces are independent: sum of dims equals the
     dimension of their joint span."""
     parts = list(parts)
-    if not parts:
-        return True
-    gf = parts[0].gf
-    amb = parts[0].ambient_dim
-    if any(p.ambient_dim != amb for p in parts):
+    if any(p.ambient_dim != parts[0].ambient_dim for p in parts):
         raise ValueError("ambient dimension mismatch")
-    stacked = np.vstack([p.basis for p in parts])
-    if stacked.shape[0] == 0:
-        return True
-    return rank(gf, stacked) == sum(p.dim for p in parts)
+    return _span_audit(parts)[1]
 
 
 def eigenspace_of_power(tower: FieldTower, t: int, sign: int) -> LSubspace:

@@ -27,6 +27,7 @@ shapes and decides in one place whether an int64 sum of k products can
 overflow (for s = 1 it sums plainly and reduces once only when
 k * (p - 1)**2 fits; otherwise it sums term by term through reduced codes).
 `base_digits` is the one base-b digit codec for int64 code arrays.
+Fields whose tables would pass `MAX_TABLE_ENTRIES` are refused up front.
 """
 
 from __future__ import annotations
@@ -48,6 +49,9 @@ __all__ = [
 ]
 
 _I64_MAX = int(np.iinfo(np.int64).max)
+# the largest field table built: GF(p) has a p-entry inverse table, GF(p**s)
+# with s > 1 add/mul tables of q**2 entries
+MAX_TABLE_ENTRIES = 2**24
 
 
 def is_prime(m: int) -> bool:
@@ -69,6 +73,8 @@ def prime_power_decompose(q: int) -> tuple[int, int]:
     """Split q into (p, s) with q = p**s, p prime.  Raises for non prime powers."""
     if q < 2:
         raise ValueError(f"{q} is not a prime power")
+    if q > MAX_TABLE_ENTRIES:
+        raise ValueError(f"q = {q} is past the field size limit of {MAX_TABLE_ENTRIES} (2**24)")
     p = 2
     while q % p != 0:
         p += 1
@@ -90,6 +96,11 @@ class PrimePower:
     s: int = 1
 
     def __post_init__(self):
+        entries = self.p if self.s <= 1 else self.p ** (2 * self.s)
+        if entries > MAX_TABLE_ENTRIES:
+            field = f"GF({self.p})" if self.s == 1 else f"GF({self.p}^{self.s})"
+            raise ValueError(f"{field} needs a field table of {entries} entries, "
+                             f"past the limit of {MAX_TABLE_ENTRIES} (2**24)")
         if not is_prime(self.p):
             raise ValueError(f"p = {self.p} is not prime")
         if self.p == 2:

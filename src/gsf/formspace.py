@@ -353,7 +353,7 @@ def _sample_codes(q: int, d: int, count: int, seed: int, chunk: int):
 
 def _chunk_size(n: int) -> int:
     # keep per-chunk work around a few MB so elimination stays in cache
-    return int(min(8192, max(256, 2_000_000 // max(n * n, 1))))
+    return int(min(8192, max(256, 250_000 // max(n * n, 1))))
 
 
 def _rank_chunks(kf, basis_grams: np.ndarray, code_chunks, workers: int = 1):

@@ -1,5 +1,6 @@
 import json
 import shutil
+import tracemalloc
 
 import pytest
 
@@ -296,3 +297,20 @@ def test_parser_flag_sets_and_search_defaults():
                                "--restarts", "--seed", "--target"]
     args = sub.choices["search"].parse_args(["--target", "mu", "--n", "3", "--q", "3"])
     assert (args.seed, args.budget, args.output_path, args.format) == (0, None, None, "json")
+
+
+@pytest.mark.parametrize("argv", [
+    ["tower", "--p", "2147483647", "--n", "2"],  # a 16 GiB inverse table
+    ["tower", "--p", "3", "--s", "9", "--n", "2"],  # 3 GiB add/mul tables
+    ["search", "--target", "tau", "--n", "3", "--q", "2147483647"],
+])
+def test_oversized_field_refused_before_any_table(capsys, argv):
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, *argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.endswith("(2**24)\n") and err.count("\n") == 1
+    assert peak < 1 << 20  # nothing near a field table was allocated

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gsf.exactla import LSubspace, eigenspace_of_power, is_direct_sum, kernel, rank, rank_many, rref
+from gsf.exactla import LSubspace, _span_audit, eigenspace_of_power, is_direct_sum, kernel, rank, rank_many, rref
 from gsf.ffield import Gf
 from gsf.formspace import gram
 
@@ -153,6 +153,17 @@ def test_is_direct_sum_trivial_cases():
     assert is_direct_sum([w, LSubspace.zero(GF3, 3)])
     assert not is_direct_sum([w, w])
     assert is_direct_sum([])
+
+
+def test_span_audit_is_the_one_audit():
+    from gsf import decomp
+
+    assert decomp._span_audit is _span_audit
+    w = LSubspace.from_vectors(GF3, [[1, 0, 0], [0, 1, 0]], 3)
+    assert _span_audit([]) == (0, True)
+    assert _span_audit([w, LSubspace.zero(GF3, 3)]) == (2, True)
+    assert _span_audit([w, w]) == (2, False)
+    assert _span_audit([w, LSubspace.full(GF3, 3)]) == (3, False)
 
 
 def test_ambient_mismatch_rejected():
@@ -316,3 +327,27 @@ def test_eigenspace_basis_is_read_only_reduced_echelon(tower):
                 e = eigenspace_of_power(t, tt, sign)
                 assert not e.basis.flags.writeable
                 assert e == LSubspace.from_vectors(t.K, e.basis, n)
+
+
+# -- the one kernel on every field ------------------------------------------------
+
+# GF(9), GF(25), GF(343): table arithmetic; 46337: the largest int32 prime;
+# 46349, 65537, 1000003: lazy int64
+_KERNEL_FIELDS = {(p, s): Gf(p, s) for p, s in [(3, 2), (5, 2), (7, 3), (46337, 1), (46349, 1),
+                                                (65537, 1), (1000003, 1)]}
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_rank_many_matches_rref_on_every_field(data):
+    gf = _KERNEL_FIELDS[data.draw(st.sampled_from(sorted(_KERNEL_FIELDS)))]
+    rows = data.draw(st.integers(1, 16))
+    cols = data.draw(st.integers(1, 16))
+    # mixed ranks in one batch: some matrices run out of rows while others pivot
+    ranks = data.draw(st.lists(st.integers(0, min(rows, cols)), min_size=1, max_size=6))
+    rng = np.random.default_rng(data.draw(st.integers(0, 10_000)))
+    mats = np.concatenate([gf.matmul(rng.integers(0, gf.q, size=(1, rows, r)),
+                                     rng.integers(0, gf.q, size=(1, r, cols))) for r in ranks])
+    if data.draw(st.booleans()):
+        mats[:, 0, :] = 0  # zero leading row: the first pivot needs a swap
+    _assert_matches_rref(gf, mats, ranks)

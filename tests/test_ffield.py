@@ -1,5 +1,6 @@
 import math
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from gsf import ffield
 from gsf.exactla import kernel, rank
 from gsf.ffield import (
+    MAX_TABLE_ENTRIES,
     FieldTower,
     Gf,
     base_digits,
@@ -114,6 +116,25 @@ def test_prime_power_decompose():
     with pytest.raises(ValueError):
         prime_power_decompose(12)
     assert is_prime(97) and not is_prime(91)
+
+
+@settings(max_examples=80, deadline=None)
+@given(p=st.sampled_from([3, 7, 4093, 4099, 46349, 16777213, 16777259, 2147483647]), s=st.integers(1, 12))
+def test_field_table_limit(p, s):
+    # GF(p) keeps a p-entry inverse table, GF(p**s) with s > 1 two q**2 tables
+    entries = p if s == 1 else p ** (2 * s)
+    with mock.patch.object(ffield, "is_prime", side_effect=is_prime) as primality:
+        if entries <= MAX_TABLE_ENTRIES:
+            assert PrimePower(p, s).q == p**s
+        else:
+            with pytest.raises(ValueError, match=r"limit of 16777216 \(2\*\*24\)"):
+                PrimePower(p, s)
+            assert not primality.called  # refused before the primality test
+    if p**s > MAX_TABLE_ENTRIES:
+        with pytest.raises(ValueError, match=r"limit of 16777216 \(2\*\*24\)"):
+            prime_power_decompose(p**s)  # before a trial division up to p
+    elif p <= 4099:
+        assert prime_power_decompose(p**s) == (p, s)
 
 
 def test_frobenius_identity_and_base_field(tower):

@@ -349,7 +349,7 @@ def test_flatten_unflatten_batched(n):
 
 
 def test_rank_profile_worker_invariance_over_several_chunks(tower):
-    # (3**9 - 1)/2 = 9,841 projective codes of size 9 are two chunks, so the thread pool runs
+    # (3**9 - 1)/2 = 9,841 projective codes of size 9 are four chunks, so the thread pool runs
     t = tower(3, 1, 9)
     full = LSubspace.full(t.K, 9)
     one = rank_profile(t, full, 1, workers=1)

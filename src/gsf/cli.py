@@ -11,6 +11,7 @@ variable GSF_BUDGET overrides the default enumeration budget.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -22,6 +23,7 @@ import numpy as np
 
 from gsf.decomp import (
     Certificate,
+    Run,
     min_rank_lower_bound,
     refine_A1_2k,
     refine_A1_pow4,
@@ -55,34 +57,11 @@ class _Parser(argparse.ArgumentParser):
 
 @dataclass
 class RunConfig:
-    """Shared run options; sampled mode requires an explicit seed."""
+    """The census options of a command plus where and how its report goes."""
 
-    mode: str = "auto"
-    sample_count: int = DEFAULT_SAMPLE_COUNT
-    seed: Optional[int] = None
-    budget: int = DEFAULT_BUDGET
-    workers: int = 1
+    run: Run = Run()
     output_path: Optional[str] = None
     format: str = "json"
-
-    def __post_init__(self):
-        if self.budget <= 0:
-            raise UsageError("budget must be positive")
-        if self.workers < 1:
-            raise UsageError("workers must be >= 1")
-        if self.sample_count < 1:
-            raise UsageError("sample count must be >= 1")
-        if self.mode == "sampled" and self.seed is None:
-            raise UsageError("sampled mode requires --seed")
-
-    def enum_kwargs(self) -> dict:
-        return {
-            "mode": self.mode,
-            "sample_count": self.sample_count,
-            "seed": self.seed if self.seed is not None else 0,
-            "budget": self.budget,
-            "workers": self.workers,
-        }
 
 
 def _env_budget() -> int:
@@ -228,24 +207,32 @@ def _emit_certificate(cert: Certificate, cfg: RunConfig) -> int:
 
 
 def _config(args) -> RunConfig:
-    return RunConfig(
-        mode=getattr(args, "mode", "auto"),
-        sample_count=getattr(args, "sample_count", DEFAULT_SAMPLE_COUNT),
-        seed=getattr(args, "seed", None),
-        budget=args.budget if getattr(args, "budget", None) is not None else _env_budget(),
-        workers=getattr(args, "workers", 1),
-        output_path=getattr(args, "output_path", None),
-        format=getattr(args, "format", "json"),
-    )
+    """Validate the shared options; sampled mode requires an explicit seed."""
+    mode = getattr(args, "mode", "auto")
+    sample_count = getattr(args, "sample_count", DEFAULT_SAMPLE_COUNT)
+    seed = getattr(args, "seed", None)
+    budget = args.budget if getattr(args, "budget", None) is not None else _env_budget()
+    workers = getattr(args, "workers", 1)
+    if budget <= 0:
+        raise UsageError("budget must be positive")
+    if workers < 1:
+        raise UsageError("workers must be >= 1")
+    if sample_count < 1:
+        raise UsageError("sample count must be >= 1")
+    if mode == "sampled" and seed is None:
+        raise UsageError("sampled mode requires --seed")
+    run = Run(mode=mode, sample_count=sample_count, seed=seed if seed is not None else 0,
+              budget=budget, workers=workers)
+    return RunConfig(run, getattr(args, "output_path", None), getattr(args, "format", "json"))
 
 
-def _refine_dispatch(tower: FieldTower, i: int, kwargs: dict) -> Certificate:
+def _refine_dispatch(tower: FieldTower, i: int, run: Run) -> Certificate:
     n = tower.n
     if i == 1 and n % 2 == 0:
         if n % 4 == 2:
-            return refine_A1_2k(tower, **kwargs)
-        return refine_A1_pow4(tower, **kwargs)
-    return refine_Ai_mod2(tower, i, **kwargs)
+            return refine_A1_2k(tower, run)
+        return refine_A1_pow4(tower, run)
+    return refine_Ai_mod2(tower, i, run)
 
 
 def _dispatch(args) -> int:
@@ -278,11 +265,11 @@ def _dispatch(args) -> int:
         return 0
 
     if cmd == "rank-laws":
-        cert = verify_rank_laws(_tower_from_args(args), **cfg.enum_kwargs())
+        cert = verify_rank_laws(_tower_from_args(args), cfg.run)
         return _emit_certificate(cert, cfg)
 
     if cmd == "decompose":
-        cert = verify_global(_tower_from_args(args))
+        cert = verify_global(_tower_from_args(args), cfg.run)
         return _emit_certificate(cert, cfg)
 
     if cmd == "refine":
@@ -290,13 +277,13 @@ def _dispatch(args) -> int:
         if args.full:
             if tower.n % 2:
                 raise UsageError("--full needs an even extension degree")
-            cert = verify_full_refined(tower, **cfg.enum_kwargs())
+            cert = verify_full_refined(tower, cfg.run)
         else:
             if args.i is None:
                 raise UsageError("refine needs --i or --full")
             if not 1 <= args.i < tower.n:
                 raise UsageError(f"--i must be in 1..{tower.n - 1}")
-            cert = _refine_dispatch(tower, args.i, cfg.enum_kwargs())
+            cert = _refine_dispatch(tower, args.i, cfg.run)
         return _emit_certificate(cert, cfg)
 
     if cmd == "theorem-c":
@@ -306,11 +293,11 @@ def _dispatch(args) -> int:
         if args.q % 4 != 3:
             raise UsageError(f"q = {args.q} is 1 mod 4: -1 is a square in the base field")
         tower = FieldTower(p, s, args.n)
-        cert = refine_A1_pow4(tower, **cfg.enum_kwargs())
+        cert = refine_A1_pow4(tower, cfg.run)
         return _emit_certificate(cert, cfg)
 
     if cmd == "min-rank":
-        cert = min_rank_lower_bound(_tower_from_args(args), args.kk, **cfg.enum_kwargs())
+        cert = min_rank_lower_bound(_tower_from_args(args), args.kk, cfg.run)
         return _emit_certificate(cert, cfg)
 
     if cmd == "rho":
@@ -324,10 +311,10 @@ def _dispatch(args) -> int:
 
     if cmd == "search":
         if args.method == "exhaustive":
-            res = exhaustive_search(args.target, args.n, args.q, budget=cfg.budget)
+            res = exhaustive_search(args.target, args.n, args.q, budget=cfg.run.budget)
         else:
             res = greedy_search(args.target, args.n, args.q, seed=args.seed,
-                                restarts=args.restarts, budget=cfg.budget)
+                                restarts=args.restarts, budget=cfg.run.budget)
         _emit(res.to_dict(), cfg.format, cfg.output_path)
         return 0
 
@@ -335,8 +322,8 @@ def _dispatch(args) -> int:
         if args.n % 2:
             raise UsageError("block lifting needs an even target size n")
         tower = FieldTower(args.p, args.s, args.n // 2)
-        base = construct_regular_rep_subspace(tower, budget=cfg.budget)
-        res = block_construction(base, budget=cfg.budget)
+        base = construct_regular_rep_subspace(tower, budget=cfg.run.budget)
+        res = block_construction(base, budget=cfg.run.budget)
         _emit(res.to_dict(), cfg.format, cfg.output_path)
         return 0
 
@@ -357,20 +344,15 @@ GOLDEN_INSTANCES = [(3, 1, 2), (3, 1, 3), (3, 1, 4), (3, 1, 5), (3, 1, 6), (3, 1
 
 def golden_entries(workers: int = 1, budget: int = DEFAULT_BUDGET):
     """The pinned corpus: (filename, builder) pairs in a fixed order."""
-    opts = {"mode": "auto", "sample_count": DEFAULT_SAMPLE_COUNT, "seed": 0,
-            "budget": budget, "workers": workers}
+    run = Run(budget=budget, workers=workers)
     entries = []
     for p, s, n in GOLDEN_INSTANCES:
 
-        def make(fn, p=p, s=s, n=n, needs_opts=True):
-            def build():
-                tower = FieldTower(p, s, n)
-                return fn(tower, **opts) if needs_opts else fn(tower)
-
-            return build
+        def make(fn, p=p, s=s, n=n):
+            return lambda: fn(FieldTower(p, s, n), run=run)
 
         stem = f"gf{p}_{s}_{n}"
-        entries.append((f"{stem}_global.json", make(verify_global, needs_opts=False)))
+        entries.append((f"{stem}_global.json", make(verify_global)))
         entries.append((f"{stem}_rank-laws.json", make(verify_rank_laws)))
         if n % 2 == 0:
             entries.append((f"{stem}_full-refined.json", make(verify_full_refined)))
@@ -379,8 +361,7 @@ def golden_entries(workers: int = 1, budget: int = DEFAULT_BUDGET):
         if n % 4 == 0:
             entries.append((f"{stem}_a1-pow4.json", make(refine_A1_pow4)))
         if n >= 3:
-            entries.append((f"{stem}_min-rank-1.json",
-                            make(lambda t, **kw: min_rank_lower_bound(t, 1, **kw))))
+            entries.append((f"{stem}_min-rank-1.json", make(functools.partial(min_rank_lower_bound, kk=1))))
     return entries
 
 

@@ -1,20 +1,27 @@
 """Certified verifiers for the direct-sum and constant-rank structure.
 
-Each verifier builds the advertised subspaces from scratch, audits the
-direct sums by exact echelon accounting, runs a rank census over every
-piece that carries a constant-rank claim, and returns a Certificate: the
-claimed numbers next to the observed ones plus a verdict.  Nothing is
-trusted; a certificate passes only if every observation matches.
+Every result is a list of pieces: the global sum of the families A^i, the
+constant-rank splits of one family, the summed families of the rank bound.
+A `Piece` holds what is observed (a parameter subspace with the power i
+that twists it, a form subspace, or a raw Gram stack) next to what is
+claimed (dimension, ranks, and optionally rank counts or a minimum rank).
+Each verifier builds its pieces from scratch and audits its direct sums by
+exact echelon accounting.  `_certify`, the one claim path, then runs the
+rank census of each piece, one piece at a time in list order, turns the
+pieces into claims and sets the verdict.  Nothing is trusted; a
+certificate passes only if every audit holds and every observation matches.
 
-Certificates are pure values, deterministic functions of
-(tower, mode, seed), and serialize to canonical JSON so that reruns can be
-byte-compared.
+`Run` carries the five census options: mode, sample count, seed, budget and
+workers.  The k-th census of a certificate draws with seed + k, so sampled
+bytes depend on the order of the pieces.  Certificates are pure values,
+deterministic functions of (tower, run), and serialize to canonical JSON so
+that reruns can be byte-compared.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -24,7 +31,6 @@ from gsf.ffield import FieldTower
 from gsf.formspace import (
     DEFAULT_BUDGET,
     DEFAULT_SAMPLE_COUNT,
-    FormSubspace,
     RankProfile,
     _profile_from_grams,
     family,
@@ -34,6 +40,7 @@ from gsf.formspace import (
 
 __all__ = [
     "Certificate",
+    "Run",
     "TheoremCParams",
     "theorem_c_case",
     "verify_global",
@@ -96,29 +103,51 @@ def theorem_c_case(params: TheoremCParams) -> str:
 # -- certificates -----------------------------------------------------------------
 
 
-def _claim(
-    name: str,
-    claimed_dim: Optional[int] = None,
-    observed_dim: Optional[int] = None,
-    claimed_ranks: Optional[list[int]] = None,
-    profile: Optional[RankProfile] = None,
-    claimed_rank_counts: Optional[dict[int, int]] = None,
-    claimed_min_rank: Optional[int] = None,
-) -> dict:
-    c = {
-        "subspace_name": name,
-        "claimed_dim": claimed_dim,
-        "observed_dim": observed_dim,
-        "claimed_ranks": sorted(claimed_ranks) if claimed_ranks is not None else None,
-        "observed_rank_histogram": dict(profile.histogram) if profile is not None else None,
-        "enumeration": profile.mode_record() if profile is not None else None,
-    }
-    if claimed_rank_counts is not None:
-        c["claimed_rank_counts"] = dict(claimed_rank_counts)
-    if claimed_min_rank is not None:
-        c["claimed_min_rank"] = claimed_min_rank
-        c["observed_min_rank"] = profile.min_rank() if profile is not None else None
-    return c
+@dataclass(frozen=True)
+class Run:
+    """The census options of one verifier run."""
+
+    mode: str = "auto"
+    sample_count: int = DEFAULT_SAMPLE_COUNT
+    seed: int = 0
+    budget: int = DEFAULT_BUDGET
+    workers: int = 1
+
+
+@dataclass(frozen=True)
+class Piece:
+    """One claimed piece of a decomposition.
+
+    `sub` is what the census enumerates: an LSubspace of parameters twisted
+    by sigma^i, a FormSubspace, or a raw (d, n, n) stack of Grams; None
+    claims a dimension only.  `observed_dim` defaults to the dimension of
+    `sub`.  Rank counts are claimed only when the census is exhaustive.
+    """
+
+    name: str
+    sub: object = None
+    i: Optional[int] = None
+    dim: Optional[int] = None
+    ranks: Optional[list[int]] = None
+    counts: Optional[dict[int, int]] = None
+    min_rank: Optional[int] = None
+    observed_dim: Optional[int] = None
+
+    def claim(self, profile: Optional[RankProfile]) -> dict:
+        c = {
+            "subspace_name": self.name,
+            "claimed_dim": self.dim,
+            "observed_dim": self.sub.dim if self.observed_dim is None else self.observed_dim,
+            "claimed_ranks": sorted(self.ranks) if self.ranks is not None else None,
+            "observed_rank_histogram": dict(profile.histogram) if profile is not None else None,
+            "enumeration": profile.mode_record() if profile is not None else None,
+        }
+        if self.counts is not None and profile.mode == "exhaustive":
+            c["claimed_rank_counts"] = dict(self.counts)
+        if self.min_rank is not None:
+            c["claimed_min_rank"] = self.min_rank
+            c["observed_min_rank"] = profile.min_rank()
+        return c
 
 
 def claim_ok(claim: dict) -> bool:
@@ -175,49 +204,39 @@ class Certificate:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2, ensure_ascii=False) + "\n"
 
 
-def _verdict(claims: list[dict], direct_sum_ok: bool, outside: bool = False) -> str:
+def _certify(theorem_id: str, tower: FieldTower, instance: dict, pieces: list[Piece],
+             audits: list[bool], run: Run, outside: bool = False) -> Certificate:
+    """The one claim path: census each piece in order, claim, and judge.
+
+    The k-th census draws with seed run.seed + k, and the header records
+    sampling if any census sampled.  The verdict is outside_hypotheses when
+    `outside`, else pass exactly when every audit holds and every claim
+    matches its observation.
+    """
+    opts = {"sample_count": run.sample_count, "budget": run.budget, "workers": run.workers}
+    claims = []
+    censuses = 0
+    sampled = False
+    for piece in pieces:
+        prof = None
+        if piece.sub is not None:
+            seed = run.seed + censuses
+            if isinstance(piece.sub, np.ndarray):
+                prof = _profile_from_grams(tower.K, piece.sub, tower.n, run.mode, seed=seed, **opts)
+            else:
+                prof = rank_profile(tower, piece.sub, piece.i, run.mode, seed=seed, **opts)
+            censuses += 1
+            sampled = sampled or prof.mode == "sampled"
+        claims.append(piece.claim(prof))
+    ds = all(audits)
     if outside:
-        return "outside_hypotheses"
-    return "pass" if direct_sum_ok and all(claim_ok(c) for c in claims) else "fail"
-
-
-class _Census:
-    """Runs the per-claim rank censuses with derived seeds and keeps track of
-    whether anything fell back to sampling (for the certificate header)."""
-
-    def __init__(self, tower, mode="auto", sample_count=DEFAULT_SAMPLE_COUNT, seed=0, budget=None, workers=1):
-        self.tower = tower
-        self.mode = mode
-        self.sample_count = sample_count
-        self.seed = seed
-        self.budget = budget if budget is not None else DEFAULT_BUDGET
-        self.workers = workers
-        self.any_sampled = False
-        self._idx = 0
-
-    def profile(self, sub, i: Optional[int] = None) -> RankProfile:
-        """Census of one piece: a parameter or form subspace, or a raw stack of Grams."""
-        kwargs = {"sample_count": self.sample_count, "seed": self.seed + self._idx,
-                  "budget": self.budget, "workers": self.workers}
-        if isinstance(sub, np.ndarray):
-            prof = _profile_from_grams(self.tower.K, sub, self.tower.n, self.mode, **kwargs)
-        else:
-            prof = rank_profile(self.tower, sub, i, self.mode, **kwargs)
-        self._idx += 1
-        if prof.mode == "sampled":
-            self.any_sampled = True
-        return prof
-
-    def record(self) -> dict:
-        if self.any_sampled:
-            return {"mode": "sampled", "count": self.sample_count, "seed": self.seed}
-        return {"mode": "exhaustive"}
-
-
-def _instance(tower: FieldTower, **extra) -> dict:
-    d = {"p": tower.p, "s": tower.s, "n": tower.n}
-    d.update(extra)
-    return d
+        verdict = "outside_hypotheses"
+    else:
+        verdict = "pass" if ds and all(claim_ok(c) for c in claims) else "fail"
+    enumeration = ({"mode": "sampled", "count": run.sample_count, "seed": run.seed} if sampled
+                   else {"mode": "exhaustive"})
+    return Certificate(theorem_id, {"p": tower.p, "s": tower.s, "n": tower.n, **instance},
+                       claims, ds, verdict, enumeration)
 
 
 def _pair_representatives(n: int) -> tuple[list[int], Optional[int]]:
@@ -229,84 +248,73 @@ def _pair_representatives(n: int) -> tuple[list[int], Optional[int]]:
 # -- verifiers --------------------------------------------------------------------
 
 
-def verify_global(tower: FieldTower) -> Certificate:
+def _global_pieces(tower: FieldTower, refine: bool) -> tuple[list[Piece], list[bool]]:
+    """The global sum: B^1 (n even), A^0, one A^i per inverse pair, Sym_K(L).
+
+    Without `refine` the families claim dimensions only.  With it each
+    family claims constant rank n, except that a family of even order is
+    replaced by its constant-rank split.  The audits are the splits' and,
+    last, the independence of the families.
+    """
+    n = tower.n
+    reps, invol = _pair_representatives(n)
+    ranks = [n] if refine else None
+    pieces, audits, parts = [], [], []
+    heads = [("B^1", invol, n // 2)] if invol is not None else []
+    for name, i, dim in heads + [("A^0", 0, n)]:
+        fam = family(tower, i)
+        parts.append(fam)
+        pieces.append(Piece(name, fam if refine else None, dim=dim, ranks=ranks, observed_dim=fam.dim))
+    full = LSubspace.full(tower.K, n) if refine else None
+    for i in reps:
+        fam = family(tower, i)
+        parts.append(fam)
+        if refine and tower.sigma_order(i) % 2 == 0:
+            split, ok = _split_family(tower, i)
+            pieces.extend(split)
+            audits.append(ok)
+        else:
+            pieces.append(Piece(f"A^{i}", full, i, n, ranks, observed_dim=fam.dim))
+    span, direct = _span_audit(parts)
+    pieces.append(Piece("Sym_K(L)", dim=n * (n + 1) // 2, observed_dim=span))
+    return pieces, audits + [direct]
+
+
+def verify_global(tower: FieldTower, run: Run = Run()) -> Certificate:
     """Audit the coarse decomposition of the whole symmetric-form space.
 
     Builds one family per inverse pair of automorphism powers (plus the
     involution family when n is even, listed first) and checks that the
-    pieces are independent with total dimension n(n+1)/2.
+    pieces are independent with total dimension n(n+1)/2.  No piece is
+    censused, so `run` does not change the certificate.
     """
-    n = tower.n
-    amb = n * (n + 1) // 2
-    reps, invol = _pair_representatives(n)
-    claims = []
-    parts = []
-    if invol is not None:
-        b1 = family(tower, invol)
-        claims.append(_claim("B^1", claimed_dim=n // 2, observed_dim=b1.dim))
-        parts.append(b1)
-    a0 = family(tower, 0)
-    claims.append(_claim("A^0", claimed_dim=n, observed_dim=a0.dim))
-    parts.append(a0)
-    for i in reps:
-        fi = family(tower, i)
-        claims.append(_claim(f"A^{i}", claimed_dim=n, observed_dim=fi.dim))
-        parts.append(fi)
-    span, ds = _span_audit(parts)
-    claims.append(_claim("Sym_K(L)", claimed_dim=amb, observed_dim=span))
-    return Certificate(
-        "global-decomposition",
-        _instance(tower),
-        claims,
-        ds,
-        _verdict(claims, ds),
-        {"mode": "exhaustive"},
-    )
+    pieces, audits = _global_pieces(tower, refine=False)
+    return _certify("global-decomposition", tower, {}, pieces, audits, run)
 
 
-def verify_rank_laws(tower: FieldTower, mode="auto", *, sample_count=DEFAULT_SAMPLE_COUNT,
-                     seed=0, budget=None, workers=1) -> Certificate:
+def verify_rank_laws(tower: FieldTower, run: Run = Run()) -> Certificate:
     """Check the rank dichotomy of every twisted family over all of L.
 
     Odd-order powers give constant rank n.  The involution gives ranks
     {0, n} with the zero forms exactly on the (-1)-eigenspace.  Even order
     2r > 2 gives exactly the two ranks {n - n/r, n}, both realized.
     """
-    n, q, kf = tower.n, tower.q, tower.K
-    cz = _Census(tower, mode, sample_count, seed, budget, workers)
-    full = LSubspace.full(kf, n)
-    claims = []
+    n, q = tower.n, tower.q
+    full = LSubspace.full(tower.K, n)
+    pieces = []
     for i in range(n):
         d = tower.sigma_order(i)
         if d % 2 == 1:
-            claims.append(_claim(f"A^{i}", observed_dim=n, claimed_ranks=[n], profile=cz.profile(full, i)))
+            pieces.append(Piece(f"A^{i}", full, i, ranks=[n]))
         elif d == 2:
-            emin = eigenspace_of_power(tower, i, -1)
-            prof = cz.profile(full, i)
             # the exact zero count certifies that the form vanishes precisely
-            # on the (-1)-eigenspace; only meaningful under full enumeration
-            counts = {0: q ** (n // 2) - 1} if prof.mode == "exhaustive" else None
-            claims.append(
-                _claim(
-                    f"A^{i}",
-                    observed_dim=n,
-                    claimed_ranks=[0, n],
-                    profile=prof,
-                    claimed_rank_counts=counts,
-                )
-            )
-            claims.append(
-                _claim(f"A^{i}|E", claimed_dim=n // 2, observed_dim=emin.dim,
-                       claimed_ranks=[0], profile=cz.profile(emin, i))
-            )
+            # on the (-1)-eigenspace
+            pieces.append(Piece(f"A^{i}", full, i, ranks=[0, n], counts={0: q ** (n // 2) - 1}))
+            pieces.append(Piece(f"A^{i}|E", eigenspace_of_power(tower, i, -1), i, n // 2, [0]))
         else:
             r = d // 2
-            claims.append(
-                _claim(f"A^{i}", observed_dim=n, claimed_ranks=[n - n // r, n], profile=cz.profile(full, i))
-            )
-    return Certificate(
-        "rank-laws", _instance(tower), claims, True, _verdict(claims, True), cz.record()
-    )
+            pieces.append(Piece(f"A^{i}", full, i, ranks=[n - n // r, n]))
+    return _certify("rank-laws", tower, {}, pieces, [], run)
 
 
 def _product_subspace(tower: FieldTower, j: np.ndarray, u: LSubspace) -> LSubspace:
@@ -314,7 +322,7 @@ def _product_subspace(tower: FieldTower, j: np.ndarray, u: LSubspace) -> LSubspa
     return LSubspace.from_vectors(tower.K, np.asarray(prods, dtype=np.int64), tower.n)
 
 
-def _split_family(tower: FieldTower, i: int) -> tuple[list[tuple], bool]:
+def _split_family(tower: FieldTower, i: int) -> tuple[list[Piece], bool]:
     """Constant-rank pieces of the i-th family, for sigma^i of even order d.
 
     Order 2 mod 4: U is fixed by sigma^(i*d/2) and V = j*U for the canonical
@@ -322,9 +330,8 @@ def _split_family(tower: FieldTower, i: int) -> tuple[list[tuple], bool]:
     sigma^i, whose rank claims are gated by the case classification taken
     relative to the fixed field of sigma^i (base size q**(n/d)); they are
     None (recorded, not asserted) when that classification does not apply
-    or lands outside.  Each piece is (name, parameter subspace, claimed dim,
-    claimed ranks); the flag says whether the pieces are independent and
-    span L.
+    or lands outside.  Each piece is a parameter subspace twisted by
+    sigma^i; the flag says whether the pieces are independent and span L.
     """
     n = tower.n
     d = tower.sigma_order(i % n)
@@ -333,8 +340,8 @@ def _split_family(tower: FieldTower, i: int) -> tuple[list[tuple], bool]:
         u = eigenspace_of_power(tower, (i * (d // 2)) % n, 1)
         j = eigenspace_of_power(tower, i, -1).basis[0]
         pieces = [
-            (f"U_{i}", u, n // 2, [n]),
-            (f"V_{i}", _product_subspace(tower, j, u), n // 2, [degenerate_rank]),
+            Piece(f"U_{i}", u, i, n // 2, [n]),
+            Piece(f"V_{i}", _product_subspace(tower, j, u), i, n // 2, [degenerate_rank]),
         ]
     elif d % 4 == 0:
         beta, kp = _two_adic(d)
@@ -346,8 +353,8 @@ def _split_family(tower: FieldTower, i: int) -> tuple[list[tuple], bool]:
         v_ranks = [degenerate_rank] if rel_case in ("case1", "case2") else None
         vdim = kp * n // d
         pieces = [
-            (f"V_1^{i}", eigenspace_of_power(tower, (i * kp) % n, 1), vdim, v_ranks),
-            (f"V_2^{i}", eigenspace_of_power(tower, (i * kp) % n, -1), vdim, v_ranks),
+            Piece(f"V_1^{i}", eigenspace_of_power(tower, (i * kp) % n, 1), i, vdim, v_ranks),
+            Piece(f"V_2^{i}", eigenspace_of_power(tower, (i * kp) % n, -1), i, vdim, v_ranks),
         ]
         for idx in range(1, beta):
             e = eigenspace_of_power(tower, (i * (d >> idx)) % n, -1)
@@ -357,39 +364,26 @@ def _split_family(tower: FieldTower, i: int) -> tuple[list[tuple], bool]:
                 e_ranks = [n] if idx <= rel_a else [degenerate_rank]
             else:
                 e_ranks = None
-            pieces.append((f"E_{idx}^{i}", e, None, e_ranks))
+            pieces.append(Piece(f"E_{idx}^{i}", e, i, None, e_ranks))
     else:
         raise ValueError(f"sigma^{i} has odd order {d}: its family does not split")
-    span, ds = _span_audit([sub for _, sub, _, _ in pieces])
+    span, ds = _span_audit([piece.sub for piece in pieces])
     return pieces, ds and span == n
 
 
-def _piece_claims(cz: _Census, pieces: list[tuple], i: int) -> list[dict]:
-    return [
-        _claim(name, claimed_dim=cd, observed_dim=sub.dim, claimed_ranks=ranks, profile=cz.profile(sub, i))
-        for name, sub, cd, ranks in pieces
-    ]
-
-
-def refine_A1_2k(tower: FieldTower, mode="auto", *, sample_count=DEFAULT_SAMPLE_COUNT,
-                 seed=0, budget=None, workers=1) -> Certificate:
+def refine_A1_2k(tower: FieldTower, run: Run = Run()) -> Certificate:
     """Split the first twisted family when n = 2k with k odd.
 
     U is the subfield fixed by sigma^k, V = j*U for the canonical
     (-1)-eigenvector j of sigma.  All nonzero parameters in U give rank n;
     all nonzero parameters in V give rank n - 2.
     """
-    inst = _instance(tower, i=1)
-    if tower.n % 4 != 2:
-        return Certificate("a1-split-2k", inst, [], True, "outside_hypotheses", {"mode": "exhaustive"})
-    cz = _Census(tower, mode, sample_count, seed, budget, workers)
-    pieces, ds = _split_family(tower, 1)
-    claims = _piece_claims(cz, pieces, 1)
-    return Certificate("a1-split-2k", inst, claims, ds, _verdict(claims, ds), cz.record())
+    inside = tower.n % 4 == 2
+    pieces, ok = _split_family(tower, 1) if inside else ([], True)
+    return _certify("a1-split-2k", tower, {"i": 1}, pieces, [ok], run, outside=not inside)
 
 
-def refine_Ai_mod2(tower: FieldTower, i: int, mode="auto", *, sample_count=DEFAULT_SAMPLE_COUNT,
-                   seed=0, budget=None, workers=1) -> Certificate:
+def refine_Ai_mod2(tower: FieldTower, i: int, run: Run = Run()) -> Certificate:
     """Split the i-th family when sigma^i has order d = 2 mod 4, d != 2.
 
     The relative version of the 2k split over the fixed field of sigma^i,
@@ -397,17 +391,12 @@ def refine_Ai_mod2(tower: FieldTower, i: int, mode="auto", *, sample_count=DEFAU
     V_i = j_i * U_i for the canonical (-1)-eigenvector j_i of sigma^i.
     """
     d = tower.sigma_order(i % tower.n)
-    inst = _instance(tower, i=i, order=d)
-    if d % 4 != 2 or d == 2:
-        return Certificate("ai-split-mod2", inst, [], True, "outside_hypotheses", {"mode": "exhaustive"})
-    cz = _Census(tower, mode, sample_count, seed, budget, workers)
-    pieces, ds = _split_family(tower, i)
-    claims = _piece_claims(cz, pieces, i)
-    return Certificate("ai-split-mod2", inst, claims, ds, _verdict(claims, ds), cz.record())
+    inside = d % 4 == 2 and d != 2
+    pieces, ok = _split_family(tower, i) if inside else ([], True)
+    return _certify("ai-split-mod2", tower, {"i": i, "order": d}, pieces, [ok], run, outside=not inside)
 
 
-def refine_A1_pow4(tower: FieldTower, mode="auto", *, sample_count=DEFAULT_SAMPLE_COUNT,
-                   seed=0, budget=None, workers=1) -> Certificate:
+def refine_A1_pow4(tower: FieldTower, run: Run = Run()) -> Certificate:
     """Eigenspace refinement of the first family when 4 divides n.
 
     Requires -1 to be a nonsquare in the base field (q = 3 mod 4).  The
@@ -420,95 +409,38 @@ def refine_A1_pow4(tower: FieldTower, mode="auto", *, sample_count=DEFAULT_SAMPL
         raise ValueError(f"q = {q} is 1 mod 4: -1 is a square in the base field, refinement not applicable")
     alpha, k = _two_adic(n)
     if alpha < 2:
-        return Certificate(
-            "a1-split-pow4",
-            _instance(tower, i=1, alpha=alpha, k=k),
-            [],
-            True,
-            "outside_hypotheses",
-            {"mode": "exhaustive"},
-        )
+        return _certify("a1-split-pow4", tower, {"i": 1, "alpha": alpha, "k": k}, [], [], run, outside=True)
     params = TheoremCParams.from_qn(q, n)
     case = theorem_c_case(params)
-    inst = _instance(tower, i=1, q=q, a=params.a, l=params.l, alpha=alpha, k=k, case=case)
-    cz = _Census(tower, mode, sample_count, seed, budget, workers)
-    pieces, ds = _split_family(tower, 1)
+    inst = {"i": 1, "q": q, "a": params.a, "l": params.l, "alpha": alpha, "k": k, "case": case}
+    pieces, ok = _split_family(tower, 1)
     # this certificate drops the "^1" suffix and claims dim E_idx = n >> idx
-    pieces = [
-        (name.removesuffix("^1"), sub, cd if cd is not None else n >> (pos - 1), ranks)
-        for pos, (name, sub, cd, ranks) in enumerate(pieces)
-    ]
-    claims = _piece_claims(cz, pieces, 1)
-    return Certificate("a1-split-pow4", inst, claims, ds, _verdict(claims, ds, outside=case == "outside"),
-                       cz.record())
+    pieces = [replace(piece, name=piece.name.removesuffix("^1"),
+                      dim=n >> (pos - 1) if piece.dim is None else piece.dim)
+              for pos, piece in enumerate(pieces)]
+    return _certify("a1-split-pow4", tower, inst, pieces, [ok], run, outside=case == "outside")
 
 
-def verify_full_refined(tower: FieldTower, mode="auto", *, sample_count=DEFAULT_SAMPLE_COUNT,
-                        seed=0, budget=None, workers=1) -> Certificate:
+def verify_full_refined(tower: FieldTower, run: Run = Run()) -> Certificate:
     """Compose the global decomposition with every applicable per-family split.
 
     Families of odd order stay whole (constant rank n); families of even
     order split through `_split_family` (U/V for order 2 mod 4, the
     relatively gated eigenspace chain for order 0 mod 4).
     """
-    n, kf = tower.n, tower.K
-    if n % 2:
+    if tower.n % 2:
         raise ValueError("the fully refined decomposition is stated for even n")
-    amb = n * (n + 1) // 2
-    cz = _Census(tower, mode, sample_count, seed, budget, workers)
-    reps, invol = _pair_representatives(n)
-    claims = []
-    audits = []
-    global_parts = []
-
-    b1 = family(tower, invol)
-    claims.append(_claim("B^1", claimed_dim=n // 2, observed_dim=b1.dim, claimed_ranks=[n],
-                         profile=cz.profile(b1)))
-    global_parts.append(b1)
-    a0 = family(tower, 0)
-    claims.append(_claim("A^0", claimed_dim=n, observed_dim=a0.dim, claimed_ranks=[n],
-                         profile=cz.profile(a0)))
-    global_parts.append(a0)
-
-    full = LSubspace.full(kf, n)
-    for i in reps:
-        fi = family(tower, i)
-        global_parts.append(fi)
-        if tower.sigma_order(i) % 2:
-            claims.append(_claim(f"A^{i}", claimed_dim=n, observed_dim=fi.dim, claimed_ranks=[n],
-                                 profile=cz.profile(full, i)))
-            continue
-        pieces, ok = _split_family(tower, i)
-        claims.extend(_piece_claims(cz, pieces, i))
-        audits.append(ok)
-
-    span, direct = _span_audit(global_parts)
-    audits.append(direct)
-    claims.append(_claim("Sym_K(L)", claimed_dim=amb, observed_dim=span))
-    ds = all(audits)
-    return Certificate("full-refinement", _instance(tower), claims, ds, _verdict(claims, ds), cz.record())
+    pieces, audits = _global_pieces(tower, refine=True)
+    return _certify("full-refinement", tower, {}, pieces, audits, run)
 
 
-def min_rank_lower_bound(tower: FieldTower, kk: int, mode="auto", *, sample_count=DEFAULT_SAMPLE_COUNT,
-                         seed=0, budget=None, workers=1) -> Certificate:
+def min_rank_lower_bound(tower: FieldTower, kk: int, run: Run = Run()) -> Certificate:
     """Every nonzero parameter tuple over the first kk twisted families must
     produce a form of rank at least n - 2*kk."""
     n = tower.n
     m = len(_pair_representatives(n)[0])
     if not 1 <= kk <= m:
         raise ValueError(f"kk = {kk} out of range 1..{m}")
-    cz = _Census(tower, mode, sample_count, seed, budget, workers)
     grams = np.concatenate([gram_basis(tower, i) for i in range(1, kk + 1)])
-    prof = cz.profile(grams)
-    bound = n - 2 * kk
-    claims = [
-        _claim(
-            f"sum(A^1..A^{kk})",
-            observed_dim=kk * n,
-            profile=prof,
-            claimed_min_rank=bound,
-        )
-    ]
-    return Certificate(
-        "min-rank-bound", _instance(tower, kk=kk), claims, True, _verdict(claims, True), cz.record()
-    )
+    piece = Piece(f"sum(A^1..A^{kk})", grams, min_rank=n - 2 * kk, observed_dim=kk * n)
+    return _certify("min-rank-bound", tower, {"kk": kk}, [piece], [], run)

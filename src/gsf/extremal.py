@@ -21,7 +21,7 @@ from typing import Optional
 import numpy as np
 
 from gsf.exactla import rank_many, rref
-from gsf.ffield import FieldTower, Gf, prime_power_decompose
+from gsf.ffield import FieldTower, Gf, PrimePower, prime_power_decompose
 from gsf.formspace import (
     BudgetExceededError,
     DEFAULT_BUDGET,
@@ -290,11 +290,12 @@ def exhaustive_search(target: str, n: int, q: int, budget: int | None = None) ->
     The budget counts candidates and forms (q**k - 1 per candidate), not
     ranks.  No (n + 1)-dimensional subspace is invertible-closed (column
     bound), so the scan always reaches dimension n: every dimension down to
-    n is checked against the budget before anything is scanned.
+    n is checked against the budget before anything is scanned, and before
+    the field tables are built: the check needs only q, n and the target.
     """
     budget = DEFAULT_BUDGET if budget is None else budget
     p, s = prime_power_decompose(q)
-    gf = Gf(p, s)
+    PrimePower(p, s)  # refuses what Gf(p, s) would, without building a table
     ambient = _ambient(target, n)
     top = min(ambient, n + 1)
 
@@ -305,6 +306,7 @@ def exhaustive_search(target: str, n: int, q: int, budget: int | None = None) ->
 
     for k in range(top, min(ambient, n) - 1, -1):
         check_budget(k)
+    gf = Gf(p, s)
     exhausted = []
     for k in range(top, 0, -1):
         check_budget(k)

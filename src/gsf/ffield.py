@@ -75,9 +75,8 @@ def prime_power_decompose(q: int) -> tuple[int, int]:
         raise ValueError(f"{q} is not a prime power")
     if q > MAX_TABLE_ENTRIES:
         raise ValueError(f"q = {q} is past the field size limit of {MAX_TABLE_ENTRIES} (2**24)")
-    p = 2
-    while q % p != 0:
-        p += 1
+    # the smallest factor is at most sqrt(q), or q is prime
+    p = next((d for d in range(2, math.isqrt(q) + 1) if q % d == 0), q)
     s = 0
     m = q
     while m % p == 0:

@@ -12,6 +12,7 @@ import pytest
 
 from gsf.cli import golden_check
 from gsf.decomp import (
+    Run,
     min_rank_lower_bound,
     refine_A1_2k,
     refine_A1_pow4,
@@ -141,7 +142,7 @@ def test_criterion_05_theorem_c_case1(tower):
 def test_criterion_06_outside_hypotheses_telemetry():
     t0 = time.perf_counter()
     t = FieldTower(11, 1, 32)
-    cert = refine_A1_pow4(t, mode="sampled", sample_count=10_000, seed=0)
+    cert = refine_A1_pow4(t, Run(mode="sampled", sample_count=10_000, seed=0))
     elapsed = time.perf_counter() - t0
     assert cert.verdict == "outside_hypotheses"
     assert cert.instance["case"] == "outside" and cert.instance["a"] == 2
@@ -226,7 +227,7 @@ def test_criterion_11_determinism(tower):
     assert code == 0, report
     for n in (4, 8):
         t = tower(3, 1, n)
-        one = refine_A1_pow4(t, workers=1).to_json()
-        eight = refine_A1_pow4(t, workers=8).to_json()
+        one = refine_A1_pow4(t, Run(workers=1)).to_json()
+        eight = refine_A1_pow4(t, Run(workers=8)).to_json()
         assert one == eight
     _report(11, "golden corpus byte-identical after recompute; 1-worker and 8-worker certificates agree")

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import shutil
 import tracemalloc
@@ -314,3 +315,40 @@ def test_oversized_field_refused_before_any_table(capsys, argv):
     assert code == 1 and out == ""
     assert err.startswith("error: ") and err.endswith("(2**24)\n") and err.count("\n") == 1
     assert peak < 1 << 20  # nothing near a field table was allocated
+
+
+# Every golden certificate is exhaustive, so these pin the sampled bytes: the
+# per-claim seed is the run seed plus the claim's index in census order.
+@pytest.mark.parametrize("argv, exit_code, digest", [
+    ("rank-laws --p 3 --n 6 --mode sampled --seed 2 --sample-count 300", 0,
+     "4d0c25b67d764df241019b2986fb54c12c0d2440aa7b647cd2145014cfa7e34d"),
+    ("refine --full --p 7 --s 3 --n 4 --seed 0 --sample-count 500", 0,
+     "e4b7cfd9e1e2ed19f62d9441337b0b03e8ff80d1514f91b33bbd257da030eabc"),
+    # auto mode: exhaustive and sampled pieces in one certificate
+    ("theorem-c --q 11 --n 32 --seed 0 --sample-count 200", 3,
+     "a6b77a909a00d2ec72bcb9edc5787dda121d971d184564784608fea6a6fe9614"),
+    ("min-rank --p 3 --n 6 --k 2 --mode sampled --seed 1 --sample-count 100", 0,
+     "188b2d6a22091c3ac2caa29df7c157f786bb93821cae1d6e4709989e49b35419"),
+    ("refine --i 2 --p 3 --n 12 --mode sampled --seed 4 --sample-count 200", 0,
+     "46191bd492810046b8e16182d5145824f45b529c49a55376d4514ac60d5fa45f"),
+])
+def test_sampled_certificate_bytes_pinned(capsys, argv, exit_code, digest):
+    code, out, err = run(capsys, *argv.split())
+    assert (code, err) == (exit_code, "")
+    assert '"sampled"' in out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+def test_oversized_search_refused_before_the_field_tables(capsys):
+    # GF(16777213) is under the table cap, but its tables take about 300 MB
+    # and the scan is over budget: the refusal needs only q, n and the target
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, "search", "--target", "mu", "--n", "2", "--q", "16777213")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, out) == (1, "")
+    assert err == ("budget exceeded: exhaustive enumeration needs 4722363949595307802596 forms, "
+                   "over the budget of 2000000; rerun in sampled mode or raise the budget\n")
+    assert peak < 1 << 20

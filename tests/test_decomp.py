@@ -5,6 +5,7 @@ import pytest
 
 from gsf.decomp import (
     Certificate,
+    Run,
     TheoremCParams,
     _span_audit,
     claim_ok,
@@ -144,7 +145,7 @@ def test_refine_ai_mod2_outside_for_odd_order(tower):
 
 def test_refine_ai_mod2_gf3_10_sampled(tower):
     t = tower(3, 1, 10)
-    cert = refine_Ai_mod2(t, 1, mode="sampled", sample_count=600, seed=0)
+    cert = refine_Ai_mod2(t, 1, Run(mode="sampled", sample_count=600, seed=0))
     assert cert.verdict == "pass"
     claims = _claims_by_name(cert)
     # d = 10, so the degenerate pieces have rank n - 2n/d = 10 - 2 = 8
@@ -193,7 +194,7 @@ def test_refine_a1_pow4_gf3_8(tower):
 def test_refine_a1_pow4_case1_boundary_gf7_16(tower):
     # q = 7: q + 1 = 2^3, and alpha = 4 = a + 1 sits right on the case-1 edge
     t = tower(7, 1, 16)
-    cert = refine_A1_pow4(t, mode="sampled", sample_count=300, seed=0)
+    cert = refine_A1_pow4(t, Run(mode="sampled", sample_count=300, seed=0))
     assert cert.verdict == "pass" and cert.instance["case"] == "case1"
     claims = _claims_by_name(cert)
     assert claims["E_1"]["observed_dim"] == 8 and claims["E_1"]["observed_rank_histogram"] == {16: 300}
@@ -202,7 +203,7 @@ def test_refine_a1_pow4_case1_boundary_gf7_16(tower):
 
 
 def test_rank_laws_sampled_mode_skips_count_pinning(tower):
-    cert = verify_rank_laws(tower(3, 1, 4), mode="sampled", sample_count=200, seed=3)
+    cert = verify_rank_laws(tower(3, 1, 4), Run(mode="sampled", sample_count=200, seed=3))
     claims = _claims_by_name(cert)
     assert "claimed_rank_counts" not in claims["A^2"] or claims["A^2"]["claimed_rank_counts"] is None
     assert cert.enumeration == {"mode": "sampled", "count": 200, "seed": 3}
@@ -320,15 +321,15 @@ def test_certificate_json_is_canonical(tower):
 
 def test_certificates_worker_invariant(tower):
     t = tower(3, 1, 4)
-    a = verify_rank_laws(t, workers=1).to_json()
-    b = verify_rank_laws(t, workers=8).to_json()
+    a = verify_rank_laws(t, Run(workers=1)).to_json()
+    b = verify_rank_laws(t, Run(workers=8)).to_json()
     assert a == b
 
 
 def test_certificates_deterministic_across_reruns(tower):
     t = tower(3, 1, 6)
-    a = verify_full_refined(t, mode="sampled", sample_count=300, seed=1).to_json()
-    b = verify_full_refined(t, mode="sampled", sample_count=300, seed=1).to_json()
+    a = verify_full_refined(t, Run(mode="sampled", sample_count=300, seed=1)).to_json()
+    b = verify_full_refined(t, Run(mode="sampled", sample_count=300, seed=1)).to_json()
     assert a == b
 
 

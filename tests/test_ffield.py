@@ -1,5 +1,6 @@
 import math
 import random
+import time
 from unittest import mock
 
 import numpy as np
@@ -116,6 +117,33 @@ def test_prime_power_decompose():
     with pytest.raises(ValueError):
         prime_power_decompose(12)
     assert is_prime(97) and not is_prime(91)
+
+
+def _decompose_by_trial_division(q):
+    """Reference: trial division from 2 up to the smallest factor of q."""
+    p = 2
+    while q % p != 0:
+        p += 1
+    s, m = 0, q
+    while m % p == 0:
+        m //= p
+        s += 1
+    return (p, s) if m == 1 else None
+
+
+def test_prime_power_decompose_matches_full_trial_division():
+    for q in range(2, 5001):
+        want = _decompose_by_trial_division(q)
+        if want is None:
+            with pytest.raises(ValueError, match="is not a prime power"):
+                prime_power_decompose(q)
+        else:
+            assert prime_power_decompose(q) == want, q
+    # the largest prime under the table cap: the reference loop takes
+    # 16777212 steps (about 2 s); stopping at sqrt(q) takes 4096
+    t0 = time.perf_counter()
+    assert prime_power_decompose(16777213) == (16777213, 1)
+    assert time.perf_counter() - t0 < 0.2
 
 
 @settings(max_examples=80, deadline=None)

@@ -412,9 +412,9 @@ def test_rank_profile_equals_full_range_census(p, s, n, tower):
         assert prof.mode == "exhaustive"
         assert prof.histogram == _full_census(t.K, gram_basis(t, i), n)
         if t.sigma_order(i) % 2 == 0:
-            for name, sub, _, _ in _split_family(t, i)[0]:
-                grams = formspace._combine_forms(t.K, sub.basis, gram_basis(t, i))
-                assert rank_profile(t, sub, i).histogram == _full_census(t.K, grams, n), name
+            for piece in _split_family(t, i)[0]:
+                grams = formspace._combine_forms(t.K, piece.sub.basis, gram_basis(t, i))
+                assert rank_profile(t, piece.sub, i).histogram == _full_census(t.K, grams, n), piece.name
 
 
 def test_projective_census_checks_its_weighted_total(monkeypatch, tower):

@@ -15,15 +15,12 @@ import functools
 import json
 import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional
 
 import numpy as np
 
 from gsf.decomp import (
     Certificate,
-    Run,
     min_rank_lower_bound,
     refine_A1_2k,
     refine_A1_pow4,
@@ -41,9 +38,9 @@ from gsf.extremal import (
     rho,
 )
 from gsf.ffield import FieldTower, prime_power_decompose
-from gsf.formspace import BudgetExceededError, DEFAULT_BUDGET, DEFAULT_SAMPLE_COUNT, family, gram
+from gsf.formspace import BudgetExceededError, DEFAULT_BUDGET, DEFAULT_SAMPLE_COUNT, Run, family, gram
 
-__all__ = ["main", "golden_check", "golden_entries", "RunConfig"]
+__all__ = ["main", "golden_check", "golden_entries"]
 
 
 class UsageError(Exception):
@@ -53,15 +50,6 @@ class UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(message)
-
-
-@dataclass
-class RunConfig:
-    """The census options of a command plus where and how its report goes."""
-
-    run: Run = Run()
-    output_path: Optional[str] = None
-    format: str = "json"
 
 
 def _env_budget() -> int:
@@ -187,26 +175,10 @@ def _render_table(obj: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _emit(obj: dict, cfg_format: str, output_path: Optional[str]) -> None:
-    if cfg_format == "table":
-        text = _render_table(obj)
-    else:
-        text = json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
-    if output_path:
-        Path(output_path).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
-
-
 _VERDICT_EXIT = {"pass": 0, "fail": 2, "outside_hypotheses": 3}
 
 
-def _emit_certificate(cert: Certificate, cfg: RunConfig) -> int:
-    _emit(cert.to_dict(), cfg.format, cfg.output_path)
-    return _VERDICT_EXIT[cert.verdict]
-
-
-def _config(args) -> RunConfig:
+def _config(args) -> Run:
     """Validate the shared options; sampled mode requires an explicit seed."""
     mode = getattr(args, "mode", "auto")
     sample_count = getattr(args, "sample_count", DEFAULT_SAMPLE_COUNT)
@@ -219,11 +191,12 @@ def _config(args) -> RunConfig:
         raise UsageError("workers must be >= 1")
     if sample_count < 1:
         raise UsageError("sample count must be >= 1")
+    if seed is not None and seed < 0:
+        raise UsageError("seed must be >= 0")
     if mode == "sampled" and seed is None:
         raise UsageError("sampled mode requires --seed")
-    run = Run(mode=mode, sample_count=sample_count, seed=seed if seed is not None else 0,
-              budget=budget, workers=workers)
-    return RunConfig(run, getattr(args, "output_path", None), getattr(args, "format", "json"))
+    return Run(mode=mode, sample_count=sample_count, seed=seed if seed is not None else 0,
+               budget=budget, workers=workers)
 
 
 def _refine_dispatch(tower: FieldTower, i: int, run: Run) -> Certificate:
@@ -235,16 +208,15 @@ def _refine_dispatch(tower: FieldTower, i: int, run: Run) -> Certificate:
     return refine_Ai_mod2(tower, i, run)
 
 
-def _dispatch(args) -> int:
-    cfg = _config(args)
+def _report(args, run: Run):
+    """The command's report: a plain dict, or a certificate whose verdict sets the exit code."""
     cmd = args.command
 
     if cmd == "tower":
         tower = _tower_from_args(args)
         d = tower.to_dict()
         d["q"] = tower.q
-        _emit(d, cfg.format, cfg.output_path)
-        return 0
+        return d
 
     if cmd == "form":
         tower = _tower_from_args(args)
@@ -254,37 +226,31 @@ def _dispatch(args) -> int:
         f = gram(tower, b, args.i)
         d = f.to_dict()
         d["rank"] = f.rank()
-        _emit(d, cfg.format, cfg.output_path)
-        return 0
+        return d
 
     if cmd == "family":
         tower = _tower_from_args(args)
         if not 0 <= args.i < tower.n:
             raise UsageError(f"--i must be in 0..{tower.n - 1}")
-        _emit(family(tower, args.i).to_dict(), cfg.format, cfg.output_path)
-        return 0
+        return family(tower, args.i).to_dict()
 
     if cmd == "rank-laws":
-        cert = verify_rank_laws(_tower_from_args(args), cfg.run)
-        return _emit_certificate(cert, cfg)
+        return verify_rank_laws(_tower_from_args(args), run)
 
     if cmd == "decompose":
-        cert = verify_global(_tower_from_args(args), cfg.run)
-        return _emit_certificate(cert, cfg)
+        return verify_global(_tower_from_args(args), run)
 
     if cmd == "refine":
         tower = _tower_from_args(args)
         if args.full:
             if tower.n % 2:
                 raise UsageError("--full needs an even extension degree")
-            cert = verify_full_refined(tower, cfg.run)
-        else:
-            if args.i is None:
-                raise UsageError("refine needs --i or --full")
-            if not 1 <= args.i < tower.n:
-                raise UsageError(f"--i must be in 1..{tower.n - 1}")
-            cert = _refine_dispatch(tower, args.i, cfg.run)
-        return _emit_certificate(cert, cfg)
+            return verify_full_refined(tower, run)
+        if args.i is None:
+            raise UsageError("refine needs --i or --full")
+        if not 1 <= args.i < tower.n:
+            raise UsageError(f"--i must be in 1..{tower.n - 1}")
+        return _refine_dispatch(tower, args.i, run)
 
     if cmd == "theorem-c":
         p, s = prime_power_decompose(args.q)
@@ -292,49 +258,52 @@ def _dispatch(args) -> int:
             raise UsageError("characteristic 2 is not supported")
         if args.q % 4 != 3:
             raise UsageError(f"q = {args.q} is 1 mod 4: -1 is a square in the base field")
-        tower = FieldTower(p, s, args.n)
-        cert = refine_A1_pow4(tower, cfg.run)
-        return _emit_certificate(cert, cfg)
+        return refine_A1_pow4(FieldTower(p, s, args.n), run)
 
     if cmd == "min-rank":
-        cert = min_rank_lower_bound(_tower_from_args(args), args.kk, cfg.run)
-        return _emit_certificate(cert, cfg)
+        return min_rank_lower_bound(_tower_from_args(args), args.kk, run)
 
     if cmd == "rho":
-        _emit({"rho": rho(args.n)}, cfg.format, cfg.output_path)
-        return 0
+        return {"rho": rho(args.n)}
 
     if cmd == "real-mu":
         lo, hi = real_mu_interval(args.n)
-        _emit({"n": args.n, "mu_interval": [lo, hi]}, cfg.format, cfg.output_path)
-        return 0
+        return {"n": args.n, "mu_interval": [lo, hi]}
 
     if cmd == "search":
         if args.method == "exhaustive":
-            res = exhaustive_search(args.target, args.n, args.q, budget=cfg.run.budget)
-        else:
-            res = greedy_search(args.target, args.n, args.q, seed=args.seed,
-                                restarts=args.restarts, budget=cfg.run.budget)
-        _emit(res.to_dict(), cfg.format, cfg.output_path)
-        return 0
+            return exhaustive_search(args.target, args.n, args.q, budget=run.budget).to_dict()
+        return greedy_search(args.target, args.n, args.q, seed=args.seed,
+                             restarts=args.restarts, budget=run.budget).to_dict()
 
     if cmd == "block":
         if args.n % 2:
             raise UsageError("block lifting needs an even target size n")
-        tower = FieldTower(args.p, args.s, args.n // 2)
-        base = construct_regular_rep_subspace(tower, budget=cfg.run.budget)
-        res = block_construction(base, budget=cfg.run.budget)
-        _emit(res.to_dict(), cfg.format, cfg.output_path)
-        return 0
-
-    if cmd == "golden-check":
-        budget = args.budget if args.budget is not None else _env_budget()
-        code, report = golden_check(args.golden_dir, write=args.write,
-                                    workers=args.workers, budget=budget)
-        sys.stdout.write(report)
-        return code
+        base = construct_regular_rep_subspace(FieldTower(args.p, args.s, args.n // 2), run)
+        return block_construction(base, budget=run.budget).to_dict()
 
     raise UsageError(f"unknown command {cmd!r}")
+
+
+def _dispatch(args) -> int:
+    run = _config(args)
+    if args.command == "golden-check":
+        code, report = golden_check(args.golden_dir, write=args.write, workers=run.workers, budget=run.budget)
+        sys.stdout.write(report)
+        return code
+    report = _report(args, run)
+    code = 0
+    if isinstance(report, Certificate):
+        code, report = _VERDICT_EXIT[report.verdict], report.to_dict()
+    if args.format == "table":
+        text = _render_table(report)
+    else:
+        text = json.dumps(report, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+    if args.output_path:
+        Path(args.output_path).write_text(text, encoding="utf-8")
+    else:
+        sys.stdout.write(text)
+    return code
 
 
 # -- golden corpus ---------------------------------------------------------------

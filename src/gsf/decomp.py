@@ -11,11 +11,12 @@ rank census of each piece, one piece at a time in list order, turns the
 pieces into claims and sets the verdict.  Nothing is trusted; a
 certificate passes only if every audit holds and every observation matches.
 
-`Run` carries the five census options: mode, sample count, seed, budget and
-workers.  The k-th census of a certificate draws with seed + k, so sampled
-bytes depend on the order of the pieces.  Certificates are pure values,
-deterministic functions of (tower, run), and serialize to canonical JSON so
-that reruns can be byte-compared.
+Every verifier takes one `formspace.Run` (mode, sample count, seed, budget,
+workers; re-exported here), and `_certify` hands it to the census engine
+as given, except that the k-th census of a certificate draws with seed + k,
+so sampled bytes depend on the order of the pieces.  Certificates are pure
+values, deterministic functions of (tower, run), and serialize to canonical
+JSON so that reruns can be byte-compared.
 """
 
 from __future__ import annotations
@@ -29,9 +30,8 @@ import numpy as np
 from gsf.exactla import LSubspace, _span_audit, eigenspace_of_power
 from gsf.ffield import FieldTower
 from gsf.formspace import (
-    DEFAULT_BUDGET,
-    DEFAULT_SAMPLE_COUNT,
     RankProfile,
+    Run,
     _profile_from_grams,
     family,
     gram_basis,
@@ -101,17 +101,6 @@ def theorem_c_case(params: TheoremCParams) -> str:
 
 
 # -- certificates -----------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Run:
-    """The census options of one verifier run."""
-
-    mode: str = "auto"
-    sample_count: int = DEFAULT_SAMPLE_COUNT
-    seed: int = 0
-    budget: int = DEFAULT_BUDGET
-    workers: int = 1
 
 
 @dataclass(frozen=True)
@@ -213,18 +202,17 @@ def _certify(theorem_id: str, tower: FieldTower, instance: dict, pieces: list[Pi
     `outside`, else pass exactly when every audit holds and every claim
     matches its observation.
     """
-    opts = {"sample_count": run.sample_count, "budget": run.budget, "workers": run.workers}
     claims = []
     censuses = 0
     sampled = False
     for piece in pieces:
         prof = None
         if piece.sub is not None:
-            seed = run.seed + censuses
+            census_run = replace(run, seed=run.seed + censuses)
             if isinstance(piece.sub, np.ndarray):
-                prof = _profile_from_grams(tower.K, piece.sub, tower.n, run.mode, seed=seed, **opts)
+                prof = _profile_from_grams(tower.K, piece.sub, tower.n, census_run)
             else:
-                prof = rank_profile(tower, piece.sub, piece.i, run.mode, seed=seed, **opts)
+                prof = rank_profile(tower, piece.sub, piece.i, census_run)
             censuses += 1
             sampled = sampled or prof.mode == "sampled"
         claims.append(piece.claim(prof))

@@ -25,6 +25,7 @@ from gsf.ffield import FieldTower, Gf, PrimePower, prime_power_decompose
 from gsf.formspace import (
     BudgetExceededError,
     DEFAULT_BUDGET,
+    Run,
     _chunk_size,
     _combine_forms,
     _profile_from_grams,
@@ -96,9 +97,9 @@ def real_mu_interval(n: int) -> tuple[int, int]:
     Odd n gives the single value 1; even n depends on the 2-adic shape:
     c = 0 gives exactly 8d, otherwise [2**(c-1) + 8d, 2**c + 8d].
     """
+    dec = rho_decompose(n)
     if n % 2:
         return (1, 1)
-    dec = rho_decompose(n)
     if dec.c == 0:
         return (8 * dec.d, 8 * dec.d)
     lo = 2 ** (dec.c - 1) + 8 * dec.d
@@ -184,47 +185,42 @@ def _all_combos_invertible(gf: Gf, bases, budget: int) -> Optional[np.ndarray]:
     return alive
 
 
-def _verify_witness(gf: Gf, mats: list[np.ndarray], budget: int, sample_count: int, seed: int):
-    """Census of a field-derived witness (exhaustive within the budget, else
-    sampled); every nonzero member must have full rank."""
+def _verify_witness(gf: Gf, mats: list[np.ndarray], run: Run):
+    """Census of a field-derived witness (in `auto` mode exhaustive within the
+    budget, else sampled); every nonzero member must have full rank."""
     basis = np.stack(mats)
     n = basis.shape[1]
-    prof = _profile_from_grams(gf, basis, n, "auto", sample_count=sample_count, seed=seed, budget=budget)
+    prof = _profile_from_grams(gf, basis, n, run)
     if prof.ranks != {n}:
         raise AssertionError(f"{prof.mode} verification found a singular member of a field-derived witness")
     return prof.mode_record(), prof.mode == "exhaustive"
 
 
-def construct_regular_rep_subspace(tower: FieldTower, budget: int | None = None,
-                                   sample_count: int = 10_000, seed: int = 0) -> SearchResult:
+def construct_regular_rep_subspace(tower: FieldTower, run: Run = Run()) -> SearchResult:
     """The multiplication matrices of L span an n-dimensional invertible-closed
     subspace of M(n, K): nonzero combinations are multiplication by nonzero
     field elements."""
-    budget = DEFAULT_BUDGET if budget is None else budget
     n, kf = tower.n, tower.K
     # column k of the matrix of x**j holds x**(j + k)
     mats = [tower.xpow[j : j + n].T for j in range(n)]
-    mode, verified = _verify_witness(kf, mats, budget, sample_count, seed)
+    mode, verified = _verify_witness(kf, mats, run)
     return SearchResult("tau", n, kf.q, n, _canonical_witness(kf, mats, symmetric=False), mode, verified)
 
 
-def construct_symmetric_witness(tower: FieldTower, budget: int | None = None,
-                                sample_count: int = 10_000, seed: int = 0) -> SearchResult:
+def construct_symmetric_witness(tower: FieldTower, run: Run = Run()) -> SearchResult:
     """The untwisted trace-form Grams span an n-dimensional invertible-closed
     subspace of S(n, K): the trace pairing is non-degenerate."""
-    budget = DEFAULT_BUDGET if budget is None else budget
     n, kf = tower.n, tower.K
     mats = [g.copy() for g in gram_basis(tower, 0)]
-    mode, verified = _verify_witness(kf, mats, budget, sample_count, seed)
+    mode, verified = _verify_witness(kf, mats, run)
     return SearchResult("mu", n, kf.q, n, _canonical_witness(kf, mats, symmetric=True), mode, verified)
 
 
-def block_construction(u: SearchResult, budget: int | None = None) -> SearchResult:
+def block_construction(u: SearchResult, budget: int = DEFAULT_BUDGET) -> SearchResult:
     """Lift an invertible-closed subspace of M(m, K) to S(2m, K) via
     off-diagonal blocks [[0, A], [A^T, 0]]; dimension is preserved."""
     if not u.verified:
         raise ValueError("block construction requires a fully verified input subspace")
-    budget = DEFAULT_BUDGET if budget is None else budget
     p, s = prime_power_decompose(u.q)
     gf = Gf(p, s)
     m = u.n
@@ -275,7 +271,7 @@ def _iter_rref_bases(q: int, ambient: int, k: int):
             yield b
 
 
-def exhaustive_search(target: str, n: int, q: int, budget: int | None = None) -> SearchResult:
+def exhaustive_search(target: str, n: int, q: int, budget: int = DEFAULT_BUDGET) -> SearchResult:
     """Exact maximal invertible-closed dimension on a tiny instance.
 
     Scans dimensions downward from n + 1 (capped by the ambient dimension),
@@ -293,7 +289,8 @@ def exhaustive_search(target: str, n: int, q: int, budget: int | None = None) ->
     n is checked against the budget before anything is scanned, and before
     the field tables are built: the check needs only q, n and the target.
     """
-    budget = DEFAULT_BUDGET if budget is None else budget
+    if n < 1:
+        raise ValueError("n must be >= 1")
     p, s = prime_power_decompose(q)
     PrimePower(p, s)  # refuses what Gf(p, s) would, without building a table
     ambient = _ambient(target, n)
@@ -325,7 +322,7 @@ def exhaustive_search(target: str, n: int, q: int, budget: int | None = None) ->
 
 
 def greedy_search(target: str, n: int, q: int, seed: int = 0, restarts: int = 0,
-                  budget: int | None = None) -> SearchResult:
+                  budget: int = DEFAULT_BUDGET) -> SearchResult:
     """Randomized greedy basis extension with exact verification of each step.
 
     Per restart: draw `_GREEDY_TRIES` random candidate matrices, filter out
@@ -339,7 +336,9 @@ def greedy_search(target: str, n: int, q: int, seed: int = 0, restarts: int = 0,
     The best basis is verified by `_all_combos_invertible` as a stack of
     one; over the budget it is reported unverified.
     """
-    budget = DEFAULT_BUDGET if budget is None else budget
+    for name, value, least in (("n", n, 1), ("restarts", restarts, 0), ("seed", seed, 0)):
+        if value < least:
+            raise ValueError(f"{name} must be >= {least}")
     p, s = prime_power_decompose(q)
     gf = Gf(p, s)
     best: list[np.ndarray] = []

@@ -8,20 +8,24 @@ in b, so enumerating a parameter subspace of b's is a matter of combining a
 few precomputed basis Grams.
 
 `rank_profile` runs the enumeration engine, which the extremal witness
-checks and searches share.  Exhaustive mode covers every nonzero coefficient
-vector of the parameter space, refusing politely once their count passes the
-budget.  Rank is constant on K-lines, rank(c*G) = rank(G) for c in K*, so it
-ranks one form per line and counts that rank q - 1 times; the budget still
-counts forms, q**d - 1.  Sampled mode draws a fixed number of nonzero
-vectors from a seeded generator.  Either way the histogram is a deterministic
-function of (tower, subspace, i, mode, seed) and is independent of how the
-work is partitioned across workers.
+checks and searches share.  Its options come in one frozen `Run` (mode,
+sample count, seed, budget, workers), the only way census options reach the
+engine.  Exhaustive mode covers every nonzero coefficient vector of the
+parameter space, refusing politely once their count passes the budget.
+Rank is constant on K-lines, rank(c*G) = rank(G) for c in K*, so it ranks
+one form per line and counts that rank q - 1 times; the budget still counts
+forms, q**d - 1.  Sampled mode draws a fixed number of nonzero vectors from
+a seeded generator.  Either way the histogram is a deterministic function
+of (tower, subspace, i, mode, seed) and is independent of how the work is
+partitioned across workers; at most 2 * workers chunks wait on the thread
+pool, so memory stays bounded for any worker count.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Union
@@ -35,6 +39,7 @@ __all__ = [
     "DEFAULT_BUDGET",
     "DEFAULT_SAMPLE_COUNT",
     "BudgetExceededError",
+    "Run",
     "SymForm",
     "FormSubspace",
     "RankProfile",
@@ -65,6 +70,17 @@ class BudgetExceededError(RuntimeError):
         )
         self.needed = needed
         self.budget = budget
+
+
+@dataclass(frozen=True)
+class Run:
+    """The census options of one run: mode, sample count, seed, budget, workers."""
+
+    mode: str = "auto"
+    sample_count: int = DEFAULT_SAMPLE_COUNT
+    seed: int = 0
+    budget: int = DEFAULT_BUDGET
+    workers: int = 1
 
 
 @dataclass
@@ -359,40 +375,39 @@ def _chunk_size(n: int) -> int:
 def _rank_chunks(kf, basis_grams: np.ndarray, code_chunks, workers: int = 1):
     """Ranks of the combined forms, one array per code chunk, in chunk order.
 
-    With several workers the chunks are ranked on a thread pool; the order of
-    the yielded arrays does not depend on the worker count.
+    With several workers the chunks are ranked on a thread pool.  At most
+    2 * workers chunks wait on the pool at a time, so memory stays bounded
+    whatever the source's length; the order of the yielded arrays does not
+    depend on the worker count.
     """
 
     def ranks(codes):
         return rank_many(kf, _combine_forms(kf, codes, basis_grams))
 
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            yield from pool.map(ranks, code_chunks)
-    else:
+    if workers == 1:
         for codes in code_chunks:
             yield ranks(codes)
+        return
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        pending = deque()
+        for codes in code_chunks:
+            if len(pending) == 2 * workers:
+                yield pending.popleft().result()
+            pending.append(pool.submit(ranks, codes))
+        while pending:
+            yield pending.popleft().result()
 
 
-def _profile_from_grams(
-    kf,
-    basis_grams: np.ndarray,
-    n: int,
-    mode: str = "auto",
-    sample_count: int = DEFAULT_SAMPLE_COUNT,
-    seed: int = 0,
-    budget: int | None = None,
-    workers: int = 1,
-) -> RankProfile:
+def _profile_from_grams(kf, basis_grams: np.ndarray, n: int, run: Run = Run()) -> RankProfile:
     """Rank histogram of the nonzero combinations of `basis_grams`, shape (d, n, n).
 
     Exhaustive mode ranks the (q**d - 1)/(q - 1) projective codes, one per
     K-line, and multiplies every bin by q - 1, so the histogram counts all
     q**d - 1 forms; the budget and `auto`'s choice compare that form count.
-    Sampled mode ranks `sample_count` seeded draws and counts each once.
+    Sampled mode ranks `run.sample_count` draws seeded by `run.seed` and
+    counts each once.
     """
-    if budget is None:
-        budget = DEFAULT_BUDGET
+    mode, budget = run.mode, run.budget
     d = basis_grams.shape[0]
     q = kf.q
     total = q**d - 1
@@ -408,11 +423,11 @@ def _profile_from_grams(
     if d == 0:
         chunks = ()
     elif sampled:
-        chunks = _sample_codes(q, d, sample_count, seed, chunk)
+        chunks = _sample_codes(q, d, run.sample_count, run.seed, chunk)
     else:
         chunks = _range_chunks(q, d, _projective_spans(q, d), chunk)
     hist = np.zeros(n + 1, dtype=np.int64)
-    for ranks in _rank_chunks(kf, basis_grams, chunks, workers):
+    for ranks in _rank_chunks(kf, basis_grams, chunks, run.workers):
         hist += np.bincount(ranks, minlength=n + 1)
     if not sampled:
         hist *= q - 1  # rank(c*G) = rank(G): one rank per line counts its q - 1 forms
@@ -420,7 +435,7 @@ def _profile_from_grams(
         if counted != total:
             raise AssertionError(f"projective census counted {counted} of {total} nonzero forms")
     return RankProfile({r: int(c) for r, c in enumerate(hist) if c}, mode,
-                       count=sample_count if sampled else None, seed=seed if sampled else None)
+                       count=run.sample_count if sampled else None, seed=run.seed if sampled else None)
 
 
 def _parameter_grams(tower: FieldTower, sub, i: Optional[int]) -> np.ndarray:
@@ -433,24 +448,11 @@ def _parameter_grams(tower: FieldTower, sub, i: Optional[int]) -> np.ndarray:
     raise TypeError(f"expected LSubspace or FormSubspace, got {type(sub).__name__}")
 
 
-def rank_profile(
-    tower: FieldTower,
-    sub,
-    i: Optional[int] = None,
-    mode: str = "auto",
-    *,
-    sample_count: int = DEFAULT_SAMPLE_COUNT,
-    seed: int = 0,
-    budget: int | None = None,
-    workers: int = 1,
-) -> RankProfile:
+def rank_profile(tower: FieldTower, sub, i: Optional[int] = None, run: Run = Run()) -> RankProfile:
     """Rank histogram over the nonzero forms of a parameter or form subspace.
 
     `sub` may be an LSubspace of parameters b (then `i` selects the twist) or
     a FormSubspace enumerated directly.  Exhaustive mode refuses beyond the
     budget; `auto` falls back to seeded sampling instead.
     """
-    grams = _parameter_grams(tower, sub, i)
-    return _profile_from_grams(
-        tower.K, grams, tower.n, mode, sample_count=sample_count, seed=seed, budget=budget, workers=workers
-    )
+    return _profile_from_grams(tower.K, _parameter_grams(tower, sub, i), tower.n, run)

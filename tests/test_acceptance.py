@@ -70,7 +70,7 @@ def test_criterion_01_global_decomposition_odd_degree(tower):
 def test_criterion_02_rank_dichotomy_exhaustive(tower):
     t = tower(3, 1, 4)
     t0 = time.perf_counter()
-    prof = rank_profile(t, LSubspace.full(t.K, 4), 1, "exhaustive")
+    prof = rank_profile(t, LSubspace.full(t.K, 4), 1, Run(mode="exhaustive"))
     elapsed = time.perf_counter() - t0
     assert prof.total == 80
     assert set(prof.histogram) == {2, 4}
@@ -132,7 +132,7 @@ def test_criterion_05_theorem_c_case1(tower):
                 assert set(hist) == {n}
             else:
                 assert set(hist) == {n - 2}
-        whole = rank_profile(tower(3, 1, n), LSubspace.full(tower(3, 1, n).K, n), 1, "exhaustive")
+        whole = rank_profile(tower(3, 1, n), LSubspace.full(tower(3, 1, n).K, n), 1, Run(mode="exhaustive"))
         assert whole.total == total
     elapsed = time.perf_counter() - t0
     assert elapsed < 10.0, f"criterion 5 took {elapsed:.1f}s"

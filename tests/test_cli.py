@@ -352,3 +352,25 @@ def test_oversized_search_refused_before_the_field_tables(capsys):
     assert err == ("budget exceeded: exhaustive enumeration needs 4722363949595307802596 forms, "
                    "over the budget of 2000000; rerun in sampled mode or raise the budget\n")
     assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("argv, message", [
+    ("search --target tau --n -1 --q 3", "error: n must be >= 1"),
+    ("search --target mu --n 0 --q 3", "error: n must be >= 1"),
+    ("search --target mu --n 0 --q 3 --method greedy", "error: n must be >= 1"),
+    ("search --target mu --n 3 --q 3 --method greedy --restarts -1", "error: restarts must be >= 0"),
+    ("real-mu --n -3", "error: n must be >= 1"),
+])
+def test_nonsense_sizes_refused(capsys, argv, message):
+    code, out, err = run(capsys, *argv.split())
+    assert (code, out, err) == (1, "", message + "\n")
+
+
+@pytest.mark.parametrize("argv", [
+    "rank-laws --p 3 --n 4 --mode sampled --seed -1",
+    "min-rank --p 3 --n 5 --k 1 --seed -2",
+    "search --target mu --n 3 --q 3 --method greedy --seed -1",
+])
+def test_negative_seed_usage_error(capsys, argv):
+    code, out, err = run(capsys, *argv.split())
+    assert (code, out, err) == (1, "", "usage error: seed must be >= 0\n")

@@ -21,7 +21,7 @@ from gsf.extremal import (
     _iter_rref_bases,
 )
 from gsf.ffield import FieldTower, Gf, prime_power_decompose
-from gsf.formspace import BudgetExceededError
+from gsf.formspace import BudgetExceededError, DEFAULT_BUDGET, Run
 
 
 SPOT_RHO = {1: 1, 2: 2, 4: 4, 8: 8, 16: 9, 32: 10, 64: 12}
@@ -65,6 +65,12 @@ def test_real_mu_interval_table():
     assert real_mu_interval(32) == (9, 10)
     for n in (1, 3, 7, 15):
         assert real_mu_interval(n) == (1, 1)
+
+
+def test_real_mu_interval_rejects_nonpositive_n():
+    # a negative odd n is refused like a negative even one
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        real_mu_interval(-3)
 
 
 def test_real_mu_interval_sits_below_rho():
@@ -114,7 +120,7 @@ def test_witnesses_reach_the_column_bound(p, s, n, tower):
 
 def test_witness_sampled_fallback_over_budget(tower):
     t = tower(3, 1, 6)
-    res = construct_regular_rep_subspace(t, budget=100, sample_count=200, seed=4)
+    res = construct_regular_rep_subspace(t, Run(budget=100, sample_count=200, seed=4))
     assert res.best_dim == 6 and not res.verified
     assert res.mode["mode"] == "sampled"
 
@@ -144,7 +150,7 @@ def test_block_construction_preserves_dimension(tower):
 
 
 def test_block_construction_rejects_unverified(tower):
-    base = construct_regular_rep_subspace(tower(3, 1, 6), budget=100)
+    base = construct_regular_rep_subspace(tower(3, 1, 6), Run(budget=100))
     assert not base.verified
     with pytest.raises(ValueError):
         block_construction(base)
@@ -196,7 +202,7 @@ def test_exhaustive_search_refuses_before_scanning(monkeypatch, target, n, q, bu
 
     monkeypatch.setattr(extremal, "_all_combos_invertible", scan)
     with pytest.raises(BudgetExceededError) as exc:
-        exhaustive_search(target, n, q, budget=budget)
+        exhaustive_search(target, n, q, budget=budget or DEFAULT_BUDGET)
     assert exc.value.needed == needed
     assert calls == []
 
@@ -204,6 +210,24 @@ def test_exhaustive_search_refuses_before_scanning(monkeypatch, target, n, q, bu
 def test_exhaustive_search_rejects_bad_target():
     with pytest.raises(ValueError):
         exhaustive_search("nu", 2, 3)
+
+
+@pytest.mark.parametrize("target", ["tau", "mu"])
+@pytest.mark.parametrize("n", [0, -1])
+def test_searches_reject_nonpositive_n(target, n):
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        exhaustive_search(target, n, 3)
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        greedy_search(target, n, 3)
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"restarts": -1}, "restarts must be >= 0"),
+    ({"seed": -1}, "seed must be >= 0"),
+])
+def test_greedy_rejects_negative_restarts_and_seed(kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        greedy_search("mu", 3, 3, **kwargs)
 
 
 def test_greedy_finds_full_dimension_mu_4_3():

@@ -11,6 +11,7 @@ from gsf.exactla import LSubspace, eigenspace_of_power, rank_many
 from gsf.ffield import Gf
 from gsf.formspace import (
     BudgetExceededError,
+    Run,
     _projective_spans,
     _range_chunks,
     degenerate_by_norm,
@@ -279,16 +280,16 @@ def test_rank_profile_full_space_counts(tower):
 def test_rank_profile_budget_refusal(tower):
     t = tower(3, 1, 6)
     with pytest.raises(BudgetExceededError):
-        rank_profile(t, LSubspace.full(t.K, 6), 1, "exhaustive", budget=100)
-    prof = rank_profile(t, LSubspace.full(t.K, 6), 1, "auto", budget=100, sample_count=500, seed=9)
+        rank_profile(t, LSubspace.full(t.K, 6), 1, Run(mode="exhaustive", budget=100))
+    prof = rank_profile(t, LSubspace.full(t.K, 6), 1, Run(mode="auto", budget=100, sample_count=500, seed=9))
     assert prof.mode == "sampled" and prof.total == 500
 
 
 def test_rank_profile_sampled_deterministic(tower):
     t = tower(3, 1, 6)
-    a = rank_profile(t, LSubspace.full(t.K, 6), 1, "sampled", sample_count=400, seed=5)
-    b = rank_profile(t, LSubspace.full(t.K, 6), 1, "sampled", sample_count=400, seed=5)
-    c = rank_profile(t, LSubspace.full(t.K, 6), 1, "sampled", sample_count=400, seed=6)
+    a = rank_profile(t, LSubspace.full(t.K, 6), 1, Run(mode="sampled", sample_count=400, seed=5))
+    b = rank_profile(t, LSubspace.full(t.K, 6), 1, Run(mode="sampled", sample_count=400, seed=5))
+    c = rank_profile(t, LSubspace.full(t.K, 6), 1, Run(mode="sampled", sample_count=400, seed=6))
     assert a.to_dict() == b.to_dict()
     assert a.to_dict() != c.to_dict()  # a different seed draws different parameters
 
@@ -296,8 +297,8 @@ def test_rank_profile_sampled_deterministic(tower):
 def test_rank_profile_worker_invariance(tower):
     t = tower(3, 1, 5)
     full = LSubspace.full(t.K, 5)
-    one = rank_profile(t, full, 2, workers=1)
-    many = rank_profile(t, full, 2, workers=8)
+    one = rank_profile(t, full, 2, Run(workers=1))
+    many = rank_profile(t, full, 2, Run(workers=8))
     assert one.to_dict() == many.to_dict()
 
 
@@ -352,14 +353,36 @@ def test_rank_profile_worker_invariance_over_several_chunks(tower):
     # (3**9 - 1)/2 = 9,841 projective codes of size 9 are four chunks, so the thread pool runs
     t = tower(3, 1, 9)
     full = LSubspace.full(t.K, 9)
-    one = rank_profile(t, full, 1, workers=1)
-    many = rank_profile(t, full, 1, workers=8)
+    one = rank_profile(t, full, 1, Run(workers=1))
+    many = rank_profile(t, full, 1, Run(workers=8))
     assert one.mode == "exhaustive" and one.total == 3**9 - 1
     assert one.to_dict() == many.to_dict()
-    one = rank_profile(t, full, 1, "sampled", sample_count=9000, seed=3, workers=1)
-    many = rank_profile(t, full, 1, "sampled", sample_count=9000, seed=3, workers=8)
+    one = rank_profile(t, full, 1, Run(mode="sampled", sample_count=9000, seed=3, workers=1))
+    many = rank_profile(t, full, 1, Run(mode="sampled", sample_count=9000, seed=3, workers=8))
     assert one.total == 9000
     assert one.to_dict() == many.to_dict()
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_rank_chunks_pool_takes_a_bounded_lead(tower, workers):
+    # the pool must not drain the code source: when the first rank array
+    # arrives, at most 2 * workers chunks have been taken beyond it
+    t = tower(3, 1, 3)
+    taken = 0
+
+    def source():
+        nonlocal taken
+        for code in range(1, 101):
+            taken += 1
+            yield formspace.base_digits(np.array([code]), 3, 3)
+
+    ranks = formspace._rank_chunks(t.K, gram_basis(t, 1), source(), workers)
+    first = next(ranks)
+    assert taken <= 2 * workers + 1
+    rest = list(ranks)
+    assert taken == 100 and len(rest) == 99
+    serial = list(formspace._rank_chunks(t.K, gram_basis(t, 1), source(), 1))
+    assert [r.tolist() for r in [first] + rest] == [r.tolist() for r in serial]
 
 
 # -- projective source: references that enumerate every code ---------------------

@@ -15,6 +15,7 @@ import functools
 import json
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -279,7 +280,9 @@ def _report(args, run: Run):
     if cmd == "block":
         if args.n % 2:
             raise UsageError("block lifting needs an even target size n")
-        base = construct_regular_rep_subspace(FieldTower(args.p, args.s, args.n // 2), run)
+        # the lift needs an exactly verified witness, so an over-budget census is refused
+        base = construct_regular_rep_subspace(FieldTower(args.p, args.s, args.n // 2),
+                                              replace(run, mode="exhaustive"))
         return block_construction(base, budget=run.budget).to_dict()
 
     raise UsageError(f"unknown command {cmd!r}")

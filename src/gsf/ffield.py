@@ -8,13 +8,15 @@ length-n int64 vectors of K codes, their coordinates in the power basis
 
 Defining polynomials are always the first irreducible in the canonical scan
 order (coefficient vectors read as base-q integers), so towers, Gram
-matrices and certificates are reproducible bit for bit.  The scan is a
-batched sieve followed by an exact confirmation: blocks of candidates f are
-screened with one `rank_many` call on their Frobenius matrices Q_f - I
-(Berlekamp: the kernel dimension counts the distinct irreducible factors of
-f), and only the survivors, in scan order, meet `is_irreducible`, which alone
-accepts a polynomial.  For s > 1 the GF(q) lookup tables are built with whole
-(q, q) array products of base-p digits.
+matrices and certificates are reproducible bit for bit.  The scan runs in
+blocks of candidates f and has three stages.  A root screen drops every f of
+degree >= 2 with a root in K (one product with a table of the powers of every
+code of K; on only when q <= degree**2).  A sieve then ranks the Frobenius
+matrices Q_f - I of the rest in one `rank_many` call (Berlekamp: the kernel
+dimension counts the distinct irreducible factors of f).  Only its
+survivors, in scan order, meet `is_irreducible`, Rabin's test iterated
+through Q_f, which alone accepts a polynomial.  For s > 1 the GF(q) lookup
+tables are built with whole (q, q) array products of base-p digits.
 
 Every automorphism power b -> b**(q**i) is precomputed as an n x n matrix
 over K when the tower is built; trace, norm and all downstream Gram-matrix
@@ -129,13 +131,16 @@ class Gf:
         if s == 1:
             self.modulus = np.array([0, 1], dtype=np.int64)
         else:
+            prime = Gf(p)
             if modulus is None:
-                modulus = find_irreducible(Gf(p), s)
-            modulus = np.asarray(modulus, dtype=np.int64) % p
-            if len(modulus) != s + 1 or modulus[-1] != 1:
-                raise ValueError("modulus must be monic of degree s")
-            if not is_irreducible(Gf(p), modulus):
-                raise ValueError("modulus is reducible over GF(p)")
+                modulus = find_irreducible(prime, s)
+            else:
+                # only a caller-given modulus is tested: the scan's winner is irreducible
+                modulus = np.asarray(modulus, dtype=np.int64) % p
+                if len(modulus) != s + 1 or modulus[-1] != 1:
+                    raise ValueError("modulus must be monic of degree s")
+                if not is_irreducible(prime, modulus):
+                    raise ValueError("modulus is reducible over GF(p)")
             self.modulus = modulus
         self.modulus.setflags(write=False)
         self._inv_t = None
@@ -154,11 +159,11 @@ class Gf:
             inv[0] = 0
             self._inv_t = inv
         else:
-            self._build_tables()
+            self._build_tables(prime)
 
     # -- table construction (s > 1 only) ------------------------------------
 
-    def _build_tables(self):
+    def _build_tables(self, prime: "Gf"):
         p, s, q = self.p, self.s, self.q
         dg = self.to_digits(np.arange(q, dtype=np.int64))
         # ys[i][b] holds the digits of y**i * b reduced by the modulus, so
@@ -167,7 +172,7 @@ class Gf:
         # digit through one scratch plane, so three (q, q) planes are live.
         ys = [dg]
         for _ in range(1, s):
-            ys.append(_mul_x_many(Gf(p), ys[-1], self.modulus[:s]))
+            ys.append(_mul_x_many(prime, ys[-1], self.modulus[:s]))
         mul = np.zeros((q, q), dtype=np.int64)
         add = np.zeros((q, q), dtype=np.int64)
         tmp = np.empty((q, q), dtype=np.int64)
@@ -380,10 +385,12 @@ _X = np.array([0, 1], dtype=np.int64)
 def is_irreducible(gf: Gf, f) -> bool:
     """Exact irreducibility test for a monic polynomial over GF(q).
 
-    A monic f of degree d is irreducible iff gcd(x**(q**j) - x, f) = 1 for
-    every j <= d/2, since x**(q**j) - x is the product of all irreducibles
-    of degree dividing j.  The Frobenius powers x**(q**j) mod f are built
-    iteratively, so most reducible candidates are rejected at small j.
+    Rabin's test: a monic f of degree d is irreducible iff x**(q**d) = x
+    mod f and gcd(x**(q**(d/l)) - x, f) = 1 for every prime l dividing d,
+    since x**(q**j) - x is the product of all irreducibles of degree
+    dividing j.  The map t -> t**q on K[x]/(f) is the linear map Q_f of
+    `_frobenius_many`, so the powers x**(q**j) mod f are d products with
+    Q_f, and only omega(d) gcds are taken.
     """
     f = poly_trim(f)
     d = len(f) - 1
@@ -391,12 +398,16 @@ def is_irreducible(gf: Gf, f) -> bool:
         raise ValueError("expected a monic polynomial of degree >= 1")
     if d == 1:
         return True
-    t = _X.copy()
-    for _ in range(d // 2):
-        t = poly_powmod(gf, t, gf.q, f)
-        if poly_deg(poly_gcd(gf, poly_sub(gf, t, _X), f)) >= 1:
+    frob = _frobenius_many(gf, f[None, :d])[0]
+    gcd_at = {d // l for l in range(2, d + 1) if d % l == 0 and is_prime(l)}
+    x = np.zeros(d, dtype=np.int64)
+    x[1] = 1
+    t = x
+    for j in range(1, d + 1):
+        t = gf.matmul(frob, t)
+        if j in gcd_at and poly_deg(poly_gcd(gf, poly_sub(gf, t, _X), f)) >= 1:
             return False
-    return True
+    return np.array_equal(t, x)
 
 
 # Candidates per sieve block.  The first block is small because low degrees
@@ -469,6 +480,24 @@ def _frobenius_many(gf: Gf, tails) -> np.ndarray:
     return frob
 
 
+def _power_table(gf: Gf, degree: int) -> np.ndarray:
+    """V of shape (degree + 1, q): V[i, a] = a**i for every code a of K."""
+    codes = np.arange(gf.q, dtype=np.int64)
+    powers = np.ones((degree + 1, gf.q), dtype=np.int64)
+    for i in range(1, degree + 1):
+        powers[i] = gf.mul(powers[i - 1], codes)
+    return powers
+
+
+def _has_root(gf: Gf, tails, powers) -> np.ndarray:
+    """Mask over the monic f = x**n + tails (rows of (B, n)) of those with a
+    root in K; `powers` is `_power_table(gf, n)`.  Row b of the product holds
+    f_b(a) for every code a."""
+    n = tails.shape[1]
+    values = gf.add(gf.matmul(tails, powers[:n]), powers[n])
+    return ~np.all(values, axis=1)
+
+
 def find_irreducible(gf: Gf, degree: int) -> np.ndarray:
     """First monic irreducible of the given degree in canonical scan order.
 
@@ -477,12 +506,19 @@ def find_irreducible(gf: Gf, degree: int) -> np.ndarray:
     irreducible wins, making every defining polynomial reproducible.
 
     The scan runs in blocks of candidates (_SIEVE_FIRST, doubling up to
-    _SIEVE_CAP).  First a sieve: by Berlekamp's criterion the kernel of
-    Q_f - I has dimension equal to the number of distinct irreducible
-    factors of f, squarefree or not, so one batched `rank_many` over the
-    block drops every candidate with rank(Q_f - I) < n - 1.  Then the exact
-    confirmation: the survivors (irreducibles and powers g**e of one
-    irreducible) go in scan order to `is_irreducible`, which alone accepts.
+    _SIEVE_CAP), each in three stages.  First a root screen: a candidate of
+    degree >= 2 with a root in K is reducible, so it is dropped before its
+    Frobenius matrix is built.  The screen evaluates the block at every code
+    of K with one product against `_power_table`, and runs only when
+    q <= degree**2, where the (block, q) value array is no larger than the
+    (block, degree, degree) Frobenius stack it saves.  Then a sieve: by
+    Berlekamp's criterion the kernel of Q_f - I has dimension equal to the
+    number of distinct irreducible factors of f, squarefree or not, so one
+    batched `rank_many` over the rest of the block drops every candidate
+    with rank(Q_f - I) < n - 1.  Then the exact confirmation: the survivors
+    (irreducibles and powers g**e of one irreducible) go in scan order to
+    `is_irreducible`, which alone accepts.  Both screens are exact, so the
+    winner is the one a candidate-by-candidate scan finds.
     """
     from gsf import exactla  # exactla imports this module
 
@@ -490,10 +526,13 @@ def find_irreducible(gf: Gf, degree: int) -> np.ndarray:
         raise ValueError("degree must be >= 1")
     total = gf.q**degree
     ident = np.eye(degree, dtype=np.int64)
+    powers = _power_table(gf, degree) if 1 < degree and gf.q <= degree**2 else None
     start, size = 0, _SIEVE_FIRST
     while start < total:
         count = min(size, total - start)
         tails = _scan_tails(gf.q, degree, start, count)
+        if powers is not None:
+            tails = tails[~_has_root(gf, tails, powers)]
         ranks = exactla.rank_many(gf, gf.sub(_frobenius_many(gf, tails), ident))
         for tail in tails[ranks == degree - 1]:
             f = np.append(tail, 1)

@@ -152,6 +152,26 @@ def test_block_cli(capsys):
     assert d["n"] == 4 and d["best_dim"] == 2 and d["verified"]
 
 
+def test_block_over_budget_names_the_budget(capsys):
+    # the GF(3^6) witness has 3^6 - 1 = 728 nonzero members: refused before any census
+    code, out, err = run(capsys, "block", "--p", "3", "--n", "12", "--budget", "100")
+    assert code == 1 and out == ""
+    assert err == ("budget exceeded: exhaustive enumeration needs 728 forms, over the budget of 100; "
+                   "rerun in sampled mode or raise the budget\n")
+
+
+@pytest.mark.parametrize("argv,digest", [
+    (("--p", "3", "--n", "4"), "d3c62e1529c379907535980330dd0f52ae70a879e82057b1278bfce8decc50d0"),
+    (("--p", "3", "--s", "2", "--n", "4"), "9f9f5f92b5ab86af0d16dee9f04a54a2bf86ba312e5e05d23707788baf088200"),
+    (("--p", "3", "--n", "6"), "d65c0d2e4e2f9677254de8f4ffe0d588fd3adfa7c1d489720deb03d3383933fd"),
+])
+def test_block_stdout_pinned(capsys, argv, digest):
+    # within the budget the witness census is exhaustive, as `auto` chose it
+    code, out, err = run(capsys, "block", *argv)
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_malformed_element_distinct_message(capsys):
     code, _, err = run(capsys, "form", "--p", "3", "--n", "2", "--b", "1,x", "--i", "1")
     assert code == 1 and "malformed element encoding" in err

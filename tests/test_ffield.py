@@ -490,22 +490,193 @@ def test_find_irreducible_accepts_only_through_is_irreducible(monkeypatch, p, de
     assert len(seen) <= 5
 
 
-def test_find_irreducible_sieves_every_candidate_in_order(monkeypatch):
-    import gsf.ffield as ffield
+def _record_scan(monkeypatch):
+    """Record the scan blocks (start, count) and, in order, every candidate row
+    that reaches the sieve's Frobenius stack.  `is_irreducible` builds Q_f of
+    the one f it tests; those calls are not sieve blocks and are left out."""
+    spans, sieved, confirming = [], [], []
+    scan, frobenius, exact = ffield._scan_tails, ffield._frobenius_many, ffield.is_irreducible
 
-    blocks = []
-    sieve = ffield._frobenius_many
+    def scanned(q, degree, start, count):
+        spans.append((start, count))
+        return scan(q, degree, start, count)
 
-    def recorded(gf, tails):
-        blocks.append(tails.tolist())
-        return sieve(gf, tails)
+    def stacked(gf, tails):
+        if not confirming:
+            sieved.extend(tails.tolist())
+        return frobenius(gf, tails)
 
-    monkeypatch.setattr(ffield, "_frobenius_many", recorded)
-    assert find_irreducible(Gf(11), 16).tolist()[:3] == [5, 1, 1]  # scan index 137
-    sizes = [len(b) for b in blocks]
+    def confirmed(gf, f):
+        confirming.append(f)
+        try:
+            return exact(gf, f)
+        finally:
+            confirming.pop()
+
+    monkeypatch.setattr(ffield, "_scan_tails", scanned)
+    monkeypatch.setattr(ffield, "_frobenius_many", stacked)
+    monkeypatch.setattr(ffield, "is_irreducible", confirmed)
+    return spans, sieved
+
+
+def _scanned_blocks(spans):
+    """Number of candidates the scan covered; its blocks start at 0, are
+    contiguous, grow and stay within the cap."""
+    sizes = [count for _, count in spans]
     assert sizes == sorted(sizes) and sizes[-1] <= ffield._SIEVE_CAP
-    scanned = [row for b in blocks for row in b]
-    assert scanned == [_digits(m, 11, 16) for m in range(len(scanned))] and len(scanned) > 137
+    assert [start for start, _ in spans] == [sum(sizes[:k]) for k in range(len(sizes))]
+    return sum(sizes)
+
+
+def test_find_irreducible_sieves_every_candidate_in_order(monkeypatch):
+    # q = 11 <= 16**2: the root screen is on
+    spans, sieved = _record_scan(monkeypatch)
+    assert find_irreducible(Gf(11), 16).tolist()[:3] == [5, 1, 1]  # scan index 137
+    end = _scanned_blocks(spans)
+    assert end > 137
+    candidates = [_digits(m, 11, 16) for m in range(end)]
+    rooted = [_has_root_by_evaluation(Gf(11), c + [1]) for c in candidates]
+    # every candidate scanned either has a root or reached the sieve, in scan order
+    assert sieved == [c for c, r in zip(candidates, rooted) if not r]
+    assert 0 < sum(rooted) < end
+
+
+def test_root_screen_off_past_degree_squared(monkeypatch):
+    # q = 39989 > 3**2: a (block, q) value array would dwarf the (block, 3, 3)
+    # stack, so every candidate reaches the sieve
+    spans, sieved = _record_scan(monkeypatch)
+    assert find_irreducible(Gf(39989), 3).tolist() == [6, 1, 0, 1]
+    end = _scanned_blocks(spans)
+    assert sieved == [_digits(m, 39989, 3) for m in range(end)]
+
+
+def _has_root_by_evaluation(gf, f):
+    """Whether the polynomial f (little-endian K codes) has a root in K: f(a)
+    at every code a by Horner's rule on digits, with the schoolbook product
+    `_ref_code_mul`."""
+    for a in range(gf.q):
+        acc = 0
+        for c in reversed(list(f)):
+            prod = _ref_code_mul(gf, acc, a)
+            dig = [(x + y) % gf.p for x, y in zip(prod, _digits(int(c), gf.p, gf.s))]
+            acc = sum(d * gf.p**t for t, d in enumerate(dig))
+        if acc == 0:
+            return True
+    return False
+
+
+@pytest.mark.parametrize(
+    "gf,degree",
+    [(Gf(3), d) for d in range(2, 7)] + [(Gf(11), 4), (Gf(11), 8), (_GF9, 3), (_GF9, 4), (Gf(5, 2), 5)],
+    ids=lambda v: f"q{v.q}" if isinstance(v, Gf) else f"n{v}",
+)
+def test_root_screen_mask_equals_evaluation(gf, degree):
+    from gsf.ffield import _has_root, _power_table
+
+    assert gf.q <= degree**2  # the screen is on here
+    if gf.q**degree <= 1000:
+        tails = base_digits(np.arange(gf.q**degree), gf.q, degree)
+    else:
+        rng = np.random.default_rng(degree)
+        tails = rng.integers(0, gf.q, size=(300, degree))
+    got = _has_root(gf, tails, _power_table(gf, degree))
+    want = [_has_root_by_evaluation(gf, list(t) + [1]) for t in tails]
+    assert got.tolist() == want
+    assert 0 < sum(want) < len(want)
+
+
+def _powmod_is_irreducible(gf, f):
+    """The gcd test the Rabin test replaced: gcd(x**(q**j) - x, f) = 1 for
+    every j <= d/2, each power by square-and-multiply."""
+    from gsf.ffield import poly_gcd, poly_powmod, poly_sub
+
+    f = ffield.poly_trim(f)
+    d = len(f) - 1
+    x = np.array([0, 1], dtype=np.int64)
+    t = x.copy()
+    for _ in range(d // 2):
+        t = poly_powmod(gf, t, gf.q, f)
+        if ffield.poly_deg(poly_gcd(gf, poly_sub(gf, t, x), f)) >= 1:
+            return False
+    return True
+
+
+@pytest.mark.parametrize("gf,top", [(Gf(3), 6), (Gf(5), 4), (_GF9, 3)], ids=["q3", "q5", "q9"])
+def test_rabin_equals_powmod_test_on_every_monic(gf, top):
+    for degree in range(1, top + 1):
+        for f in base_digits(np.arange(gf.q**degree), gf.q, degree):
+            f = np.append(f, 1)
+            assert is_irreducible(gf, f) == _powmod_is_irreducible(gf, f), f.tolist()
+
+
+def _poly_power(gf, g, e):
+    f = np.array([1], dtype=np.int64)
+    for _ in range(e):
+        f = ffield.poly_mul(gf, f, g)
+    return f
+
+
+def test_rabin_equals_powmod_test_at_degree_32():
+    gf = Gf(11)
+    irr = {d: find_irreducible(gf, d) for d in (1, 2, 3, 4, 8, 16, 26)}
+    polys = [_poly_power(gf, irr[32 // e], e) for e in (2, 4, 8, 16, 32)]  # g**e
+    polys += [ffield.poly_mul(gf, _poly_power(gf, irr[dg], 2), irr[dh]) for dg, dh in ((8, 16), (3, 26))]  # g**2 h
+    for f in polys:
+        assert len(f) == 33 and not is_irreducible(gf, f) and not _powmod_is_irreducible(gf, f)
+    winner = find_irreducible(gf, 32)
+    assert is_irreducible(gf, winner) and _powmod_is_irreducible(gf, winner)
+
+
+# the defining polynomials (base_poly, ext_poly) of the golden towers and of the
+# large towers the benchmarks and acceptance tests build
+_PINNED_TOWERS = {
+    (3, 1, 2): ([0, 1], [1, 0, 1]),
+    (3, 1, 3): ([0, 1], [1, 2, 0, 1]),
+    (3, 1, 4): ([0, 1], [2, 1, 0, 0, 1]),
+    (3, 1, 5): ([0, 1], [1, 2, 0, 0, 0, 1]),
+    (3, 1, 6): ([0, 1], [2, 1, 0, 0, 0, 0, 1]),
+    (3, 1, 8): ([0, 1], [2, 0, 1, 0, 0, 0, 0, 0, 1]),
+    (7, 1, 4): ([0, 1], [1, 1, 0, 0, 1]),
+    (7, 3, 4): ([2, 0, 0, 1], [1, 1, 0, 0, 1]),
+    (3, 1, 20): ([0, 1], [1, 2, 0, 1] + [0] * 16 + [1]),
+    (3, 1, 40): ([0, 1], [2, 1] + [0] * 38 + [1]),
+    (11, 1, 32): ([0, 1], [9, 1, 8] + [0] * 29 + [1]),
+}
+
+
+@pytest.mark.parametrize("key", list(_PINNED_TOWERS), ids=lambda k: "GF(%d^%d)^%d" % k)
+def test_defining_polynomials_pinned(key, tower):
+    t = tower(*key)
+    assert (t.base_poly.tolist(), t.ext_poly.tolist()) == _PINNED_TOWERS[key]
+
+
+def test_gf_tests_only_a_caller_given_modulus(monkeypatch):
+    tested, built = [], []
+    exact = ffield.is_irreducible
+
+    def counted(gf, f):
+        tested.append(np.asarray(f).tolist())
+        return exact(gf, f)
+
+    class Counted(Gf):
+        def __init__(self, p, s=1, modulus=None):
+            built.append((p, s))
+            super().__init__(p, s, modulus)
+
+    monkeypatch.setattr(ffield, "is_irreducible", counted)
+    monkeypatch.setattr(ffield, "Gf", Counted)
+    find_irreducible(Gf(7), 3)
+    scan = list(tested)
+    tested.clear()
+    assert Counted(7, 3).modulus.tolist() == [2, 0, 0, 1]
+    # the scan's own confirmations, and no second test of its winner; one GF(7)
+    assert tested == scan and scan[-1] == [2, 0, 0, 1]
+    assert built == [(7, 3), (7, 1)]
+    tested.clear()
+    assert Counted(3, 2, modulus=[2, 2, 1]).modulus.tolist() == [2, 2, 1]
+    assert tested == [[2, 2, 1]]
+    with pytest.raises(ValueError, match="reducible"):
+        Counted(3, 2, modulus=[0, 0, 1])
 
 
 # -- Berlekamp's criterion: dim ker(Q_f - I) = number of distinct factors -------

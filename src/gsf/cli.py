@@ -281,8 +281,12 @@ def _report(args, run: Run):
         if args.n % 2:
             raise UsageError("block lifting needs an even target size n")
         # the lift needs an exactly verified witness, so an over-budget census is refused
-        base = construct_regular_rep_subspace(FieldTower(args.p, args.s, args.n // 2),
-                                              replace(run, mode="exhaustive"))
+        tower = FieldTower(args.p, args.s, args.n // 2)
+        try:
+            base = construct_regular_rep_subspace(tower, replace(run, mode="exhaustive"))
+        except BudgetExceededError as exc:
+            # no sampled mode to offer: a sampled witness cannot be lifted
+            raise BudgetExceededError(exc.needed, exc.budget, "raise the budget") from None
         return block_construction(base, budget=run.budget).to_dict()
 
     raise UsageError(f"unknown command {cmd!r}")

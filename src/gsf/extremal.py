@@ -21,7 +21,7 @@ from typing import Optional
 import numpy as np
 
 from gsf.exactla import rank_many, rref
-from gsf.ffield import FieldTower, Gf, PrimePower, prime_power_decompose
+from gsf.ffield import FieldTower, Gf, PrimePower, base_digits, prime_power_decompose
 from gsf.formspace import (
     BudgetExceededError,
     DEFAULT_BUDGET,
@@ -50,11 +50,13 @@ __all__ = [
     "gaussian_binomial",
 ]
 
-# combined matrices per rank pass of the exhaustive search (larger batches gain
-# little time and raise peak memory); greedy draws per step, backtracks per restart
-_SEARCH_BATCH = 1024
+# candidate bases per chunk of the exhaustive scan (a whole pivot pattern at
+# once raises peak memory); greedy draws per step, backtracks per restart
+_CANDIDATE_CHUNK = 512
 _GREEDY_TRIES = 512
 _GREEDY_BACKTRACKS = 64
+# states of the exhaustive search's invertibility table
+_UNFILLED, _SINGULAR, _INVERTIBLE = 0, 1, 2
 
 
 @dataclass(frozen=True)
@@ -233,11 +235,16 @@ def block_construction(u: SearchResult, budget: int = DEFAULT_BUDGET) -> SearchR
         blocks.append(b)
     ok = _all_combos_invertible(gf, np.stack(blocks)[None], budget)
     if ok is None:
-        raise BudgetExceededError(gf.q ** len(blocks) - 1, budget)
+        raise BudgetExceededError(gf.q ** len(blocks) - 1, budget, "raise the budget")
     if not ok[0]:
         raise AssertionError("block lift of an invertible-closed subspace has a singular member")
     return SearchResult("mu", 2 * m, u.q, u.best_dim, _canonical_witness(gf, blocks, symmetric=True),
                         {"mode": "exhaustive"}, True)
+
+
+def _members(target: str, flat: np.ndarray, n: int) -> np.ndarray:
+    """Matrices (B, n, n) of the ambient vectors (B, ambient)."""
+    return flat.reshape(-1, n, n) if target == "tau" else unflatten_sym(flat, n)
 
 
 def _ambient(target: str, n: int) -> int:
@@ -248,37 +255,90 @@ def _ambient(target: str, n: int) -> int:
     raise ValueError(f"target must be 'tau' or 'mu', got {target!r}")
 
 
-def _iter_rref_bases(q: int, ambient: int, k: int):
+def _echelon_chunks(q: int, ambient: int, k: int):
     """All k-dimensional subspaces of GF(q)**ambient, one canonical reduced
-    echelon basis each, in (pivot columns, free cells) lexicographic order."""
+    echelon basis each, in (pivot columns, free cells) lexicographic order:
+    stacks (C, k, ambient) of at most `_CANDIDATE_CHUNK` bases, where the
+    free cells, row by row, hold the little-endian base-q digits of a count
+    running over one pivot pattern."""
     for pivots in itertools.combinations(range(ambient), k):
-        free_cells = [
-            (r, c)
-            for r in range(k)
-            for c in range(pivots[r] + 1, ambient)
-            if c not in pivots
-        ]
+        free = [(r, c) for r in range(k) for c in range(pivots[r] + 1, ambient) if c not in pivots]
+        rows, cols = np.array(free, dtype=np.int64).reshape(-1, 2).T
         base = np.zeros((k, ambient), dtype=np.int64)
-        for r, pc in enumerate(pivots):
-            base[r, pc] = 1
-        nfree = len(free_cells)
-        for m in range(q**nfree):
-            b = base.copy()
-            rem = m
-            for r, c in free_cells:
-                b[r, c] = rem % q
-                rem //= q
-            yield b
+        base[np.arange(k), pivots] = 1
+        total = q ** len(free)
+        for lo in range(0, total, _CANDIDATE_CHUNK):
+            counts = np.arange(lo, min(total, lo + _CANDIDATE_CHUNK), dtype=np.int64)
+            bases = np.repeat(base[None], counts.size, axis=0)
+            bases[:, rows, cols] = base_digits(counts, q, len(free))
+            yield bases
+
+
+def _invertibility_table(gf: Gf, target: str, n: int) -> np.ndarray:
+    """Rank verdict of every K-line of the ambient space, indexed by code.
+
+    A vector of the ambient space (flattened as `_ambient` counts it) has
+    the code sum(v[j] * q**(ambient - 1 - j)): coordinate 0 is the most
+    significant digit.  The table covers the codes below 2 * q**(ambient - 1)
+    and fills the projective ones, whose leading digit is 1: one vector per
+    K-line, ranked in one `rank_many` call per chunk of the engine's own
+    projective source.  Rank is constant on K-lines, so this decides every
+    nonzero member of the space.
+    """
+    q, ambient = gf.q, _ambient(target, n)
+    table = np.full(2 * q ** (ambient - 1), _UNFILLED, dtype=np.int8)
+    place = q ** np.arange(ambient, dtype=np.int64)
+    for digits in _range_chunks(q, ambient, _projective_spans(q, ambient), _chunk_size(n)):
+        # little-endian digit i is coordinate ambient - 1 - i
+        flat = digits[:, ::-1]
+        ranks = rank_many(gf, _members(target, flat, n))
+        table[digits @ place] = np.where(ranks == n, _INVERTIBLE, _SINGULAR)
+    return table
+
+
+def _first_closed(gf: Gf, table: np.ndarray, ambient: int, k: int, n: int) -> Optional[np.ndarray]:
+    """The first k-dimensional subspace in `_echelon_chunks` order whose
+    every nonzero member reads invertible in `table`, as its echelon basis
+    (k, ambient); None when there is none.
+
+    One combination per K-line is read: the coefficient vectors whose first
+    nonzero entry is 1.  In a reduced echelon basis that entry is the
+    combination's first nonzero coordinate, so its code is projective and
+    needs no normalising.  Each chunk of candidates reads the codes in
+    growing slices, at most `_chunk_size(n)` combinations at a time, and a
+    candidate is dropped at its first singular member.
+    """
+    q = gf.q
+    lines = np.concatenate([np.arange(lo, hi, dtype=np.int64) for lo, hi in _projective_spans(q, k)])
+    coeffs = base_digits(lines, q, k)[:, ::-1]
+    place = q ** np.arange(ambient - 1, -1, -1, dtype=np.int64)
+    for bases in _echelon_chunks(q, ambient, k):
+        alive = np.ones(len(bases), dtype=bool)
+        lo, step = 0, 1
+        while lo < len(coeffs) and alive.any():
+            idx = np.nonzero(alive)[0]
+            take = max(1, min(step, _chunk_size(n) // idx.size))
+            # (S, C', ambient): combination s of live candidate c
+            combos = _combine_forms(gf, coeffs[lo : lo + take], bases[idx].transpose(1, 0, 2))
+            state = table[combos @ place]
+            if (state == _UNFILLED).any():
+                raise AssertionError("an echelon combination read an unfilled entry of the invertibility table")
+            alive[idx] = (state == _INVERTIBLE).all(axis=0)
+            lo, step = lo + take, 2 * step
+        if alive.any():
+            return bases[np.argmax(alive)]
+    return None
 
 
 def exhaustive_search(target: str, n: int, q: int, budget: int = DEFAULT_BUDGET) -> SearchResult:
     """Exact maximal invertible-closed dimension on a tiny instance.
 
     Scans dimensions downward from n + 1 (capped by the ambient dimension),
-    enumerating canonical echelon bases in `_iter_rref_bases` order.  The
-    candidates of a dimension go through `_all_combos_invertible`, which
-    ranks one combination per K-line, in batches of about `_SEARCH_BATCH`
-    combined matrices, so one rank pass covers several candidates.  The
+    enumerating canonical echelon bases in `_echelon_chunks` order.  Every
+    K-line of the ambient space is ranked once, into the table of
+    `_invertibility_table`, and a candidate is closed iff every one of its
+    combinations whose first nonzero coefficient is 1 reads invertible
+    there (`_first_closed`); echelon form makes those codes projective.  The
     first survivor in scan order of the first dimension with one is the
     witness of the exact maximum, and every larger dimension scanned without
     a witness is recorded in `dims_exhausted`.
@@ -288,6 +348,11 @@ def exhaustive_search(target: str, n: int, q: int, budget: int = DEFAULT_BUDGET)
     bound), so the scan always reaches dimension n: every dimension down to
     n is checked against the budget before anything is scanned, and before
     the field tables are built: the check needs only q, n and the target.
+    The table ranks (q**ambient - 1)/(q - 1) forms and is built after that
+    check, which already bounds it: for top < ambient the top dimension's
+    candidate count is a Gaussian binomial [ambient, top]_q, at least
+    [ambient, 1]_q, and for top = ambient its q**ambient - 1 forms are at
+    least [ambient, 1]_q.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -299,24 +364,20 @@ def exhaustive_search(target: str, n: int, q: int, budget: int = DEFAULT_BUDGET)
     def check_budget(k):
         for needed in (gaussian_binomial(ambient, k, q), q**k - 1):
             if needed > budget:
-                raise BudgetExceededError(needed, budget)
+                raise BudgetExceededError(needed, budget, "rerun with --method greedy or raise the budget")
 
     for k in range(top, min(ambient, n) - 1, -1):
         check_budget(k)
     gf = Gf(p, s)
+    table = _invertibility_table(gf, target, n)
     exhausted = []
     for k in range(top, 0, -1):
         check_budget(k)
-        bases = _iter_rref_bases(q, ambient, k)
-        per_batch = max(1, _SEARCH_BATCH // ((q**k - 1) // (q - 1)))
-        while batch := list(itertools.islice(bases, per_batch)):
-            flat = np.stack(batch)
-            mats = flat.reshape(-1, k, n, n) if target == "tau" else unflatten_sym(flat, n)
-            ok = _all_combos_invertible(gf, mats, budget)
-            if ok.any():
-                witness = _canonical_witness(gf, mats[np.argmax(ok)], target == "mu")
-                return SearchResult(target, n, q, k, witness, {"mode": "exhaustive"}, True,
-                                    dims_exhausted=exhausted)
+        flat = _first_closed(gf, table, ambient, k, n)
+        if flat is not None:
+            # a reduced echelon basis is already the canonical witness
+            return SearchResult(target, n, q, k, list(_members(target, flat, n)), {"mode": "exhaustive"},
+                                True, dims_exhausted=exhausted)
         exhausted.append(k)
     return SearchResult(target, n, q, 0, [], {"mode": "exhaustive"}, True, dims_exhausted=exhausted)
 

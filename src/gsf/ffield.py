@@ -29,7 +29,8 @@ shapes and decides in one place whether an int64 sum of k products can
 overflow (for s = 1 it sums plainly and reduces once only when
 k * (p - 1)**2 fits; otherwise it sums term by term through reduced codes).
 `base_digits` is the one base-b digit codec for int64 code arrays.
-Fields whose tables would pass `MAX_TABLE_ENTRIES` are refused up front.
+Fields whose tables would pass `MAX_TABLE_ENTRIES` are refused up front, and
+so are towers whose n Frobenius matrices (n**3 entries) would: n <= 256.
 """
 
 from __future__ import annotations
@@ -52,7 +53,8 @@ __all__ = [
 
 _I64_MAX = int(np.iinfo(np.int64).max)
 # the largest field table built: GF(p) has a p-entry inverse table, GF(p**s)
-# with s > 1 add/mul tables of q**2 entries
+# with s > 1 add/mul tables of q**2 entries, a degree-n tower n Frobenius
+# matrices of n**2 entries
 MAX_TABLE_ENTRIES = 2**24
 
 
@@ -554,6 +556,9 @@ class FieldTower:
         self.base = PrimePower(p, s)
         if n < 1:
             raise ValueError(f"extension degree n = {n} must be >= 1")
+        if n**3 > MAX_TABLE_ENTRIES:
+            raise ValueError(f"extension degree n = {n} needs {n**3} Frobenius matrix entries, "
+                             f"past the limit of {MAX_TABLE_ENTRIES} (2**24)")
         self.n = n
         self.K = Gf(p, s, modulus=base_poly)
         self.base_poly = self.K.modulus

@@ -61,13 +61,14 @@ DEFAULT_SAMPLE_COUNT = 10_000
 
 
 class BudgetExceededError(RuntimeError):
-    """Raised when an exhaustive enumeration would exceed the form budget."""
+    """Raised when an exhaustive enumeration would exceed the form budget.
 
-    def __init__(self, needed: int, budget: int):
-        super().__init__(
-            f"exhaustive enumeration needs {needed} forms, over the budget of {budget}; "
-            "rerun in sampled mode or raise the budget"
-        )
+    `way_out` ends the message; a raiser whose command cannot sample names
+    what that command can do instead.
+    """
+
+    def __init__(self, needed: int, budget: int, way_out: str = "rerun in sampled mode or raise the budget"):
+        super().__init__(f"exhaustive enumeration needs {needed} forms, over the budget of {budget}; {way_out}")
         self.needed = needed
         self.budget = budget
 
@@ -316,8 +317,11 @@ def family(tower: FieldTower, i: int) -> FormSubspace:
 # A census is a code source (coefficient vectors over the basis Grams, in
 # chunks of `_range_chunks` over code spans, or seeded samples), then
 # `_rank_chunks` (combine and rank each chunk), then a reducer: the histogram
-# of `_profile_from_grams`.  `extremal._all_combos_invertible` walks the same
-# projective source for a stack of candidate bases at once.
+# of `_profile_from_grams`.  `extremal.exhaustive_search` ranks the same
+# projective source over its whole ambient space once, into a table that
+# decides every candidate by lookups; `extremal._all_combos_invertible`, which
+# the block lift and the greedy search use, walks it for a stack of candidate
+# bases at once.
 
 
 def _combine_forms(kf, coeffs: np.ndarray, basis_grams: np.ndarray) -> np.ndarray:

@@ -156,8 +156,9 @@ def test_block_over_budget_names_the_budget(capsys):
     # the GF(3^6) witness has 3^6 - 1 = 728 nonzero members: refused before any census
     code, out, err = run(capsys, "block", "--p", "3", "--n", "12", "--budget", "100")
     assert code == 1 and out == ""
+    # `block` has no sampled mode, so the refusal names only the budget
     assert err == ("budget exceeded: exhaustive enumeration needs 728 forms, over the budget of 100; "
-                   "rerun in sampled mode or raise the budget\n")
+                   "raise the budget\n")
 
 
 @pytest.mark.parametrize("argv,digest", [
@@ -198,6 +199,8 @@ def test_budget_exceeded_distinct_message(capsys):
     code, _, err = run(capsys, "rank-laws", "--p", "3", "--n", "6",
                        "--mode", "exhaustive", "--budget", "10")
     assert code == 1 and "budget exceeded" in err
+    # a census command can sample, so its refusal says so
+    assert err.endswith("; rerun in sampled mode or raise the budget\n")
 
 
 def test_sampled_mode_requires_seed(capsys):
@@ -337,6 +340,21 @@ def test_oversized_field_refused_before_any_table(capsys, argv):
     assert peak < 1 << 20  # nothing near a field table was allocated
 
 
+@pytest.mark.parametrize("n", [257, 2000, 10**9])
+def test_oversized_extension_degree_refused_before_any_table(capsys, n):
+    # the tower keeps n Frobenius matrices, n**3 entries: n = 2000 would be 64 GB
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, "tower", "--p", "3", "--n", str(n))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, out) == (1, "")
+    assert err == (f"error: extension degree n = {n} needs {n**3} Frobenius matrix entries, "
+                   "past the limit of 16777216 (2**24)\n")
+    assert peak < 1 << 20
+
+
 # Every golden certificate is exhaustive, so these pin the sampled bytes: the
 # per-claim seed is the run seed plus the claim's index in census order.
 @pytest.mark.parametrize("argv, exit_code, digest", [
@@ -370,7 +388,7 @@ def test_oversized_search_refused_before_the_field_tables(capsys):
         tracemalloc.stop()
     assert (code, out) == (1, "")
     assert err == ("budget exceeded: exhaustive enumeration needs 4722363949595307802596 forms, "
-                   "over the budget of 2000000; rerun in sampled mode or raise the budget\n")
+                   "over the budget of 2000000; rerun with --method greedy or raise the budget\n")
     assert peak < 1 << 20
 
 

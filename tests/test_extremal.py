@@ -1,8 +1,11 @@
+import functools
 import itertools
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gsf import extremal
 from gsf.exactla import rank
@@ -18,10 +21,10 @@ from gsf.extremal import (
     real_mu_interval,
     rho,
     rho_decompose,
-    _iter_rref_bases,
 )
+from gsf.cli import main
 from gsf.ffield import FieldTower, Gf, prime_power_decompose
-from gsf.formspace import BudgetExceededError, DEFAULT_BUDGET, Run
+from gsf.formspace import BudgetExceededError, DEFAULT_BUDGET, Run, _combine_forms, unflatten_sym
 
 
 SPOT_RHO = {1: 1, 2: 2, 4: 4, 8: 8, 16: 9, 32: 10, 64: 12}
@@ -164,6 +167,29 @@ def test_gaussian_binomial_values():
     assert gaussian_binomial(3, 4, 3) == 0
 
 
+def _iter_rref_bases(q: int, ambient: int, k: int):
+    """All k-dimensional subspaces of GF(q)**ambient, one canonical reduced
+    echelon basis each, in (pivot columns, free cells) lexicographic order."""
+    for pivots in itertools.combinations(range(ambient), k):
+        free_cells = [
+            (r, c)
+            for r in range(k)
+            for c in range(pivots[r] + 1, ambient)
+            if c not in pivots
+        ]
+        base = np.zeros((k, ambient), dtype=np.int64)
+        for r, pc in enumerate(pivots):
+            base[r, pc] = 1
+        nfree = len(free_cells)
+        for m in range(q**nfree):
+            b = base.copy()
+            rem = m
+            for r, c in free_cells:
+                b[r, c] = rem % q
+                rem //= q
+            yield b
+
+
 def test_rref_enumeration_count_matches_gaussian_binomial():
     count = sum(1 for _ in _iter_rref_bases(3, 4, 2))
     assert count == 130
@@ -171,6 +197,18 @@ def test_rref_enumeration_count_matches_gaussian_binomial():
     for b in _iter_rref_bases(3, 3, 2):
         seen.add(b.tobytes())
     assert len(seen) == 13  # all distinct canonical bases
+
+
+@pytest.mark.parametrize("q,ambient,k", [(3, 4, 2), (3, 3, 2), (5, 4, 3), (9, 3, 2), (3, 6, 4), (7, 2, 2), (3, 1, 1)])
+@pytest.mark.parametrize("chunk", [1, 7, 512])
+def test_echelon_chunks_follow_the_reference_order(monkeypatch, q, ambient, k, chunk):
+    # the vectorized candidates are `_iter_rref_bases`, in its order, in
+    # chunks that never pass `_CANDIDATE_CHUNK`
+    monkeypatch.setattr(extremal, "_CANDIDATE_CHUNK", chunk)
+    chunks = list(extremal._echelon_chunks(q, ambient, k))
+    assert all(1 <= len(c) <= chunk for c in chunks)
+    want = np.stack(list(_iter_rref_bases(q, ambient, k)))
+    assert np.array_equal(np.concatenate(chunks), want)
 
 
 def test_exhaustive_search_tau_2_3():
@@ -193,14 +231,18 @@ def test_exhaustive_search_budget_refusal():
 @pytest.mark.parametrize("target,n,q,budget,needed", [("mu", 3, 5, None, 2_558_556), ("tau", 2, 3, 100, 130)])
 def test_exhaustive_search_refuses_before_scanning(monkeypatch, target, n, q, budget, needed):
     # dimension n + 1 fits the budget and dimension n does not; the column
-    # bound means the scan would reach n, so nothing is scanned first
+    # bound means the scan would reach n, so nothing is scanned, and neither
+    # the field tables nor the invertibility table is built, first
     calls = []
 
-    def scan(*args):
-        calls.append(args)
-        raise AssertionError("scanned before the budget check")
+    def stage(name):
+        def refuse(*args):
+            calls.append(name)
+            raise AssertionError(f"{name} before the budget check")
+        return refuse
 
-    monkeypatch.setattr(extremal, "_all_combos_invertible", scan)
+    for name in ("Gf", "_invertibility_table", "_first_closed", "_echelon_chunks"):
+        monkeypatch.setattr(extremal, name, stage(name))
     with pytest.raises(BudgetExceededError) as exc:
         exhaustive_search(target, n, q, budget=budget or DEFAULT_BUDGET)
     assert exc.value.needed == needed
@@ -326,23 +368,141 @@ def test_exhaustive_search_mu_3_3_pinned_and_batched(monkeypatch):
         '[[[1, 0, 0], [0, 0, 1], [0, 1, 1]], [[0, 1, 0], [1, 2, 0], [0, 0, 1]], '
         '[[0, 0, 1], [0, 1, 0], [1, 0, 0]]]}'
     )
-    # 11,011 candidates of dimension 4 and 1,039 of dimension 3, ranked in
-    # shared passes instead of one pass each
-    assert len(sizes) < 1000 and max(sizes) <= extremal._SEARCH_BATCH
+    # 11,011 candidates of dimension 4 and 1,039 of dimension 3 are decided
+    # by lookups: only the (3**6 - 1)/2 = 364 K-lines of S(3, GF(3)) are ranked
+    assert sum(sizes) == 364
 
 
-@pytest.mark.parametrize("target,per_batch", [("mu", b) for b in (1, 2, 3, 5, 13)]
+@pytest.mark.parametrize("target,chunk", [("mu", b) for b in (1, 2, 3, 5, 13)]
                          + [("tau", b) for b in (1, 4, 5, 7, 20, 130)])
-def test_first_survivor_wins_whatever_the_batching(monkeypatch, target, per_batch):
+def test_first_survivor_wins_whatever_the_batching(monkeypatch, target, chunk):
     # at k = 2 over GF(3) the survivors sit at scan positions 2, 4, 7 (mu) and
-    # 13, 14, 15, ... (tau): small batches put the first one in a later batch,
-    # larger ones at a later position of a batch that holds other survivors
+    # 13, 14, 15, ... (tau): small chunks put the first one in a later chunk,
+    # larger ones at a later position of a chunk that holds other survivors
     want = exhaustive_search(target, 2, 3).to_dict()
-    monkeypatch.setattr(extremal, "_SEARCH_BATCH", 8 * per_batch)
+    monkeypatch.setattr(extremal, "_CANDIDATE_CHUNK", chunk)
     res = exhaustive_search(target, 2, 3)
     assert res.to_dict() == want
     k, flat, _ = _reference_search(target, 2, 3)
     assert np.array_equal(_flat_witness(res), flat)
+
+
+# -- the invertibility table ------------------------------------------------------
+
+
+def _code(q, vec):
+    """Code of an ambient vector, coordinate 0 the most significant digit."""
+    return int(sum(int(v) * q ** (len(vec) - 1 - j) for j, v in enumerate(vec)))
+
+
+@functools.lru_cache(maxsize=None)
+def _table(target, n, q):
+    table = extremal._invertibility_table(Gf(*prime_power_decompose(q)), target, n)
+    table.setflags(write=False)  # shared by every test that reads it
+    return table
+
+
+@pytest.mark.parametrize("target,n,q", [(t, n, q) for q in (3, 5, 9) for t, n in (("tau", 1), ("tau", 2), ("mu", 2))]
+                         + [("mu", 3, 3)])
+def test_table_equals_one_rank_per_ambient_vector(target, n, q):
+    gf = Gf(*prime_power_decompose(q))
+    table = _table(target, n, q)
+    ambient = extremal._ambient(target, n)
+    assert table.shape == (2 * q ** (ambient - 1),)
+    projective = np.zeros(table.size, dtype=bool)
+    for vec in itertools.product(range(q), repeat=ambient):
+        if not any(vec):
+            continue
+        vec = np.array(vec, dtype=np.int64)
+        mat = vec.reshape(n, n) if target == "tau" else unflatten_sym(vec, n)
+        want = extremal._INVERTIBLE if rank(gf, mat) == n else extremal._SINGULAR
+        # the line's representative: first nonzero coordinate scaled to 1
+        lead = vec[np.nonzero(vec)[0][0]]
+        code = _code(q, gf.mul(vec, int(gf.inv(lead))))
+        projective[code] = True
+        assert table[code] == want
+    assert (table[~projective] == extremal._UNFILLED).all()
+
+
+# ambient dimension -> a target and n with that ambient space
+_AMBIENTS = {1: ("mu", 1), 3: ("mu", 2), 4: ("tau", 2), 6: ("mu", 3)}
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_echelon_combinations_with_leading_one_have_projective_codes(data):
+    q = data.draw(st.sampled_from([3, 5, 9]))
+    ambient = data.draw(st.sampled_from(sorted(_AMBIENTS)))
+    if ambient == 6:
+        q = 3
+    k = data.draw(st.integers(1, ambient))
+    pivots = sorted(data.draw(st.lists(st.integers(0, ambient - 1), min_size=k, max_size=k, unique=True)))
+    basis = np.zeros((k, ambient), dtype=np.int64)
+    for r, pc in enumerate(pivots):
+        basis[r, pc] = 1
+        for c in range(pc + 1, ambient):
+            if c not in pivots:
+                basis[r, c] = data.draw(st.integers(0, q - 1))
+    lead = data.draw(st.integers(0, k - 1))
+    coeffs = [0] * lead + [1] + [data.draw(st.integers(0, q - 1)) for _ in range(k - lead - 1)]
+    gf = Gf(*prime_power_decompose(q))
+    combo = _combine_forms(gf, np.array([coeffs]), basis)[0]
+    code = _code(q, combo)
+    # leading base-q digit 1: the code lies in [q**j, 2 * q**j) for some j
+    assert any(q**j <= code < 2 * q**j for j in range(ambient))
+    assert _table(*_AMBIENTS[ambient], q)[code] != extremal._UNFILLED
+
+
+def test_corrupted_table_entry_is_an_internal_error(monkeypatch, capsys):
+    # the first code read in S(3, GF(3)) is the last row e_3 of the first
+    # 4-dimensional candidate: 3**(6 - 1 - 3) = 9
+    build = extremal._invertibility_table
+
+    def corrupted(gf, target, n):
+        table = build(gf, target, n)
+        assert table[9] != extremal._UNFILLED
+        table[9] = extremal._UNFILLED
+        return table
+
+    monkeypatch.setattr(extremal, "_invertibility_table", corrupted)
+    code = main(["search", "--target", "mu", "--n", "3", "--q", "3"])
+    out = capsys.readouterr()
+    assert (code, out.out) == (4, "")
+    assert out.err.startswith("internal check failed: ") and "unfilled" in out.err
+
+
+def _least_budget(target, n, q):
+    """The smallest budget that the exhaustive search does not refuse."""
+    ambient = extremal._ambient(target, n)
+    top = min(ambient, n + 1)
+    return max(max(gaussian_binomial(ambient, k, q), q**k - 1) for k in range(top, min(ambient, n) - 1, -1))
+
+
+@pytest.mark.parametrize("target,n,q", [("tau", 1, 3), ("mu", 1, 5), ("tau", 2, 3), ("mu", 2, 3), ("mu", 2, 5),
+                                        ("tau", 2, 9), ("mu", 2, 9), ("mu", 3, 3)])
+def test_table_ranks_fit_the_least_passing_budget(monkeypatch, target, n, q):
+    budget = _least_budget(target, n, q)
+    with pytest.raises(BudgetExceededError):
+        exhaustive_search(target, n, q, budget=budget - 1)
+    ranked = []
+    orig = extremal.rank_many
+
+    def counting(gf, mats):
+        ranked.append(len(mats))
+        return orig(gf, mats)
+
+    monkeypatch.setattr(extremal, "rank_many", counting)
+    exhaustive_search(target, n, q, budget=budget)
+    ambient = extremal._ambient(target, n)
+    assert sum(ranked) == (q**ambient - 1) // (q - 1) <= budget
+
+
+@settings(max_examples=200, deadline=None)
+@given(target=st.sampled_from(["tau", "mu"]), n=st.integers(1, 8),
+       q=st.sampled_from([3, 5, 7, 9, 11, 25, 27, 49, 16777213]))
+def test_every_passing_budget_covers_the_table(target, n, q):
+    ambient = extremal._ambient(target, n)
+    assert (q**ambient - 1) // (q - 1) <= _least_budget(target, n, q)
 
 
 def _mixed_stack(gf, n, d, count, seed):

@@ -165,6 +165,17 @@ def test_field_table_limit(p, s):
         assert prime_power_decompose(p**s) == (p, s)
 
 
+def test_extension_degree_limit(monkeypatch):
+    # a tower keeps n Frobenius matrices, n**3 entries: n <= 256 under the cap
+    assert 256**3 == MAX_TABLE_ENTRIES < 257**3
+    monkeypatch.setattr(ffield, "MAX_TABLE_ENTRIES", 27)
+    with mock.patch.object(ffield, "find_irreducible", side_effect=ffield.find_irreducible) as search:
+        assert FieldTower(3, 1, 3).n == 3
+        with pytest.raises(ValueError, match=r"n = 4 needs 64 Frobenius matrix entries"):
+            FieldTower(3, 1, 4)
+        assert search.call_count == 1  # refused before the modulus search
+
+
 def test_frobenius_identity_and_base_field(tower):
     t = tower(3, 1, 4)
     rng = np.random.default_rng(3)

@@ -305,8 +305,11 @@ def _first_closed(gf: Gf, table: np.ndarray, ambient: int, k: int, n: int) -> Op
     nonzero entry is 1.  In a reduced echelon basis that entry is the
     combination's first nonzero coordinate, so its code is projective and
     needs no normalising.  Each chunk of candidates reads the codes in
-    growing slices, at most `_chunk_size(n)` combinations at a time, and a
-    candidate is dropped at its first singular member.
+    slices that start at one combination and double, at most
+    `_chunk_size(n)` combinations at a time, and a candidate is dropped at
+    its first singular member.  Most candidates die within their first few
+    combinations, so the small first slices pay: the fixed slice of
+    `_all_combos_invertible` made the `mu 3 3` search 2.3 times slower.
     """
     q = gf.q
     lines = np.concatenate([np.arange(lo, hi, dtype=np.int64) for lo, hi in _projective_spans(q, k)])

@@ -48,6 +48,7 @@ __all__ = [
     "find_irreducible",
     "is_irreducible",
     "is_prime",
+    "prime_factors",
     "prime_power_decompose",
 ]
 
@@ -71,6 +72,18 @@ def is_prime(m: int) -> bool:
             return False
         f += 2
     return True
+
+
+def prime_factors(m: int) -> list[int]:
+    """The primes dividing m >= 1, in increasing order, by trial division."""
+    primes, ell = [], 2
+    while ell * ell <= m:
+        if m % ell == 0:
+            primes.append(ell)
+            while m % ell == 0:
+                m //= ell
+        ell += 1
+    return primes + ([m] if m > 1 else [])
 
 
 def prime_power_decompose(q: int) -> tuple[int, int]:
@@ -401,7 +414,7 @@ def is_irreducible(gf: Gf, f) -> bool:
     if d == 1:
         return True
     frob = _frobenius_many(gf, f[None, :d])[0]
-    gcd_at = {d // l for l in range(2, d + 1) if d % l == 0 and is_prime(l)}
+    gcd_at = {d // l for l in prime_factors(d)}
     x = np.zeros(d, dtype=np.int64)
     x[1] = 1
     t = x
@@ -680,10 +693,15 @@ class FieldTower:
         return self.mul(a, self.inv(b))
 
     def pow_elem(self, a, e: int) -> np.ndarray:
-        r = poly_powmod(self.K, a, e, self.ext_poly)
-        out = np.zeros(self.n, dtype=np.int64)
-        out[: len(r)] = r
-        return out
+        """a**e for a python int e >= 0, by square-and-multiply through `mul`."""
+        result, base = self.one(), np.asarray(a, dtype=np.int64)
+        while e:
+            if e & 1:
+                result = self.mul(result, base)
+            e >>= 1
+            if e:
+                base = self.mul(base, base)
+        return result
 
     # -- Galois structure --------------------------------------------------------
 

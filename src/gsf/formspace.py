@@ -13,8 +13,11 @@ sample count, seed, budget, workers), the only way census options reach the
 engine.  Exhaustive mode covers every nonzero coefficient vector of the
 parameter space, refusing politely once their count passes the budget.
 Rank is constant on K-lines, rank(c*G) = rank(G) for c in K*, so it ranks
-one form per line and counts that rank q - 1 times; the budget still counts
-forms, q**d - 1.  Sampled mode draws a fixed number of nonzero vectors from
+one form per line and counts that rank q - 1 times.  A parameter subspace
+that is one line over a subfield F has rank constant on the larger cosets
+of U = F* meet K* . {a**(1 + q**i)}, so when that pays it ranks one form per
+coset and counts it |U| times.  Either way the budget still counts forms,
+q**d - 1.  Sampled mode draws a fixed number of nonzero vectors from
 a seeded generator.  Either way the histogram is a deterministic function
 of (tower, subspace, i, mode, seed) and is independent of how the work is
 partitioned across workers; at most 2 * workers chunks wait on the thread
@@ -33,7 +36,7 @@ from typing import Optional, Union
 import numpy as np
 
 from gsf.exactla import LSubspace, kernel, rank_many, rref
-from gsf.ffield import FieldTower, _mul_x_many, base_digits
+from gsf.ffield import FieldTower, _mul_matrices, _mul_x_many, base_digits, prime_factors
 
 __all__ = [
     "DEFAULT_BUDGET",
@@ -315,13 +318,15 @@ def family(tower: FieldTower, i: int) -> FormSubspace:
 # -- enumeration engine ---------------------------------------------------------
 #
 # A census is a code source (coefficient vectors over the basis Grams, in
-# chunks of `_range_chunks` over code spans, or seeded samples), then
-# `_rank_chunks` (combine and rank each chunk), then a reducer: the histogram
-# of `_profile_from_grams`.  `extremal.exhaustive_search` ranks the same
-# projective source over its whole ambient space once, into a table that
-# decides every candidate by lookups; `extremal._all_combos_invertible`, which
-# the block lift and the greedy search use, walks it for a stack of candidate
-# bases at once.
+# chunks of `_range_chunks` over code spans, the coset representatives of
+# `_coset_source`, or seeded samples), then `_rank_chunks` (combine and rank
+# each chunk), then a reducer: the histogram of `_profile_from_grams`, which
+# weights each exhaustive rank by the forms it stands for.  Form subspaces
+# and raw Gram stacks always take the projective spans.
+# `extremal.exhaustive_search` ranks the projective source over its whole
+# ambient space once, into a table that decides every candidate by lookups;
+# `extremal._all_combos_invertible`, which the block lift and the greedy
+# search use, walks it for a stack of candidate bases at once.
 
 
 def _combine_forms(kf, coeffs: np.ndarray, basis_grams: np.ndarray) -> np.ndarray:
@@ -402,44 +407,156 @@ def _rank_chunks(kf, basis_grams: np.ndarray, code_chunks, workers: int = 1):
             yield pending.popleft().result()
 
 
-def _profile_from_grams(kf, basis_grams: np.ndarray, n: int, run: Run = Run()) -> RankProfile:
+def _census_mode(total: int, run: Run) -> str:
+    """The mode of a census of `total` nonzero forms under `run`: exhaustive
+    refuses past the budget, and `auto` is exhaustive exactly when it fits."""
+    if run.mode not in ("auto", "exhaustive", "sampled"):
+        raise ValueError(f"unknown enumeration mode {run.mode!r}")
+    if run.mode == "exhaustive" and total > run.budget:
+        raise BudgetExceededError(total, run.budget)
+    if run.mode == "auto":
+        return "exhaustive" if total <= run.budget else "sampled"
+    return run.mode
+
+
+def _profile_from_grams(kf, basis_grams: np.ndarray, n: int, run: Run = Run(),
+                        cosets: Optional[tuple[np.ndarray, int]] = None) -> RankProfile:
     """Rank histogram of the nonzero combinations of `basis_grams`, shape (d, n, n).
 
     Exhaustive mode ranks the (q**d - 1)/(q - 1) projective codes, one per
     K-line, and multiplies every bin by q - 1, so the histogram counts all
     q**d - 1 forms; the budget and `auto`'s choice compare that form count.
+    `cosets`, from `_coset_source`, replaces the projective codes by the
+    codes of one parameter per coset of U and the weight q - 1 by |U|.
     Sampled mode ranks `run.sample_count` draws seeded by `run.seed` and
-    counts each once.
+    counts each once.  The weighted bins of an exhaustive census must add up
+    to q**d - 1; anything else is an internal error.
     """
-    mode, budget = run.mode, run.budget
     d = basis_grams.shape[0]
     q = kf.q
     total = q**d - 1
-    if mode not in ("auto", "exhaustive", "sampled"):
-        raise ValueError(f"unknown enumeration mode {mode!r}")
-    if mode == "exhaustive" and total > budget:
-        raise BudgetExceededError(total, budget)
-    if mode == "auto":
-        mode = "exhaustive" if total <= budget else "sampled"
-
+    mode = _census_mode(total, run)
     sampled = mode == "sampled"
     chunk = _chunk_size(n)
+    source, weight = "projective", q - 1  # rank(c*G) = rank(G): one rank per line counts its q - 1 forms
     if d == 0:
         chunks = ()
     elif sampled:
         chunks = _sample_codes(q, d, run.sample_count, run.seed, chunk)
+    elif cosets is not None:
+        (reps, weight), source = cosets, "coset"
+        chunks = (reps[lo : lo + chunk] for lo in range(0, len(reps), chunk))
     else:
         chunks = _range_chunks(q, d, _projective_spans(q, d), chunk)
     hist = np.zeros(n + 1, dtype=np.int64)
     for ranks in _rank_chunks(kf, basis_grams, chunks, run.workers):
         hist += np.bincount(ranks, minlength=n + 1)
     if not sampled:
-        hist *= q - 1  # rank(c*G) = rank(G): one rank per line counts its q - 1 forms
+        hist *= weight
         counted = int(hist.sum())
         if counted != total:
-            raise AssertionError(f"projective census counted {counted} of {total} nonzero forms")
+            raise AssertionError(f"{source} census counted {counted} of {total} nonzero forms")
     return RankProfile({r: int(c) for r, c in enumerate(hist) if c}, mode,
                        count=run.sample_count if sampled else None, seed=run.seed if sampled else None)
+
+
+# -- coset source -------------------------------------------------------------------
+#
+# Multiplying the arguments by a in L* gives the isometry
+# phi_b(a*x, a*y) = phi_{b*a*sigma^i(a)}(x, y), and phi_{c*b} = c*phi_b for c
+# in K*, so rank is constant on the cosets of K* . H_i, H_i = {a**(1 + q**i)}.
+# On a parameter space W = {u*w : u in F}, one line over the subfield
+# F = GF(q**f), the cosets of U = F* meet K* . H_i split W - 0 into
+# m = [F* : U] classes of |U| parameters, with representatives h**k * w for
+# k < m and any h whose image generates the cyclic group F*/U.  The census
+# ranks those m forms and counts each |U| times.
+
+
+def _coset_counts(q: int, n: int, i: int, f: int) -> tuple[int, int]:
+    """|U| and m = [F* : U] for U = F* meet K* . H_i, F* of order q**f - 1.
+
+    L* is cyclic of order N = q**n - 1, H_i its subgroup of index
+    c = gcd(N, q**i + 1) (2 for i = 0), K* . H_i the subgroup of order
+    lcm(q - 1, N/c), and two subgroups of a cyclic group meet in the one of
+    order the gcd of theirs.
+    """
+    big = q**n - 1
+    c = math.gcd(big, q**i + 1)
+    unit = math.gcd(q**f - 1, math.lcm(q - 1, big // c))
+    return unit, (q**f - 1) // unit
+
+
+def _coset_candidates(kf, fbasis: np.ndarray):
+    """The elements of F outside K, in code order over `fbasis`, a K-basis of F
+    whose first member is 1."""
+    q, f = kf.q, len(fbasis)
+    for code in range(q, q**f):
+        yield kf.matmul(base_digits(code, q, f), fbasis)
+
+
+def _coset_generator(tower: FieldTower, candidates, unit: int, m: int) -> np.ndarray:
+    """The first candidate h whose image generates F*/U.
+
+    x lies in U exactly when x**|U| = 1, so h generates exactly when
+    phi = h**|U| has phi**(m/l) != 1 for every prime l dividing m.  Small
+    candidates such as x + j fail this on GF(7^4) and GF(11^4), and a
+    failing h would repeat some cosets and miss others without any error.
+    """
+    one, primes = tower.one(), prime_factors(m)
+    for h in candidates:
+        phi = tower.pow_elem(h, unit)
+        if all(not np.array_equal(tower.pow_elem(phi, m // ell), one) for ell in primes):
+            return h
+    raise AssertionError(f"no element of F generates F*/U of order {m}")
+
+
+def _mul_matrix(tower: FieldTower, a: np.ndarray) -> np.ndarray:
+    """Matrix of t -> a*t on L: column k holds a * x**k."""
+    return _mul_matrices(tower.K, a[None], tower.ext_poly[: tower.n])[0]
+
+
+def _congruence_audit(tower: FieldTower, i: int, h: np.ndarray, by_h: np.ndarray) -> None:
+    """G(e_t*h*sigma^i(h)) = M_h^T G(e_t) M_h for every basis parameter e_t,
+    so multiplying a parameter by h*sigma^i(h) keeps its rank."""
+    kf = tower.K
+    grams = gram_basis(tower, i)
+    by_u = _mul_matrix(tower, tower.mul(h, tower.frobenius_apply(i, h)))
+    if not np.array_equal(_combine_forms(kf, by_u.T, grams), kf.matmul(kf.matmul(by_h.T, grams), by_h)):
+        raise AssertionError(f"multiplication by a coset generator is not a congruence for i = {i}")
+
+
+def _coset_source(tower: FieldTower, sub: LSubspace, i: int) -> Optional[tuple[np.ndarray, int]]:
+    """Codes over `sub`'s basis of one parameter per coset of U, and |U|.
+
+    None when `sub` is not one line over a subfield or when the cosets do
+    not pay: their set-up is about log2(q**f) field products plus the audit,
+    so they are taken only when m*q <= (q**f - 1)/(q - 1), the projective
+    count.  W = {u*w : u in F} for w its first echelon row and
+    F = GF(q**f) exactly when f = dim W divides n and W*w**-1 is fixed by
+    sigma**f.  The representatives h**k * w come by doubling,
+    [P, P*h**(2**j)], and their codes are their entries at the echelon
+    pivots.
+    """
+    kf, n, q, f = tower.K, tower.n, tower.q, sub.dim
+    if f == 0 or n % f:
+        return None
+    unit, m = _coset_counts(q, n, i, f)
+    if m * q > (q**f - 1) // (q - 1):
+        return None
+    w = sub.basis[0]
+    fbasis = kf.matmul(sub.basis, _mul_matrix(tower, tower.inv(w)).T)
+    if not np.array_equal(kf.matmul(fbasis, tower.frobenius_mats[f % n].T), fbasis):
+        return None
+    h = _coset_generator(tower, _coset_candidates(kf, fbasis), unit, m)
+    by_h = _mul_matrix(tower, h)
+    _congruence_audit(tower, i, h, by_h)
+    reps, step = w[None], by_h.T
+    while len(reps) < m:
+        reps = np.concatenate([reps, kf.matmul(reps, step)])
+        if len(reps) < m:
+            step = kf.matmul(step, step)
+    pivots = [int(np.flatnonzero(row)[0]) for row in sub.basis]
+    return reps[:m, pivots], unit
 
 
 def _parameter_grams(tower: FieldTower, sub, i: Optional[int]) -> np.ndarray:
@@ -457,6 +574,13 @@ def rank_profile(tower: FieldTower, sub, i: Optional[int] = None, run: Run = Run
 
     `sub` may be an LSubspace of parameters b (then `i` selects the twist) or
     a FormSubspace enumerated directly.  Exhaustive mode refuses beyond the
-    budget; `auto` falls back to seeded sampling instead.
+    budget; `auto` falls back to seeded sampling instead.  An exhaustive
+    census of a parameter subspace that is one line over a subfield ranks
+    one form per coset of U (`_coset_source`) when that pays; every other
+    exhaustive census ranks one form per K-line.
     """
-    return _profile_from_grams(tower.K, _parameter_grams(tower, sub, i), tower.n, run)
+    grams = _parameter_grams(tower, sub, i)
+    cosets = None
+    if isinstance(sub, LSubspace) and _census_mode(tower.q**sub.dim - 1, run) == "exhaustive":
+        cosets = _coset_source(tower, sub, i)
+    return _profile_from_grams(tower.K, grams, tower.n, run, cosets)

@@ -119,6 +119,13 @@ def test_prime_power_decompose():
     assert is_prime(97) and not is_prime(91)
 
 
+def test_prime_factors_match_primality_scan():
+    from gsf.ffield import prime_factors
+
+    for m in range(1, 601):
+        assert prime_factors(m) == [ell for ell in range(2, m + 1) if m % ell == 0 and is_prime(ell)], m
+
+
 def _decompose_by_trial_division(q):
     """Reference: trial division from 2 up to the smallest factor of q."""
     p = 2
@@ -373,12 +380,21 @@ def test_element_arithmetic_inverse_division(tower):
 
 
 def test_pow_elem_matches_repeated_mul(tower):
+    from gsf.ffield import poly_powmod
+
     t = tower(3, 1, 4)
     a = t.element([1, 2, 0, 1])
     acc = t.one()
     for e in range(6):
         assert np.array_equal(t.pow_elem(a, e), acc)
         acc = t.mul(acc, a)
+    # a**(q**n) = a, and a 108-bit exponent agrees with the polynomial route
+    assert np.array_equal(t.pow_elem(a, 3**4), a)
+    e = 11**32 // 7
+    want = np.zeros(4, dtype=np.int64)
+    r = poly_powmod(t.K, a, e, t.ext_poly)
+    want[: len(r)] = r
+    assert np.array_equal(t.pow_elem(a, e), want)
 
 
 def test_subfield_tower_arithmetic(tower):

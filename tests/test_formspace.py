@@ -2,7 +2,7 @@ import hashlib
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from gsf import formspace
@@ -441,10 +441,134 @@ def test_rank_profile_equals_full_range_census(p, s, n, tower):
 
 
 def test_projective_census_checks_its_weighted_total(monkeypatch, tower):
+    # a raw Gram stack always takes the projective source
     t = tower(3, 1, 4)
     monkeypatch.setattr(formspace, "_projective_spans", lambda q, d: [(1, 2), (q, 2 * q)])
     with pytest.raises(AssertionError, match="counted 8 of 80 nonzero forms"):
+        formspace._profile_from_grams(t.K, gram_basis(t, 1), 4)
+
+
+def test_coset_census_checks_its_weighted_total(monkeypatch, tower):
+    # GF(3^4), i = 1: m = 4 cosets of |U| = 20 parameters; one unit short counts 4 * 19
+    t = tower(3, 1, 4)
+    source = formspace._coset_source
+
+    def short(*args):
+        reps, unit = source(*args)
+        return reps, unit - 1
+
+    monkeypatch.setattr(formspace, "_coset_source", short)
+    with pytest.raises(AssertionError, match="coset census counted 76 of 80 nonzero forms"):
         rank_profile(t, LSubspace.full(t.K, 4), 1)
+
+
+# -- coset source -------------------------------------------------------------------
+
+
+def _counting_rank_many(monkeypatch):
+    """Patch the engine's `rank_many` to count the matrices it is given."""
+    seen = []
+
+    def counted(kf, mats):
+        seen.append(len(mats))
+        return rank_many(kf, mats)
+
+    monkeypatch.setattr(formspace, "rank_many", counted)
+    return seen
+
+
+@pytest.mark.parametrize("p,i,m", [(7, 1, 8), (7, 3, 8), (11, 1, 12), (11, 3, 12)])
+def test_coset_census_equals_full_census_where_small_generators_fail(p, i, m, tower, monkeypatch):
+    # c = 8 and 12: the first candidates x + j of these towers do not generate
+    t = tower(p, 1, 4)
+    seen = _counting_rank_many(monkeypatch)
+    prof = rank_profile(t, LSubspace.full(t.K, 4), i)
+    assert sum(seen) == m
+    assert prof.mode == "exhaustive"
+    assert prof.histogram == _full_census(t.K, gram_basis(t, i), 4)
+
+
+def test_coset_generator_skips_a_failing_candidate(monkeypatch, tower):
+    # GF(3^8), i = 1: F*/U has order 4, so the image of a square has order at most 2
+    t = tower(3, 1, 8)
+    full = LSubspace.full(t.K, 8)
+    square = t.mul(t.basis_element(1), t.basis_element(1))
+    scan = formspace._coset_candidates
+    chosen = []
+    pick = formspace._coset_generator
+
+    def record(*args):
+        chosen.append(pick(*args))
+        return chosen[-1]
+
+    monkeypatch.setattr(formspace, "_coset_candidates", lambda kf, fb: [square, *scan(kf, fb)])
+    monkeypatch.setattr(formspace, "_coset_generator", record)
+    prof = rank_profile(t, full, 1)
+    assert len(chosen) == 1 and not np.array_equal(chosen[0], square)
+    assert prof.histogram == _full_census(t.K, gram_basis(t, 1), 8)
+    # offered only squares, the census refuses rather than repeat cosets
+    monkeypatch.setattr(formspace, "_coset_candidates", lambda kf, fb: [square, t.mul(square, square)])
+    with pytest.raises(AssertionError, match="no element of F generates F\\*/U of order 4"):
+        rank_profile(t, full, 1)
+
+
+def test_full_family_of_gf3_8_ranks_four_forms(monkeypatch, tower):
+    t = tower(3, 1, 8)
+    seen = _counting_rank_many(monkeypatch)
+    prof = rank_profile(t, LSubspace.full(t.K, 8), 1)
+    assert sum(seen) == 4  # not (3**8 - 1)/2 = 3,280
+    assert prof.total == 3**8 - 1
+
+
+def test_coset_congruence_audit_refuses_a_wrong_matrix(tower):
+    t = tower(3, 1, 4)
+    h = t.basis_element(1)
+    formspace._congruence_audit(t, 1, h, formspace._mul_matrix(t, h))
+    with pytest.raises(AssertionError, match="not a congruence for i = 1"):
+        formspace._congruence_audit(t, 1, h, formspace._mul_matrix(t, t.add(h, t.one())))
+
+
+_LINE_TOWERS = _CENSUS_TOWERS + [(5, 2, 1), (5, 2, 2), (7, 2, 1), (7, 2, 2)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_census_of_a_subfield_line_equals_full_census(data, tower):
+    # every tower with q**n <= 3**8 and s in {1, 2}; W = Fix(sigma^f) * w for f | n
+    p, s, n = data.draw(st.sampled_from(_LINE_TOWERS))
+    t = tower(p, s, n)
+    i = data.draw(st.integers(0, n - 1))
+    f = data.draw(st.sampled_from([f for f in range(1, n + 1) if n % f == 0]))
+    w = np.array(data.draw(st.lists(st.integers(0, t.q - 1), min_size=n, max_size=n)))
+    assume(w.any())
+    fix = eigenspace_of_power(t, f, 1)
+    line = LSubspace.from_vectors(t.K, [t.mul(w, v) for v in fix.basis], n)
+    assert line.dim == f
+    grams = formspace._combine_forms(t.K, line.basis, gram_basis(t, i))
+    assert rank_profile(t, line, i).histogram == _full_census(t.K, grams, n)
+
+
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_census_of_a_plane_off_every_subfield_line_is_projective(data, tower):
+    # n = 2 is left out: there every plane is L, one line over GF(q^2)
+    p, s, n = data.draw(st.sampled_from([tw for tw in _LINE_TOWERS if tw[2] >= 3]))
+    t = tower(p, s, n)
+    i = data.draw(st.integers(0, n - 1))
+    digits = st.lists(st.integers(0, t.q - 1), min_size=n, max_size=n)
+    w1, w2 = np.array(data.draw(digits)), np.array(data.draw(digits))
+    assume(w1.any())
+    ratio = t.div(w2, w1)
+    # span{w1, w2} is one line over GF(q^2) exactly when w2/w1 lies in it
+    assume(n % 2 or not np.array_equal(t.frobenius_apply(2 % n, ratio), ratio))
+    plane = LSubspace.from_vectors(t.K, [w1, w2], n)
+    assume(plane.dim == 2)
+    with pytest.MonkeyPatch.context() as mp:
+        seen = _counting_rank_many(mp)
+        prof = rank_profile(t, plane, i)
+    assert sum(seen) == t.q + 1  # one form per K-line
+    grams = formspace._combine_forms(t.K, plane.basis, gram_basis(t, i))
+    assert prof.histogram == _full_census(t.K, grams, n)
 
 
 def _digest(arrays) -> str:

@@ -5,7 +5,8 @@ them.  Subspaces are kept in reduced row echelon form, which is unique per
 subspace, so subspace equality and direct-sum audits are literal array
 comparisons.  `rank_many` eliminates a whole batch of matrices in lockstep;
 it is the hot kernel behind every rank census and the one elimination loop
-for every GF(q).  `_span_audit` is the one direct-sum audit.
+for every GF(q): batch-last, and for s = 1 reduced lazily, under `bound`, in
+the narrowest integer type.  `_span_audit` is the one direct-sum audit.
 """
 
 from __future__ import annotations
@@ -61,40 +62,45 @@ def rank_many(gf: Gf, mats) -> np.ndarray:
     """Ranks of a batch of matrices, shape (B, r, c) -> (B,).
 
     Column-synchronous Gaussian elimination: each iteration picks, swaps,
-    normalizes and eliminates pivots for every matrix of the batch at once.
-    At column c only the live block is touched: rows at or past the smallest
-    pivot count of the batch and columns after c.  Everything outside it is
-    never read again, so the pivot row is not written back and swaps move
-    only the displaced row.
+    normalizes and eliminates pivots for every matrix of the batch at once,
+    on a batch-last copy (r, c, B) whose every step runs contiguously over
+    the batch; the caller's array, of any layout, is only read.  At column c
+    only the live block is touched: rows at or past the smallest pivot count
+    of the batch and columns after c.  Everything outside it is never read
+    again, so the pivot row is not written back and swaps move only the
+    displaced row.
 
-    Only the arithmetic depends on the field.  For s > 1 the pivot column,
-    the pivot rows and the update go through the reduced `Gf` tables.  For
-    s = 1 entries start as codes in [0, p) and are reduced lazily.
+    Only the arithmetic depends on the field: the reduced `Gf` tables for
+    s > 1.  For s = 1 entries start as codes in [0, p) and are reduced
+    lazily in the narrowest of int16, int32 and int64 holding
+    (p - 1) + (p - 1)**2: int16 up to p = 181, int32 up to p = 46337.
     Invariant: every live entry lies in [-bound, bound].  The pivot column
     and pivot rows are reduced into [0, p) before use, so one rank-1 update
     subtracts a product of two reduced codes and grows `bound` by at most
     (p - 1)**2.  The live block is reduced (bound back to p - 1) only when
-    the next update could leave the dtype: int32 when (p - 1) + (p - 1)**2
-    fits it, else int64 (the field table cap keeps p below 2**24).  That is
-    never at p = 11 and n <= 64, and before every update but the first for
-    the largest int32 primes.  Normalizing a reduced pivot row multiplies
-    two codes below p.
+    the next update could leave the dtype: never at p = 11 and n <= 256,
+    before every update but the first for a tier's largest prime.  A
+    reduction x - x // p * p beats numpy's integer %, and is exact even
+    where x // p * p wraps, as the result lies in [0, p).
     """
     p = gf.p
     lazy = gf.s == 1
     step = (p - 1) ** 2
-    dtype = np.int32 if lazy and (p - 1) + step <= np.iinfo(np.int32).max else np.int64
+    dtype = next((t for t in (np.int16, np.int32) if lazy and (p - 1) + step <= np.iinfo(t).max), np.int64)
     limit = int(np.iinfo(dtype).max)
     inv = gf._inv_t
-    m = np.array(mats, dtype=dtype)
+    m = np.asarray(mats)
     if m.ndim == 2:
         m = m[None]
     nb, rows, cols = m.shape
     piv = np.zeros(nb, dtype=np.int64)
     if m.size == 0:
         return piv
+    m = m.transpose(1, 2, 0).astype(dtype, order="C")  # a batch-last copy
     ridx = np.arange(rows)
     bidx = np.arange(nb)
+    flat = m.reshape(-1)
+    offs = np.arange(cols)[:, None] * nb + bidx  # flat offsets of row 0
     prod = np.empty_like(m) if lazy else None
     bound = p - 1
     for c in range(cols):
@@ -103,42 +109,43 @@ def rank_many(gf: Gf, mats) -> np.ndarray:
             break
         # the pivot column with rows above each matrix's pivot count zeroed:
         # they are finished and take no part in pivoting or updates
-        colv = m[:, lo:, c] * (ridx[None, lo:] >= piv[:, None])
+        colv = m[lo:, c] * (ridx[lo:, None] >= piv)
         if lazy:
-            colv %= p
+            colv -= colv // p * p
         elig = colv != 0
-        has = elig.any(axis=1)
+        has = elig.any(axis=0)
         if c == cols - 1:  # nothing trails the last column
             piv += has
             break
-        pl = np.argmax(elig, axis=1)
+        pl = np.argmax(elig, axis=0)
         prow = pl + lo
         # a matrix without a pivot reads inv[0] = 0 and gets a zero pivot row;
         # its swap (clamped in range) copies a row onto itself or onto a
         # finished row
-        pivot_rows = m[bidx, prow, c + 1:]
+        at = offs[c + 1:] + prow * (cols * nb)
+        pivot_rows = flat[at]
         if lazy:
-            pivot_rows %= p
-            pivot_rows *= inv[colv[bidx, pl]][:, None]
-            pivot_rows %= p
+            pivot_rows -= pivot_rows // p * p
+            pivot_rows *= inv[colv[pl, bidx]]
+            pivot_rows -= pivot_rows // p * p
         else:
-            pivot_rows = gf.mul(pivot_rows, inv[colv[bidx, pl]][:, None])
+            pivot_rows = gf.mul(pivot_rows, inv[colv[pl, bidx]])
         r0 = np.minimum(piv, rows - 1)
-        m[bidx, prow, c + 1:] = m[bidx, r0, c + 1:]
+        flat[at] = flat[offs[c + 1:] + r0 * (cols * nb)]
         # the pivot entry now sits at r0; the row moved to prow has a zero in
         # column c, because prow is the first nonzero at or past r0
-        colv[bidx, pl] = 0
-        live = m[:, lo:, c + 1:]
+        colv[pl, bidx] = 0
+        live = m[lo:, c + 1:]
         if lazy:
             if bound + step > limit:
-                live %= p
+                live -= live // p * p
                 bound = p - 1
-            out = prod[:, lo:, c + 1:]
-            np.multiply(colv[:, :, None], pivot_rows[:, None, :], out=out)
+            out = prod[lo:, c + 1:]
+            np.multiply(colv[:, None], pivot_rows, out=out)
             live -= out
             bound += step
         else:
-            live[...] = gf.sub(live, gf.mul(colv[:, :, None], pivot_rows[:, None, :]))
+            live[...] = gf.sub(live, gf.mul(colv[:, None], pivot_rows))
         piv += has
     return piv
 

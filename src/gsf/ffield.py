@@ -25,9 +25,9 @@ work then reduce to exact linear algebra on integer arrays.
 `Gf.matmul` is the one sum of products over K: products in L, the trace
 table, the Frobenius matrices of the sieve, the Hankel trace matrices and
 every combination of basis Grams go through it.  It takes numpy matmul
-shapes and decides in one place whether an int64 sum of k products can
-overflow (for s = 1 it sums plainly and reduces once only when
-k * (p - 1)**2 fits; otherwise it sums term by term through reduced codes).
+shapes and decides in one place how a sum of k products stays exact (for
+s = 1, float64 BLAS on 2-D operands while k * (p - 1)**2 <= 2**53, else
+int64 einsum while it fits; otherwise term by term through reduced codes).
 `base_digits` is the one base-b digit codec for int64 code arrays.
 Fields whose tables would pass `MAX_TABLE_ENTRIES` are refused up front, and
 so are towers whose n Frobenius matrices (n**3 entries) would: n <= 256.
@@ -240,10 +240,11 @@ class Gf:
 
         Leading batch axes broadcast, and a 1-D operand on either side is a
         vector whose axis is dropped from the result (1-D @ 1-D is a 0-d
-        array).  For s = 1, when the contracted length k has
-        k * (p - 1)**2 <= 2**63 - 1, the products are summed as plain int64
-        and reduced once; otherwise, and always for s > 1, the sum runs term
-        by term through the reduced `add` and `mul`, so no sum can overflow.
+        array).  For s = 1 the k products of an entry are summed and reduced
+        once: by one float64 BLAS product if both operands are 2-D and
+        k * (p - 1)**2 <= 2**53 (exact, as every partial sum is an integer
+        below 2**53), else by int64 einsum while it is below 2**63 (batched
+        operands were slower in float64), else, as for s > 1, term by term.
         """
         a = np.asarray(a, dtype=np.int64)
         b = np.asarray(b, dtype=np.int64)
@@ -254,7 +255,14 @@ class Gf:
             b = b[:, None]
         k = a.shape[-1]
         if self.s == 1 and k * (self.p - 1) ** 2 <= _I64_MAX:
-            out = np.einsum("...ij,...jk->...ik", a, b) % self.p
+            if a.ndim == b.ndim == 2 and k * (self.p - 1) ** 2 <= 2**53:
+                f = a.astype(np.float64) @ b.astype(np.float64)
+                out, quo = f.astype(np.int64), f.view(np.int64)  # quo reuses f
+            else:
+                out = np.einsum("...ij,...jk->...ik", a, b)
+                quo = np.empty_like(out)
+            np.floor_divide(out, self.p, out=quo)  # out - out // p * p beats %
+            out -= np.multiply(quo, self.p, out=quo)
         else:
             shape = np.broadcast_shapes(a.shape[:-2], b.shape[:-2]) + (a.shape[-2], b.shape[-1])
             out = np.zeros(shape, dtype=np.int64)

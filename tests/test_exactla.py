@@ -351,3 +351,65 @@ def test_rank_many_matches_rref_on_every_field(data):
     if data.draw(st.booleans()):
         mats[:, 0, :] = 0  # zero leading row: the first pivot needs a swap
     _assert_matches_rref(gf, mats, ranks)
+
+
+# -- dtype tiers and input layouts ------------------------------------------------
+
+# both sides of each prime tier boundary: (p - 1) + (p - 1)**2 fits int16 up to
+# p = 181 and int32 up to p = 46337; GF(7^3) and GF(9^2) = GF(3^4) take the tables
+_TIER_FIELDS = {(p, s): Gf(p, s) for p, s in [(181, 1), (191, 1), (46337, 1), (46349, 1), (7, 3), (3, 4)]}
+
+
+def _layouts(mats):
+    """The same batch as a contiguous array, a transposed view and a strided view."""
+    yield "batch-first", mats
+    yield "transposed", np.ascontiguousarray(mats.transpose(0, 2, 1)).transpose(0, 2, 1)
+    wide = np.zeros((2 * len(mats), mats.shape[1], 2 * mats.shape[2]), dtype=mats.dtype)
+    wide[::2, :, 1::2] = mats
+    yield "non-contiguous", wide[::2, :, 1::2]
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_rank_many_matches_rref_on_every_tier_and_layout(data):
+    gf = _TIER_FIELDS[data.draw(st.sampled_from(sorted(_TIER_FIELDS)))]
+    rows = data.draw(st.integers(1, 12))
+    cols = data.draw(st.integers(1, 12))
+    ranks = data.draw(st.lists(st.integers(0, min(rows, cols)), min_size=1, max_size=5))
+    rng = np.random.default_rng(data.draw(st.integers(0, 10_000)))
+    mats = np.concatenate([gf.matmul(rng.integers(0, gf.q, size=(1, rows, r)),
+                                     rng.integers(0, gf.q, size=(1, r, cols))) for r in ranks])
+    if data.draw(st.booleans()):
+        # codes near q - 1: the lazy bound reaches the top of its dtype
+        mats = np.concatenate([mats, rng.integers(gf.q - 3, gf.q, size=(2, rows, cols))])
+    want = [rank(gf, m) for m in mats]
+    for name, arr in _layouts(mats):
+        before = arr.copy()
+        assert rank_many(gf, arr).tolist() == want, name
+        assert np.array_equal(arr, before), name
+    # rank is invariant under transposition
+    assert rank_many(gf, mats.transpose(0, 2, 1)).tolist() == want
+
+
+@pytest.mark.parametrize("key", sorted(_TIER_FIELDS), ids=lambda k: f"q{k[0]}^{k[1]}")
+def test_rank_many_leaves_its_input_unchanged(key):
+    gf = _TIER_FIELDS[key]
+    rng = np.random.default_rng(59)
+    mats = rng.integers(0, gf.q, size=(6, 9, 9))
+    mats[:, 0] = 0  # every first pivot swaps
+    want = [rank(gf, m) for m in mats]
+    for arr in (mats, mats.astype(np.int32), mats.tolist()):
+        before = np.array(arr, copy=True)
+        assert rank_many(gf, arr).tolist() == want
+        assert np.array_equal(np.asarray(arr), before)
+
+
+@pytest.mark.parametrize("p", [181, 191, 46337, 46349])
+def test_rank_many_largest_products_fit_the_tier(p):
+    # rows u_i * v with every code of u and v equal to p - 1 or 1: every update
+    # subtracts (p - 1)**2 from 1, the largest step a tier must hold
+    gf = Gf(p)
+    v = np.where(np.arange(8) % 2, p - 1, 1)
+    rank_one = np.outer(np.where(np.arange(8) % 3, p - 1, 1), v) % p
+    mats = np.stack([rank_one, rank_one.T, (rank_one + np.eye(8, dtype=np.int64)) % p])
+    assert rank_many(gf, mats).tolist() == [1, 1, rank(gf, mats[2])]

@@ -973,6 +973,70 @@ def test_gf_matmul_guard_is_k_times_p_minus_one_squared(monkeypatch):
     assert np.array_equal(gf.matmul(a, b), np.full((2, 3), 400 % 11)) and len(calls) == 4
 
 
+def _count_einsums(monkeypatch) -> list:
+    calls = []
+    einsum = np.einsum
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return einsum(*args, **kwargs)
+
+    monkeypatch.setattr(np, "einsum", counted)
+    return calls
+
+
+def test_gf_matmul_float64_route_is_exact_up_to_two_to_the_53(monkeypatch):
+    # p - 1 = 2**16, so k = 2**21 codes p - 1 sum to exactly 2**53
+    p, k = 65537, 2**21
+    gf = Gf(p)
+    calls = _count_einsums(monkeypatch)
+    a, b = np.full((1, k), p - 1), np.full((k, 1), p - 1)
+    assert gf.matmul(a, b).tolist() == [[2**53 % p]] and not calls
+    u = np.random.default_rng(61).integers(0, p, size=(1, k))
+    assert gf.matmul(u, b).tolist() == [[int(u.sum()) * (p - 1) % p]] and not calls
+    # one more term may pass 2**53: the product goes through int64 einsum
+    a, b = np.full((1, k + 1), p - 1), np.full((k + 1, 1), p - 1)
+    assert gf.matmul(a, b).tolist() == [[(k + 1) * (p - 1) ** 2 % p]] and len(calls) == 1
+
+
+def test_gf_matmul_float64_route_at_the_table_cap(monkeypatch):
+    # 32 * (p - 1)**2 < 2**53 < 33 * (p - 1)**2 at the largest prime field.
+    # For s = 1 matmul reads only p and s, so the 2**24-entry inverse table
+    # (seconds and 130 MB to build) is left out
+    p = 16777213
+    gf = object.__new__(Gf)
+    gf.p, gf.s, gf.q = p, 1, p
+    rng = np.random.default_rng(67)
+    calls = _count_einsums(monkeypatch)
+    got = {}
+    for k in (32, 33):
+        for name, a, b in [("every code p - 1", np.full((3, k), p - 1), np.full((k, 2), p - 1)),
+                           ("random", rng.integers(0, p, size=(4, k)), rng.integers(0, p, size=(k, 5)))]:
+            before = len(calls)
+            got[k, name] = a, b, gf.matmul(a, b)
+            assert len(calls) - before == (k == 33), (k, name)
+    monkeypatch.setattr(ffield, "_I64_MAX", 0)  # term by term through add and mul
+    for (k, name), (a, b, fast) in got.items():
+        assert np.array_equal(gf.matmul(a, b), fast), (k, name)
+        want = [[sum(int(x) * int(y) for x, y in zip(row, col)) % p for col in b.T] for row in a]
+        assert fast.tolist() == want, (k, name)
+
+
+def test_gf_matmul_batched_operands_stay_on_einsum(monkeypatch):
+    gf = Gf(11)
+    rng = np.random.default_rng(71)
+    calls = _count_einsums(monkeypatch)
+    for shape_a, shape_b in [((5, 32, 32), (5, 32, 1)), ((2, 3, 4), (4, 6)), ((4, 6), (2, 6, 3))]:
+        a, b = rng.integers(0, 11, size=shape_a), rng.integers(0, 11, size=shape_b)
+        before = len(calls)
+        assert np.array_equal(gf.matmul(a, b), np.matmul(a, b) % 11)
+        assert len(calls) == before + 1, (shape_a, shape_b)
+    # 2-D and vector operands take the float64 product
+    gf.matmul(rng.integers(0, 11, size=(3, 4)), rng.integers(0, 11, size=4))
+    gf.matmul(rng.integers(0, 11, size=(32, 32)), rng.integers(0, 11, size=(32, 32)))
+    assert len(calls) == 3
+
+
 def test_base_digits_keeps_leading_shape_and_input():
     vals = np.arange(24, dtype=np.int64).reshape(2, 3, 4) * 37
     before = vals.copy()

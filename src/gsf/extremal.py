@@ -161,32 +161,6 @@ def _canonical_witness(gf: Gf, mats, symmetric: bool) -> list[np.ndarray]:
     return list(unflatten_sym(rows, n) if symmetric else rows.reshape(-1, n, n))
 
 
-def _all_combos_invertible(gf: Gf, bases, budget: int) -> Optional[np.ndarray]:
-    """Mask (C,) of the candidate bases, shape (C, d, n, n), whose every nonzero
-    combination is invertible; None when the q**d - 1 combinations exceed the
-    budget.  A nonzero multiple of an invertible matrix is invertible, so only
-    the (q**d - 1)/(q - 1) projective codes, one per K-line, are ranked.  Each
-    code chunk is combined with every live candidate and ranked in one batched
-    call; the walk stops once no candidate is alive.
-    """
-    bases = np.asarray(bases, dtype=np.int64)
-    c, d, n = bases.shape[:3]
-    total = gf.q**d - 1
-    if total > budget:
-        return None
-    alive = np.ones(c, dtype=bool)
-    for codes in _range_chunks(gf.q, d, _projective_spans(gf.q, d), max(1, _chunk_size(n) // c)):
-        idx = np.nonzero(alive)[0]
-        # (d, C'*n, n): member t of every live candidate, stacked by rows
-        stack = bases[idx].transpose(1, 0, 2, 3).reshape(d, idx.size * n, n)
-        forms = _combine_forms(gf, codes, stack).reshape(-1, n, n)
-        ranks = rank_many(gf, forms).reshape(codes.shape[0], idx.size)
-        alive[idx] = (ranks == n).all(axis=0)
-        if not alive.any():
-            break
-    return alive
-
-
 def _verify_witness(gf: Gf, mats: list[np.ndarray], run: Run):
     """Census of a field-derived witness (in `auto` mode exhaustive within the
     budget, else sampled); every nonzero member must have full rank."""
@@ -233,10 +207,11 @@ def block_construction(u: SearchResult, budget: int = DEFAULT_BUDGET) -> SearchR
         b[:m, m:] = a
         b[m:, :m] = a.T
         blocks.append(b)
-    ok = _all_combos_invertible(gf, np.stack(blocks)[None], budget)
-    if ok is None:
-        raise BudgetExceededError(gf.q ** len(blocks) - 1, budget, "raise the budget")
-    if not ok[0]:
+    try:
+        prof = _profile_from_grams(gf, np.stack(blocks), 2 * m, Run(mode="exhaustive", budget=budget))
+    except BudgetExceededError as exc:
+        raise BudgetExceededError(exc.needed, budget, "raise the budget") from None
+    if prof.ranks != {2 * m}:
         raise AssertionError("block lift of an invertible-closed subspace has a singular member")
     return SearchResult("mu", 2 * m, u.q, u.best_dim, _canonical_witness(gf, blocks, symmetric=True),
                         {"mode": "exhaustive"}, True)
@@ -308,8 +283,8 @@ def _first_closed(gf: Gf, table: np.ndarray, ambient: int, k: int, n: int) -> Op
     slices that start at one combination and double, at most
     `_chunk_size(n)` combinations at a time, and a candidate is dropped at
     its first singular member.  Most candidates die within their first few
-    combinations, so the small first slices pay: the fixed slice of
-    `_all_combos_invertible` made the `mu 3 3` search 2.3 times slower.
+    combinations, so the small first slices pay: a fixed slice of
+    `_chunk_size(n)` made the `mu 3 3` search 2.3 times slower.
     """
     q = gf.q
     lines = np.concatenate([np.arange(lo, hi, dtype=np.int64) for lo, hi in _projective_spans(q, k)])
@@ -397,8 +372,8 @@ def greedy_search(target: str, n: int, q: int, seed: int = 0, restarts: int = 0,
     streams derive deterministically from (seed, restart index), so
     restarts = 0 is the deterministic first pass.  An extension past
     dimension n succeeding would contradict the column bound, so it raises.
-    The best basis is verified by `_all_combos_invertible` as a stack of
-    one; over the budget it is reported unverified.
+    The best basis is verified by an exhaustive census of its span; over
+    the budget it is reported unverified.
     """
     for name, value, least in (("n", n, 1), ("restarts", restarts, 0), ("seed", seed, 0)):
         if value < least:
@@ -427,8 +402,11 @@ def greedy_search(target: str, n: int, q: int, seed: int = 0, restarts: int = 0,
                 break
             back_left -= 1
             basis.pop(int(rng.integers(0, len(basis))))
-    ok = _all_combos_invertible(gf, np.stack(best)[None], budget) if best else None
-    verified = ok is not None and bool(ok[0])
+    try:
+        verified = bool(best) and _profile_from_grams(
+            gf, np.stack(best), n, Run(mode="exhaustive", budget=budget)).ranks == {n}
+    except BudgetExceededError:
+        verified = False
     return SearchResult(
         target,
         n,

@@ -14,9 +14,11 @@ degree >= 2 with a root in K (one product with a table of the powers of every
 code of K; on only when q <= degree**2).  A sieve then ranks the Frobenius
 matrices Q_f - I of the rest in one `rank_many` call (Berlekamp: the kernel
 dimension counts the distinct irreducible factors of f).  Only its
-survivors, in scan order, meet `is_irreducible`, Rabin's test iterated
-through Q_f, which alone accepts a polynomial.  For s > 1 the GF(q) lookup
-tables are built with whole (q, q) array products of base-p digits.
+survivors, in scan order, meet `is_irreducible`, which alone accepts a
+polynomial: Berlekamp's count plus the squarefree test, two ranks.  The
+tower is built with linear algebra only; inverses in L solve M_a y = 1.
+For s > 1 the GF(q) lookup tables are built with whole (q, q) array
+products of base-p digits.
 
 Every automorphism power b -> b**(q**i) is precomputed as an n x n matrix
 over K when the tower is built; trace, norm and all downstream Gram-matrix
@@ -312,23 +314,6 @@ def poly_trim(f) -> np.ndarray:
     return f[: nz[-1] + 1] if nz.size else f[:0]
 
 
-def poly_deg(f) -> int:
-    return len(poly_trim(f)) - 1
-
-
-def poly_add(gf: Gf, a, b) -> np.ndarray:
-    la, lb = len(a), len(b)
-    n = max(la, lb)
-    out = np.zeros(n, dtype=np.int64)
-    out[:la] = a
-    out[:lb] = gf.add(out[:lb], b)
-    return poly_trim(out)
-
-
-def poly_sub(gf: Gf, a, b) -> np.ndarray:
-    return poly_add(gf, a, gf.neg(np.asarray(b, dtype=np.int64)))
-
-
 def poly_mul(gf: Gf, a, b) -> np.ndarray:
     a, b = poly_trim(a), poly_trim(b)
     if len(a) == 0 or len(b) == 0:
@@ -342,95 +327,31 @@ def poly_mul(gf: Gf, a, b) -> np.ndarray:
     return out
 
 
-def poly_divmod(gf: Gf, a, b) -> tuple[np.ndarray, np.ndarray]:
-    a, b = poly_trim(a), poly_trim(b)
-    if len(b) == 0:
-        raise ZeroDivisionError("polynomial division by zero")
-    if len(a) < len(b):
-        return a[:0], a
-    rem = a.copy()
-    quo = np.zeros(len(a) - len(b) + 1, dtype=np.int64)
-    binv = int(gf.inv(b[-1]))
-    for k in range(len(a) - len(b), -1, -1):
-        coef = int(gf.mul(rem[k + len(b) - 1], binv))
-        quo[k] = coef
-        if coef:
-            rem[k : k + len(b)] = gf.sub(rem[k : k + len(b)], gf.mul(coef, b))
-    return poly_trim(quo), poly_trim(rem)
-
-
-def poly_mod(gf: Gf, a, b) -> np.ndarray:
-    return poly_divmod(gf, a, b)[1]
-
-
-def poly_gcd(gf: Gf, a, b) -> np.ndarray:
-    """Monic gcd."""
-    a, b = poly_trim(a), poly_trim(b)
-    while len(b):
-        a, b = b, poly_mod(gf, a, b)
-    if len(a):
-        a = gf.mul(a, int(gf.inv(a[-1])))
-    return a
-
-
-def poly_powmod(gf: Gf, base, e: int, mod) -> np.ndarray:
-    """base**e reduced mod a polynomial; e may be a large python int."""
-    result = np.array([1], dtype=np.int64)
-    base = poly_mod(gf, base, mod)
-    while e:
-        if e & 1:
-            result = poly_mod(gf, poly_mul(gf, result, base), mod)
-        e >>= 1
-        if e:
-            base = poly_mod(gf, poly_mul(gf, base, base), mod)
-    return result
-
-
-def poly_invmod(gf: Gf, a, mod) -> np.ndarray:
-    """Inverse of a modulo `mod` via the extended Euclidean algorithm."""
-    a = poly_mod(gf, poly_trim(a), mod)
-    if len(a) == 0:
-        raise ZeroDivisionError("inverse of 0")
-    r0, r1 = poly_trim(mod), a
-    t0, t1 = np.zeros(0, dtype=np.int64), np.array([1], dtype=np.int64)
-    while len(r1):
-        quo, rem = poly_divmod(gf, r0, r1)
-        r0, r1 = r1, rem
-        t0, t1 = t1, poly_sub(gf, t0, poly_mul(gf, quo, t1))
-    if poly_deg(r0) != 0:
-        raise ZeroDivisionError("element is not invertible modulo the given polynomial")
-    return poly_mod(gf, gf.mul(t0, int(gf.inv(r0[0]))), mod)
-
-
-_X = np.array([0, 1], dtype=np.int64)
-
-
 def is_irreducible(gf: Gf, f) -> bool:
     """Exact irreducibility test for a monic polynomial over GF(q).
 
-    Rabin's test: a monic f of degree d is irreducible iff x**(q**d) = x
-    mod f and gcd(x**(q**(d/l)) - x, f) = 1 for every prime l dividing d,
-    since x**(q**j) - x is the product of all irreducibles of degree
-    dividing j.  The map t -> t**q on K[x]/(f) is the linear map Q_f of
-    `_frobenius_many`, so the powers x**(q**j) mod f are d products with
-    Q_f, and only omega(d) gcds are taken.
+    A monic f of degree d >= 2 is irreducible iff it has one distinct
+    irreducible factor and is squarefree.  By Berlekamp's criterion the first
+    holds iff rank(Q_f - I) = d - 1, whether or not f is squarefree (Q_f is
+    the map t -> t**q on K[x]/(f), from `_frobenius_many`).  Over the perfect
+    field K the second holds iff gcd(f, f') = 1, that is iff multiplication
+    by f' is invertible on K[x]/(f): rank M_{f'} = d.  A p-th power has
+    f' = 0, rank 0.  Both ranks come from one `rank_many` call.
     """
+    from gsf import exactla  # exactla imports this module
+
     f = poly_trim(f)
     d = len(f) - 1
     if d < 1 or f[-1] != 1:
         raise ValueError("expected a monic polynomial of degree >= 1")
     if d == 1:
         return True
-    frob = _frobenius_many(gf, f[None, :d])[0]
-    gcd_at = {d // l for l in prime_factors(d)}
-    x = np.zeros(d, dtype=np.int64)
-    x[1] = 1
-    t = x
-    for j in range(1, d + 1):
-        t = gf.matmul(frob, t)
-        if j in gcd_at and poly_deg(poly_gcd(gf, poly_sub(gf, t, _X), f)) >= 1:
-            return False
-    return np.array_equal(t, x)
+    # f' = sum k f_k x**(k - 1); the codes k mod p < p are the prime field inside K
+    fprime = gf.mul(f[1:], np.arange(1, d + 1) % gf.p)
+    tails = f[None, :d]
+    mats = np.concatenate([gf.sub(_frobenius_many(gf, tails), np.eye(d, dtype=np.int64)),
+                           _mul_matrices(gf, fprime[None], tails)])
+    return exactla.rank_many(gf, mats).tolist() == [d - 1, d]
 
 
 # Candidates per sieve block.  The first block is small because low degrees
@@ -540,8 +461,9 @@ def find_irreducible(gf: Gf, degree: int) -> np.ndarray:
     batched `rank_many` over the rest of the block drops every candidate
     with rank(Q_f - I) < n - 1.  Then the exact confirmation: the survivors
     (irreducibles and powers g**e of one irreducible) go in scan order to
-    `is_irreducible`, which alone accepts.  Both screens are exact, so the
-    winner is the one a candidate-by-candidate scan finds.
+    `is_irreducible`, which alone accepts: it adds the squarefree rank that
+    rejects the powers.  Both screens are exact, so the winner is the one a
+    candidate-by-candidate scan finds.
     """
     from gsf import exactla  # exactla imports this module
 
@@ -668,8 +590,11 @@ class FieldTower:
         return e
 
     def scalar(self, c: int) -> np.ndarray:
+        """The element c of K; for s = 1 any int, reduced mod p, else a code."""
+        if self.s > 1 and not 0 <= c < self.q:
+            raise ValueError(f"scalar code {c} is not a K code in 0..{self.q - 1}")
         e = np.zeros(self.n, dtype=np.int64)
-        e[0] = c % self.q if self.s == 1 else c
+        e[0] = c % self.q
         return e
 
     def element_vectors(self, limit: int = 5_000_000) -> np.ndarray:
@@ -692,10 +617,14 @@ class FieldTower:
         return self.K.matmul(conv, self.xpow[: len(conv)])
 
     def inv(self, a) -> np.ndarray:
-        r = poly_invmod(self.K, a, self.ext_poly)
-        out = np.zeros(self.n, dtype=np.int64)
-        out[: len(r)] = r
-        return out
+        """a**-1: the solution y of M_a y = 1, the last column of rref [M_a | 1]."""
+        from gsf.exactla import rref  # exactla imports this module
+
+        a = np.asarray(a, dtype=np.int64)
+        if not a.any():
+            raise ZeroDivisionError("inverse of 0")
+        by_a = _mul_matrices(self.K, a[None], self.ext_poly[: self.n])[0]
+        return rref(self.K, np.hstack([by_a, self.one()[:, None]]))[0][:, -1]
 
     def div(self, a, b) -> np.ndarray:
         return self.mul(a, self.inv(b))

@@ -325,8 +325,8 @@ def family(tower: FieldTower, i: int) -> FormSubspace:
 # and raw Gram stacks always take the projective spans.
 # `extremal.exhaustive_search` ranks the projective source over its whole
 # ambient space once, into a table that decides every candidate by lookups;
-# `extremal._all_combos_invertible`, which the block lift and the greedy
-# search use, walks it for a stack of candidate bases at once.
+# the block lift and the greedy search verify one basis by an exhaustive
+# census of its span.
 
 
 def _combine_forms(kf, coeffs: np.ndarray, basis_grams: np.ndarray) -> np.ndarray:

@@ -7,11 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gsf import extremal
+from gsf import cli, extremal, formspace
 from gsf.exactla import rank
 from gsf.extremal import (
     RhoDecomposition,
-    _all_combos_invertible,
+    SearchResult,
     block_construction,
     construct_regular_rep_subspace,
     construct_symmetric_witness,
@@ -513,59 +513,61 @@ def _mixed_stack(gf, n, d, count, seed):
     return stack
 
 
+def _lifts(gf, basis, budget=DEFAULT_BUDGET):
+    """Whether the block lift accepts `basis` as a doctored verified witness.
+    [[0, A], [A^T, 0]] has rank 2 * rank(A), so it accepts exactly the closed
+    bases."""
+    u = SearchResult("tau", basis.shape[1], gf.q, len(basis), list(basis), {"mode": "exhaustive"}, True)
+    try:
+        block_construction(u, budget)
+    except AssertionError as exc:
+        assert "singular member" in str(exc)
+        return False
+    return True
+
+
 @pytest.mark.parametrize("p,s,n,d", [(3, 1, 2, 2), (5, 1, 2, 2), (3, 2, 2, 2), (3, 1, 3, 3), (7, 1, 3, 2)])
 def test_batched_closure_mask_equals_per_basis_reference(p, s, n, d):
+    # the lift's census verdict on each basis of a mixed stack
     gf = Gf(p, s)
     stack = _mixed_stack(gf, n, d, 24, seed=p * 100 + s * 10 + n)
     want = [_closed(gf, list(b)) for b in stack]
     assert any(want) and not all(want)
-    assert _all_combos_invertible(gf, stack, gf.q**d - 1).tolist() == want
-    assert _all_combos_invertible(gf, stack, gf.q**d - 2) is None
+    assert [_lifts(gf, b, gf.q**d - 1) for b in stack] == want
+    with pytest.raises(BudgetExceededError, match="raise the budget"):
+        _lifts(gf, stack[0], gf.q**d - 2)
 
 
 @pytest.mark.parametrize("p,s,n,d", [(3, 1, 3, 3), (3, 1, 4, 4), (5, 1, 3, 3), (3, 2, 3, 3)])
 @pytest.mark.parametrize("chunk", [1, 5, 64])
 def test_projective_closure_mask_equals_full_range_reference(monkeypatch, p, s, n, d, chunk):
     # `_closed` ranks every nonzero combination; tiny chunks make the
-    # projective walk cross its span boundaries inside one rank pass
+    # census's projective walk cross its span boundaries inside one rank pass
     gf = Gf(p, s)
     stack = _mixed_stack(gf, n, d, 12, seed=chunk * 1000 + p * 100 + s * 10 + n)
     want = [_closed(gf, list(b)) for b in stack]
     assert any(want) and not all(want)
-    monkeypatch.setattr(extremal, "_chunk_size", lambda n: chunk * len(stack))
-    assert _all_combos_invertible(gf, stack, gf.q**d - 1).tolist() == want
+    monkeypatch.setattr(formspace, "_chunk_size", lambda n: chunk)
+    assert [_lifts(gf, b) for b in stack] == want
 
 
-def test_batched_closure_drops_dead_candidates_and_stops(monkeypatch):
+def test_singular_bases_are_refused_by_the_lift_and_unverified_by_greedy(monkeypatch, capsys):
     gf = Gf(3)
     closed = [np.eye(2, dtype=np.int64), np.array([[0, 1], [2, 0]])]  # x**2 + 1 is irreducible
-    early = [np.eye(2, dtype=np.int64), np.array([[0, 1], [1, 0]])]  # I + X is singular
     late = [np.eye(2, dtype=np.int64), np.array([[1, 1], [0, 1]])]  # 2I + X is singular
-    sizes = []
-    orig = extremal.rank_many
+    assert _closed(gf, closed) and not _closed(gf, late)
+    # a doctored verified=True witness whose lift is singular: an internal error, exit 4
+    doctored = SearchResult("tau", 2, 3, 2, late, {"mode": "exhaustive"}, True)
+    monkeypatch.setattr(cli, "construct_regular_rep_subspace", lambda tower, run: doctored)
+    assert main(["block", "--p", "3", "--n", "4"]) == 4
+    assert "block lift of an invertible-closed subspace has a singular member" in capsys.readouterr().err
+    # greedy keeps whatever its extension steps return; a non-closed best
+    # basis is reported unverified, a closed one verified
+    # over the budget of 5 the 8 combinations of a 2-member basis are not checked
+    for basis, budget, verified in ((late, DEFAULT_BUDGET, False), (closed, DEFAULT_BUDGET, True), (closed, 5, False)):
+        steps = iter(basis)
+        monkeypatch.setattr(extremal, "_find_extension", lambda *args: next(steps, None))
+        res = greedy_search("tau", 2, 3, budget=budget)
+        assert res.best_dim == 2 and res.verified is verified
 
-    def counting(gf, mats):
-        sizes.append(len(mats))
-        return orig(gf, mats)
 
-    monkeypatch.setattr(extremal, "rank_many", counting)
-    monkeypatch.setattr(extremal, "_chunk_size", lambda n: 3)  # one code per chunk
-    stack = np.array([early, closed, late])
-    assert _all_combos_invertible(gf, stack, 8).tolist() == [False, True, False]
-    assert _closed(gf, closed) and not _closed(gf, early) and not _closed(gf, late)
-    # codes are little-endian digits and only the projective ones (leading
-    # digit 1) are walked, 1, 3, 4, 5: `early` dies at code 4 = (1, 1) and
-    # `late` at code 5 = (2, 1), so the live count falls from 3 to 2 to 1
-    assert sizes == [3, 3, 3, 2]
-    sizes.clear()
-    assert _all_combos_invertible(gf, np.array([early, late]), 8).tolist() == [False, False]
-    assert sizes == [2, 2, 2, 1]
-    # d = 3 walks codes 1, 3, 4, 5, 9, 10, ..., 17: `early3` dies at code 4
-    # and leaves the batch, `late3` at code 13 = (1, 1, 1), and the walk stops
-    # there with codes 14..17 unranked
-    m = np.array([[1, 1], [1, 2]])
-    early3, late3 = early + [m], closed + [m]
-    assert not _closed(gf, early3) and not _closed(gf, late3)
-    sizes.clear()
-    assert _all_combos_invertible(gf, np.array([early3, late3]), 26).tolist() == [False, False]
-    assert sizes == [2, 2, 2, 1, 1, 1, 1, 1, 1]

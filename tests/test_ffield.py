@@ -1,3 +1,4 @@
+import functools
 import math
 import random
 import time
@@ -379,21 +380,49 @@ def test_element_arithmetic_inverse_division(tower):
         t.inv(t.zero())
 
 
-def test_pow_elem_matches_repeated_mul(tower):
-    from gsf.ffield import poly_powmod
+@pytest.mark.parametrize("p,s,n", [(3, 1, 8), (7, 3, 4), (11, 1, 32)], ids=["GF(3^8)", "GF(7^3)^4", "GF(11^32)"])
+def test_inverse_by_elimination(p, s, n, tower):
+    # GF(7^3) is the table path; inv solves M_a y = 1 by `rref`
+    t = tower(p, s, n)
+    rng = np.random.default_rng(p * n)
+    elems = [t.one(), t.basis_element(n - 1), t.scalar(t.q - 1)] + list(rng.integers(0, t.q, size=(30, n)))
+    for a in elems:
+        if a.any():
+            assert np.array_equal(t.mul(a, t.inv(a)), t.one()), a.tolist()
+    with pytest.raises(ZeroDivisionError):
+        t.inv(t.zero())
 
+
+def test_scalar_refuses_non_codes_past_the_prime_field(tower):
+    # on GF(9)^2 a code outside 0..8 would index past the K tables
+    t = tower(3, 2, 2)
+    assert [int(t.scalar(c)[0]) for c in range(9)] == list(range(9))
+    for c in (-1, 9, 12):
+        with pytest.raises(ValueError, match="not a K code"):
+            t.scalar(c)
+    # over a prime field any int is reduced mod p
+    assert t.scalar(8).tolist() == [8, 0] and tower(3, 1, 4).scalar(-1).tolist() == [2, 0, 0, 0]
+
+
+def test_pow_elem_matches_repeated_mul(tower):
     t = tower(3, 1, 4)
     a = t.element([1, 2, 0, 1])
     acc = t.one()
     for e in range(6):
         assert np.array_equal(t.pow_elem(a, e), acc)
         acc = t.mul(acc, a)
-    # a**(q**n) = a, and a 108-bit exponent agrees with the polynomial route
-    assert np.array_equal(t.pow_elem(a, 3**4), a)
+    assert np.array_equal(t.pow_elem(a, 3**4), a)  # a**(q**n) = a
+    # a 108-bit exponent agrees with its base-q digits e_j: a**e is the
+    # product of sigma**j(a**e_j), with j read mod n as a**(q**n) = a
     e = 11**32 // 7
-    want = np.zeros(4, dtype=np.int64)
-    r = poly_powmod(t.K, a, e, t.ext_poly)
-    want[: len(r)] = r
+    want, rest, j = t.one(), e, 0
+    while rest:
+        rest, digit = divmod(rest, t.q)
+        power = t.one()
+        for _ in range(digit):
+            power = t.mul(power, a)
+        want = t.mul(want, t.frobenius_apply(j % t.n, power))
+        j += 1
     assert np.array_equal(t.pow_elem(a, e), want)
 
 
@@ -612,28 +641,56 @@ def test_root_screen_mask_equals_evaluation(gf, degree):
     assert 0 < sum(want) < len(want)
 
 
-def _powmod_is_irreducible(gf, f):
-    """The gcd test the Rabin test replaced: gcd(x**(q**j) - x, f) = 1 for
-    every j <= d/2, each power by square-and-multiply."""
-    from gsf.ffield import poly_gcd, poly_powmod, poly_sub
+def _monics(gf, degree):
+    """Every monic polynomial of the given degree over K, in scan order."""
+    tails = base_digits(np.arange(gf.q**degree), gf.q, degree)
+    return np.hstack([tails, np.ones((len(tails), 1), dtype=np.int64)])
 
-    f = ffield.poly_trim(f)
-    d = len(f) - 1
-    x = np.array([0, 1], dtype=np.int64)
-    t = x.copy()
-    for _ in range(d // 2):
-        t = poly_powmod(gf, t, gf.q, f)
-        if ffield.poly_deg(poly_gcd(gf, poly_sub(gf, t, x), f)) >= 1:
-            return False
-    return True
+
+@functools.lru_cache(maxsize=None)
+def _monic_verdicts(p, s, degree):
+    """`is_irreducible` on every monic of the given degree over GF(p**s)."""
+    gf = _GF9 if (p, s) == (3, 2) else Gf(p, s)
+    return tuple(is_irreducible(gf, f) for f in _monics(gf, degree))
+
+
+def _reducible_monics(gf, degree):
+    """The reducible monics of the given degree: every product g*h of monic
+    g and h of lower degrees, by `poly_mul`."""
+    return {tuple(ffield.poly_mul(gf, g, h).tolist())
+            for k in range(1, degree // 2 + 1) for g in _monics(gf, k) for h in _monics(gf, degree - k)}
 
 
 @pytest.mark.parametrize("gf,top", [(Gf(3), 6), (Gf(5), 4), (_GF9, 3)], ids=["q3", "q5", "q9"])
 def test_rabin_equals_powmod_test_on_every_monic(gf, top):
+    # the exact test rejects exactly the products of lower-degree monics
     for degree in range(1, top + 1):
-        for f in base_digits(np.arange(gf.q**degree), gf.q, degree):
-            f = np.append(f, 1)
-            assert is_irreducible(gf, f) == _powmod_is_irreducible(gf, f), f.tolist()
+        reducible = _reducible_monics(gf, degree)
+        for f, ok in zip(_monics(gf, degree), _monic_verdicts(gf.p, gf.s, degree)):
+            assert ok == (tuple(f.tolist()) not in reducible), f.tolist()
+
+
+def _mobius(k):
+    """The Moebius function, by trial division."""
+    sign, ell = 1, 2
+    while ell * ell <= k:
+        if k % ell == 0:
+            k //= ell
+            if k % ell == 0:
+                return 0
+            sign = -sign
+        ell += 1
+    return -sign if k > 1 else sign
+
+
+@pytest.mark.parametrize("gf,top", [(Gf(3), 8), (Gf(5), 5), (_GF9, 4)], ids=["q3", "q5", "q9"])
+def test_irreducible_count_equals_gauss_formula(gf, top):
+    # the number of monic irreducibles of degree d is (1/d) sum_{k | d} mu(k) q**(d/k)
+    assert [_mobius(k) for k in range(1, 13)] == [1, -1, -1, 0, -1, 1, -1, 0, 0, 1, -1, 0]
+    for d in range(1, top + 1):
+        gauss = sum(_mobius(k) * gf.q ** (d // k) for k in range(1, d + 1) if d % k == 0)
+        assert gauss % d == 0
+        assert sum(_monic_verdicts(gf.p, gf.s, d)) == gauss // d, d
 
 
 def _poly_power(gf, g, e):
@@ -644,14 +701,29 @@ def _poly_power(gf, g, e):
 
 
 def test_rabin_equals_powmod_test_at_degree_32():
+    from gsf.exactla import rank_many
+
     gf = Gf(11)
     irr = {d: find_irreducible(gf, d) for d in (1, 2, 3, 4, 8, 16, 26)}
-    polys = [_poly_power(gf, irr[32 // e], e) for e in (2, 4, 8, 16, 32)]  # g**e
-    polys += [ffield.poly_mul(gf, _poly_power(gf, irr[dg], 2), irr[dh]) for dg, dh in ((8, 16), (3, 26))]  # g**2 h
-    for f in polys:
-        assert len(f) == 33 and not is_irreducible(gf, f) and not _powmod_is_irreducible(gf, f)
+    powers = [_poly_power(gf, irr[32 // e], e) for e in (2, 4, 8, 16, 32)]  # g**e
+    mixed = [ffield.poly_mul(gf, _poly_power(gf, irr[dg], 2), irr[dh]) for dg, dh in ((8, 16), (3, 26))]  # g**2 h
+    for f in powers + mixed:
+        assert len(f) == 33 and not is_irreducible(gf, f)
+    # one distinct factor each: the powers pass the Berlekamp sieve, and only
+    # the squarefree rank rejects them
+    sieve = np.stack([_ref_frobenius(gf, f) for f in powers]) - np.eye(32, dtype=np.int64)
+    assert rank_many(gf, sieve % 11).tolist() == [31] * len(powers)
+    # the winner is irreducible: 32 = 2**5, so x**(q**32) = x and
+    # x**(q**16) != x mod f leave f one factor of degree 32
     winner = find_irreducible(gf, 32)
-    assert is_irreducible(gf, winner) and _powmod_is_irreducible(gf, winner)
+    q_f = _ref_frobenius(gf, winner)
+    x = np.zeros(32, dtype=np.int64)
+    x[1] = 1
+    t = x
+    for j in range(1, 33):
+        t = q_f @ t % 11
+        assert np.array_equal(t, x) == (j == 32), j
+    assert is_irreducible(gf, winner)
 
 
 # the defining polynomials (base_poly, ext_poly) of the golden towers and of the
@@ -750,18 +822,48 @@ def oracle_distinct_factors(p, f):
     return count + (len(f) > 1)
 
 
+def _k_ops(gf):
+    """Product, sum and difference of two K codes as python ints."""
+    if gf.s == 1:
+        return (lambda a, b: a * b % gf.p), (lambda a, b: (a + b) % gf.p), (lambda a, b: (a - b) % gf.p)
+    return (lambda a, b: int(gf._mul_t[a, b])), (lambda a, b: int(gf._add_t[a, b])), \
+        (lambda a, b: int(gf._add_t[a, gf._neg_t[b]]))
+
+
+def _ref_frobenius(gf, f):
+    """Q_f by repeated multiplication by x, in python ints: a shift, then the
+    top coefficient times f subtracted.  x**q mod f takes q steps, and column
+    j + 1 is column j times x**q, sum_i c_i * x**i * (column j)."""
+    mul, add, sub = _k_ops(gf)
+    f = [int(c) for c in f]
+    n = len(f) - 1
+
+    def times_x(t):
+        return [sub(0, mul(t[-1], f[0]))] + [sub(t[i - 1], mul(t[-1], f[i])) for i in range(1, n)]
+
+    xq = [1] + [0] * (n - 1)
+    for _ in range(gf.q):
+        xq = times_x(xq)
+    cols = [[1] + [0] * (n - 1)]
+    for _ in range(1, n):
+        acc, shifted = [0] * n, cols[-1]
+        for c in xq:
+            acc = [add(a, mul(c, b)) for a, b in zip(acc, shifted)]
+            shifted = times_x(shifted)
+        cols.append(acc)
+    return np.array(cols, dtype=np.int64).T
+
+
 def _checked_frobenius(gf, polys):
-    """The sieve's Frobenius matrices of a stack of monic polys, each column
-    checked against x**(q*j) mod f from `poly_powmod`."""
-    from gsf.ffield import _frobenius_many, poly_powmod
+    """The sieve's Frobenius matrices of a stack of monic polys, each checked
+    against `_ref_frobenius`."""
+    from gsf.ffield import _frobenius_many
 
     polys = np.asarray(polys, dtype=np.int64)
     n = polys.shape[1] - 1
     mats = _frobenius_many(gf, polys[:, :n])
     for f, q_f in zip(polys, mats):
-        for j in range(n):
-            col = poly_powmod(gf, np.array([0, 1]), gf.q * j, f).tolist()
-            assert q_f[:, j].tolist() == col + [0] * (n - len(col))
+        assert np.array_equal(q_f, _ref_frobenius(gf, f))
     return mats
 
 

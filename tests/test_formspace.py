@@ -182,6 +182,19 @@ def test_norm_and_rank_oracles_agree_gf81(tower):
         assert degenerate_by_norm(t, v, 1) == (r < 4)
 
 
+@pytest.mark.parametrize("i", [1, 2, 3, 5, 6, 7])
+def test_norm_and_rank_oracles_agree_gf3_8(i, tower):
+    # every power of GF(3^8) of even order > 2; the norm route divides, so
+    # it reaches `FieldTower.inv` once per parameter
+    t = tower(3, 1, 8)
+    vecs = np.random.default_rng(i).integers(0, 3, size=(300, 8))
+    vecs = vecs[vecs.any(axis=1)]
+    ranks = rank_many(t.K, np.einsum("vt,tjk->vjk", vecs, gram_basis(t, i)) % 3)
+    degenerate = [degenerate_by_norm(t, v, i) for v in vecs]
+    assert degenerate == (ranks < 8).tolist()
+    assert 0 < sum(degenerate) < len(vecs)
+
+
 @pytest.mark.parametrize("p,s,n,i", [(3, 1, 4, 1), (3, 1, 6, 1), (5, 1, 4, 1), (3, 1, 8, 1),
                                      (3, 1, 8, 2), (3, 1, 8, 3), (7, 1, 4, 1), (3, 2, 2, 1)])
 def test_degenerate_count_closed_form(p, s, n, i, tower):

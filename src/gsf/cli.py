@@ -319,13 +319,18 @@ GOLDEN_INSTANCES = [(3, 1, 2), (3, 1, 3), (3, 1, 4), (3, 1, 5), (3, 1, 6), (3, 1
 
 
 def golden_entries(workers: int = 1, budget: int = DEFAULT_BUDGET):
-    """The pinned corpus: (filename, builder) pairs in a fixed order."""
+    """The pinned corpus: (filename, builder) pairs in a fixed order.
+
+    The certificates of one instance share its tower, built on first use:
+    a tower is immutable, so its cached basis Grams serve them all.
+    """
     run = Run(budget=budget, workers=workers)
     entries = []
     for p, s, n in GOLDEN_INSTANCES:
+        tower = functools.cache(functools.partial(FieldTower, p, s, n))
 
-        def make(fn, p=p, s=s, n=n):
-            return lambda: fn(FieldTower(p, s, n), run=run)
+        def make(fn, tower=tower):
+            return lambda: fn(tower(), run=run)
 
         stem = f"gf{p}_{s}_{n}"
         entries.append((f"{stem}_global.json", make(verify_global)))

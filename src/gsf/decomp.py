@@ -429,6 +429,10 @@ def min_rank_lower_bound(tower: FieldTower, kk: int, run: Run = Run()) -> Certif
     m = len(_pair_representatives(n)[0])
     if not 1 <= kk <= m:
         raise ValueError(f"kk = {kk} out of range 1..{m}")
-    grams = np.concatenate([gram_basis(tower, i) for i in range(1, kk + 1)])
-    piece = Piece(f"sum(A^1..A^{kk})", grams, min_rank=n - 2 * kk, observed_dim=kk * n)
+    name, bound = f"sum(A^1..A^{kk})", n - 2 * kk
+    if kk == 1:  # one family: a parameter census of all of L, which may take the coset source
+        piece = Piece(name, LSubspace.full(tower.K, n), 1, min_rank=bound)
+    else:
+        grams = np.concatenate([gram_basis(tower, i) for i in range(1, kk + 1)])
+        piece = Piece(name, grams, min_rank=bound, observed_dim=kk * n)
     return _certify("min-rank-bound", tower, {"kk": kk}, [piece], [], run)

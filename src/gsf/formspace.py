@@ -16,12 +16,16 @@ Rank is constant on K-lines, rank(c*G) = rank(G) for c in K*, so it ranks
 one form per line and counts that rank q - 1 times.  A parameter subspace
 that is one line over a subfield F has rank constant on the larger cosets
 of U = F* meet K* . {a**(1 + q**i)}, so when that pays it ranks one form per
-coset and counts it |U| times.  Either way the budget still counts forms,
-q**d - 1.  Sampled mode draws a fixed number of nonzero vectors from
-a seeded generator.  Either way the histogram is a deterministic function
-of (tower, subspace, i, mode, seed) and is independent of how the work is
-partitioned across workers; at most 2 * workers chunks wait on the thread
-pool, so memory stays bounded for any worker count.
+coset and counts it |U| times.  An exhaustive census of a whole family runs
+over its parameters: b -> form(b) maps a complement of the parameter kernel
+(all of L, or Fix(sigma**(n/2)) for the involution) one-to-one onto the
+family, and that complement is one line over a subfield.  Either way the
+budget still counts forms, q**d - 1.  Sampled mode draws a fixed number of
+nonzero vectors from a seeded generator.  Either way the histogram is a
+deterministic function of (tower, subspace, i, mode, seed) and is
+independent of how the work is partitioned across workers; at most
+2 * workers chunks wait on the thread pool, so memory stays bounded for any
+worker count.
 """
 
 from __future__ import annotations
@@ -35,8 +39,8 @@ from typing import Optional, Union
 
 import numpy as np
 
-from gsf.exactla import LSubspace, kernel, rank_many, rref
-from gsf.ffield import FieldTower, _mul_matrices, _mul_x_many, base_digits, prime_factors
+from gsf.exactla import LSubspace, _span_audit, eigenspace_of_power, kernel, rank_many, rref
+from gsf.ffield import FieldTower, _mul_x_many, base_digits, prime_factors
 
 __all__ = [
     "DEFAULT_BUDGET",
@@ -297,7 +301,12 @@ def gram_basis(tower: FieldTower, i: int) -> np.ndarray:
         raise ValueError(f"automorphism power i = {i} out of range 0..{tower.n - 1}")
     cached = tower._gram_cache.get(i)
     if cached is None:
-        cached = np.stack([gram_matrix(tower, tower.basis_element(t), i) for t in range(tower.n)])
+        # H_t[j, k] = tr(x**(t + j + k)) is symmetric, so F_i^T H_t = (H_t F_i)^T:
+        # one product over K for all n Grams
+        n, kf = tower.n, tower.K
+        hankel = tower.tau3[np.add.outer(np.arange(n), np.add.outer(np.arange(n), np.arange(n)))]
+        half = kf.matmul(hankel.reshape(n * n, n), tower.frobenius_mats[i]).reshape(n, n, n)
+        cached = kf.add(half, half.transpose(0, 2, 1))
         cached.setflags(write=False)
         tower._gram_cache[i] = cached
     return cached
@@ -321,8 +330,11 @@ def family(tower: FieldTower, i: int) -> FormSubspace:
 # chunks of `_range_chunks` over code spans, the coset representatives of
 # `_coset_source`, or seeded samples), then `_rank_chunks` (combine and rank
 # each chunk), then a reducer: the histogram of `_profile_from_grams`, which
-# weights each exhaustive rank by the forms it stands for.  Form subspaces
-# and raw Gram stacks always take the projective spans.
+# weights each exhaustive rank by the forms it stands for.  `rank_profile`
+# sends an exhaustive census of a form subspace to its family's parameter
+# complement, so the coset source may serve it; a sampled one draws from the
+# form subspace's basis.  Raw Gram stacks (min-rank over kk >= 2 families)
+# always take the projective spans.
 # `extremal.exhaustive_search` ranks the projective source over its whole
 # ambient space once, into a table that decides every candidate by lookups;
 # the block lift and the greedy search verify one basis by an exhaustive
@@ -511,8 +523,11 @@ def _coset_generator(tower: FieldTower, candidates, unit: int, m: int) -> np.nda
 
 
 def _mul_matrix(tower: FieldTower, a: np.ndarray) -> np.ndarray:
-    """Matrix of t -> a*t on L: column k holds a * x**k."""
-    return _mul_matrices(tower.K, a[None], tower.ext_poly[: tower.n])[0]
+    """Matrix of t -> a*t on L: column k holds a * x**k = sum_j a_j x**(j + k),
+    one product of `a` with the Hankel gather of the reduced powers xpow."""
+    n = tower.n
+    powers = tower.xpow[np.add.outer(np.arange(n), np.arange(n))]  # [j, k] -> x**(j + k)
+    return tower.K.matmul(a, powers.reshape(n, n * n)).reshape(n, n).T
 
 
 def _congruence_audit(tower: FieldTower, i: int, h: np.ndarray, by_h: np.ndarray) -> None:
@@ -531,11 +546,15 @@ def _coset_source(tower: FieldTower, sub: LSubspace, i: int) -> Optional[tuple[n
     None when `sub` is not one line over a subfield or when the cosets do
     not pay: their set-up is about log2(q**f) field products plus the audit,
     so they are taken only when m*q <= (q**f - 1)/(q - 1), the projective
-    count.  W = {u*w : u in F} for w its first echelon row and
-    F = GF(q**f) exactly when f = dim W divides n and W*w**-1 is fixed by
-    sigma**f.  The representatives h**k * w come by doubling,
-    [P, P*h**(2**j)], and their codes are their entries at the echelon
-    pivots.
+    count.  For w the first echelon row of W and F = GF(q**f),
+    W = {u*w : u in F} exactly when f = dim W divides n and every basis row
+    b of W has b/w fixed by sigma**f, that is sigma**f(b)*w = b*sigma**f(w);
+    no inverse is needed.  The generator candidates run over the echelon
+    basis of Fix(sigma**f), whose first row is 1.  When m = 1 the one
+    representative is w and no generator is searched for; the audit still
+    checks the first candidate.  Otherwise the representatives h**k * w come
+    by doubling, [P, P*h**(2**j)], and their codes are their entries at the
+    echelon pivots.
     """
     kf, n, q, f = tower.K, tower.n, tower.q, sub.dim
     if f == 0 or n % f:
@@ -544,10 +563,12 @@ def _coset_source(tower: FieldTower, sub: LSubspace, i: int) -> Optional[tuple[n
     if m * q > (q**f - 1) // (q - 1):
         return None
     w = sub.basis[0]
-    fbasis = kf.matmul(sub.basis, _mul_matrix(tower, tower.inv(w)).T)
-    if not np.array_equal(kf.matmul(fbasis, tower.frobenius_mats[f % n].T), fbasis):
+    sigma = tower.frobenius_mats[f % n]
+    by_w = kf.matmul(kf.matmul(sub.basis, sigma.T), _mul_matrix(tower, w).T)
+    if not np.array_equal(by_w, kf.matmul(sub.basis, _mul_matrix(tower, kf.matmul(sigma, w)).T)):
         return None
-    h = _coset_generator(tower, _coset_candidates(kf, fbasis), unit, m)
+    candidates = _coset_candidates(kf, eigenspace_of_power(tower, f, 1).basis)
+    h = next(iter(candidates)) if m == 1 else _coset_generator(tower, candidates, unit, m)
     by_h = _mul_matrix(tower, h)
     _congruence_audit(tower, i, h, by_h)
     reps, step = w[None], by_h.T
@@ -559,28 +580,43 @@ def _coset_source(tower: FieldTower, sub: LSubspace, i: int) -> Optional[tuple[n
     return reps[:m, pivots], unit
 
 
-def _parameter_grams(tower: FieldTower, sub, i: Optional[int]) -> np.ndarray:
-    if isinstance(sub, FormSubspace):
-        return sub.gram_mats()
-    if isinstance(sub, LSubspace):
-        if i is None:
-            raise ValueError("an automorphism power is required for a parameter subspace of b's")
-        return _combine_forms(tower.K, sub.basis, gram_basis(tower, i))
-    raise TypeError(f"expected LSubspace or FormSubspace, got {type(sub).__name__}")
+def _parameter_complement(tower: FieldTower, sub: FormSubspace) -> LSubspace:
+    """A complement of `sub.param_kernel`, which b -> form(b) maps one-to-one
+    onto `sub`: all of L, or for the involution, whose kernel is the
+    (-1)-eigenspace of sigma**(n/2), the (+1)-eigenspace (q is odd)."""
+    kf, n = tower.K, tower.n
+    if sub.param_kernel.dim == 0:
+        return LSubspace.full(kf, n)
+    comp = eigenspace_of_power(tower, n // 2, 1)
+    span, direct = _span_audit([comp, sub.param_kernel])
+    if not direct or span != n:
+        raise AssertionError(f"Fix(sigma^{n // 2}) is not a complement of the parameter kernel of A^{sub.i}")
+    return comp
 
 
 def rank_profile(tower: FieldTower, sub, i: Optional[int] = None, run: Run = Run()) -> RankProfile:
     """Rank histogram over the nonzero forms of a parameter or form subspace.
 
     `sub` may be an LSubspace of parameters b (then `i` selects the twist) or
-    a FormSubspace enumerated directly.  Exhaustive mode refuses beyond the
+    a FormSubspace made by `family`.  Exhaustive mode refuses beyond the
     budget; `auto` falls back to seeded sampling instead.  An exhaustive
-    census of a parameter subspace that is one line over a subfield ranks
-    one form per coset of U (`_coset_source`) when that pays; every other
-    exhaustive census ranks one form per K-line.
+    census of a form subspace runs over the parameter complement of its
+    kernel with the power `sub.i`: b -> form(b) maps it one-to-one onto the
+    family, so the histograms are equal.  A sampled one draws from the form
+    subspace's own basis.  An exhaustive census of a parameter subspace that
+    is one line over a subfield ranks one form per coset of U
+    (`_coset_source`) when that pays; every other exhaustive census ranks
+    one form per K-line.
     """
-    grams = _parameter_grams(tower, sub, i)
-    cosets = None
-    if isinstance(sub, LSubspace) and _census_mode(tower.q**sub.dim - 1, run) == "exhaustive":
-        cosets = _coset_source(tower, sub, i)
+    if not isinstance(sub, (LSubspace, FormSubspace)):
+        raise TypeError(f"expected LSubspace or FormSubspace, got {type(sub).__name__}")
+    if isinstance(sub, LSubspace) and i is None:
+        raise ValueError("an automorphism power is required for a parameter subspace of b's")
+    mode = _census_mode(tower.q**sub.dim - 1, run)
+    if isinstance(sub, FormSubspace):
+        if mode == "sampled":
+            return _profile_from_grams(tower.K, sub.gram_mats(), tower.n, run)
+        sub, i = _parameter_complement(tower, sub), sub.i
+    grams = _combine_forms(tower.K, sub.basis, gram_basis(tower, i))
+    cosets = _coset_source(tower, sub, i) if mode == "exhaustive" else None
     return _profile_from_grams(tower.K, grams, tower.n, run, cosets)

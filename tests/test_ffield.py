@@ -662,7 +662,7 @@ def _reducible_monics(gf, degree):
 
 
 @pytest.mark.parametrize("gf,top", [(Gf(3), 6), (Gf(5), 4), (_GF9, 3)], ids=["q3", "q5", "q9"])
-def test_rabin_equals_powmod_test_on_every_monic(gf, top):
+def test_irreducible_test_rejects_exactly_the_products_of_monics(gf, top):
     # the exact test rejects exactly the products of lower-degree monics
     for degree in range(1, top + 1):
         reducible = _reducible_monics(gf, degree)
@@ -700,7 +700,7 @@ def _poly_power(gf, g, e):
     return f
 
 
-def test_rabin_equals_powmod_test_at_degree_32():
+def test_irreducible_test_at_degree_32_rejects_prime_powers():
     from gsf.exactla import rank_many
 
     gf = Gf(11)

@@ -6,9 +6,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from gsf import formspace
-from gsf.decomp import _split_family
+from gsf.decomp import _split_family, min_rank_lower_bound
 from gsf.exactla import LSubspace, eigenspace_of_power, rank_many
-from gsf.ffield import Gf
+from gsf.ffield import Gf, _mul_matrices
 from gsf.formspace import (
     BudgetExceededError,
     Run,
@@ -539,6 +539,99 @@ def test_coset_congruence_audit_refuses_a_wrong_matrix(tower):
     formspace._congruence_audit(t, 1, h, formspace._mul_matrix(t, h))
     with pytest.raises(AssertionError, match="not a congruence for i = 1"):
         formspace._congruence_audit(t, 1, h, formspace._mul_matrix(t, t.add(h, t.one())))
+
+
+def test_coset_source_refuses_a_plane_that_is_not_a_subfield_line(tower):
+    # GF(3^4), f = 2: for i = 0 and 2 the cosets pay (m = 1), so only the line test decides
+    t = tower(3, 1, 4)
+    plane = LSubspace.from_vectors(t.K, [t.one(), t.basis_element(1)], 4)  # x is not in GF(9)
+    line = eigenspace_of_power(t, 2, 1)  # GF(9) itself
+    for i in (0, 2):
+        assert formspace._coset_source(t, plane, i) is None
+        assert formspace._coset_source(t, line, i) is not None
+        grams = formspace._combine_forms(t.K, plane.basis, gram_basis(t, i))
+        assert rank_profile(t, plane, i).histogram == _full_census(t.K, grams, 4)
+
+
+_GRAM_TOWERS = [(3, 1, 8), (3, 2, 4), (7, 3, 4), (11, 1, 32)]
+
+
+@pytest.mark.parametrize("p,s,n", _GRAM_TOWERS, ids=["gf3_8", "gf9_4", "gf343_4", "gf11_32"])
+def test_batched_gram_basis_equals_stacked_gram_matrices(p, s, n, tower):
+    t = tower(p, s, n)
+    for i in range(n):
+        want = np.stack([gram_matrix(t, t.basis_element(k), i) for k in range(n)])
+        assert np.array_equal(gram_basis(t, i), want), i
+
+
+@pytest.mark.parametrize("p,s,n", _GRAM_TOWERS, ids=["gf3_8", "gf9_4", "gf343_4", "gf11_32"])
+def test_mul_matrix_equals_mul_matrices(p, s, n, tower):
+    t = tower(p, s, n)
+    rng = np.random.default_rng(p * 100 + n)
+    elems = rng.integers(0, t.q, size=(6, n), dtype=np.int64)
+    elems[0] = 0
+    want = _mul_matrices(t.K, elems, t.ext_poly[:n])
+    for a, m in zip(elems, want):
+        assert np.array_equal(formspace._mul_matrix(t, a), m)
+
+
+# -- census of a family through its parameter space ------------------------------
+
+_FAMILY_TOWERS = [(3, 1, 2), (3, 1, 4), (3, 1, 6), (3, 1, 8), (5, 1, 4), (7, 1, 4), (3, 2, 4)]
+
+
+@pytest.mark.parametrize("p,s,n,i", [(p, s, n, i) for p, s, n in _FAMILY_TOWERS for i in (0, n // 2)]
+                         + [(3, 1, 5, 0)])
+def test_family_census_through_parameters_equals_form_census(p, s, n, i, tower):
+    t = tower(p, s, n)
+    fam = family(t, i)
+    want = formspace._profile_from_grams(t.K, fam.gram_mats(), n, Run(mode="exhaustive"))
+    got = rank_profile(t, fam)
+    assert got.to_dict() == want.to_dict()
+    assert got.total == t.q**fam.dim - 1
+
+
+@pytest.mark.parametrize("p,s,n,i,forms", [(3, 1, 8, 0, 2), (7, 3, 4, 2, 1)], ids=["A0_gf3_8", "B1_gf343_4"])
+def test_family_census_ranks_one_form_per_coset(p, s, n, i, forms, monkeypatch, tower):
+    # A^0 of GF(3^8): m = 2, not 3,280 K-lines; B^1 of GF(343^4): Fix(sigma^2) has m = 1, not 344
+    t = tower(p, s, n)
+    fam = family(t, i)
+    seen = _counting_rank_many(monkeypatch)
+    prof = rank_profile(t, fam)
+    assert sum(seen) == forms
+    assert prof.total == t.q**fam.dim - 1 and prof.ranks == {n}
+
+
+def test_sampled_family_census_draws_from_the_form_subspace(tower):
+    # sampled draws depend on the basis, so they stay on the form subspace's own
+    t = tower(3, 1, 6)
+    fam = family(t, 0)
+    run = Run(mode="sampled", sample_count=300, seed=4)
+    want = formspace._profile_from_grams(t.K, fam.gram_mats(), 6, run)
+    assert rank_profile(t, fam, run=run).to_dict() == want.to_dict()
+
+
+@pytest.mark.parametrize("p,n", [(3, 4), (3, 6), (3, 8), (5, 4), (7, 4)])
+def test_min_rank_census_of_one_family_equals_raw_stack_census(p, n, tower):
+    t = tower(p, 1, n)
+    cert = min_rank_lower_bound(t, 1)
+    want = formspace._profile_from_grams(t.K, gram_basis(t, 1), n, Run(mode="exhaustive"))
+    claim = cert.claims[0]
+    assert claim["observed_rank_histogram"] == want.histogram
+    assert claim["observed_dim"] == n and claim["enumeration"] == {"mode": "exhaustive"}
+
+
+@pytest.mark.parametrize("p,n,seed,count,digest",
+                         [(3, 6, 2, 500, "0fa17c50d42fca9b"), (7, 4, 5, 300, "a082d4eb040f5acf")])
+def test_min_rank_sampled_bytes_pinned(p, n, seed, count, digest, tower):
+    # digests of the raw-stack census's certificates: a sampled kk = 1 census
+    # must draw exactly what the raw stack of A^1's basis Grams drew
+    t = tower(p, 1, n)
+    run = Run(mode="sampled", seed=seed, sample_count=count)
+    cert = min_rank_lower_bound(t, 1, run)
+    want = formspace._profile_from_grams(t.K, gram_basis(t, 1), n, run)
+    assert cert.claims[0]["observed_rank_histogram"] == want.histogram
+    assert hashlib.sha256(cert.to_json().encode()).hexdigest()[:16] == digest
 
 
 _LINE_TOWERS = _CENSUS_TOWERS + [(5, 2, 1), (5, 2, 2), (7, 2, 1), (7, 2, 2)]

@@ -201,7 +201,9 @@ class LSubspace:
 
     @classmethod
     def full(cls, gf: Gf, ambient_dim: int) -> "LSubspace":
-        return cls.from_vectors(gf, np.eye(ambient_dim, dtype=np.int64))
+        basis = np.eye(ambient_dim, dtype=np.int64)  # already reduced echelon
+        basis.setflags(write=False)
+        return cls(gf, ambient_dim, basis)
 
     @property
     def dim(self) -> int:
@@ -282,6 +284,8 @@ def eigenspace_of_power(tower: FieldTower, t: int, sign: int) -> LSubspace:
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
     kf = tower.K
+    if t == tower.n and sign == 1:  # sigma**n = id
+        return LSubspace.full(kf, tower.n)
     ft = tower.frobenius_mats[t % tower.n]
     sgn = 1 if sign == 1 else int(kf.neg(1))
     m = kf.sub(ft, kf.mul(sgn, np.eye(tower.n, dtype=np.int64)))

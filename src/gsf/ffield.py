@@ -403,18 +403,26 @@ def _frobenius_many(gf: Gf, tails) -> np.ndarray:
     """Matrices Q_f of t -> t**q on K[x]/(f) for the monic f = x**n + tails.
 
     Shape (B, n, n); column j of Q_f holds x**(q*j) mod f.  x**q comes from
-    square-and-multiply (the multiplications are shifts by x), the columns
-    from n - 1 products with the matrix of multiplication by x**q, all
-    batched over the B polynomials.
+    square-and-multiply (the multiplications are shifts by x), started at
+    x**e for e = q >> r, the longest leading run of q's bits with e < n:
+    x**e is already reduced, the unit vector at e, so only the last r bits
+    of q square.  When q < n there is no squaring at all; when n = 1 the run
+    is empty (e = 0, the start is 1).  The columns come from n - 1 products
+    with the matrix of multiplication by x**q, all batched over the B
+    polynomials.
     """
     nb, n = tails.shape
+    r = 0
+    while gf.q >> r >= n:
+        r += 1
+    xq = np.zeros((nb, n), dtype=np.int64)
+    xq[:, gf.q >> r] = 1
+    for k in range(r - 1, -1, -1):
+        xq = gf.matmul(_mul_matrices(gf, xq, tails), xq[:, :, None])[:, :, 0]
+        if gf.q >> k & 1:
+            xq = _mul_x_many(gf, xq, tails)
     col = np.zeros((nb, n), dtype=np.int64)
     col[:, 0] = 1
-    xq = _mul_x_many(gf, col, tails)
-    for bit in bin(gf.q)[3:]:
-        xq = gf.matmul(_mul_matrices(gf, xq, tails), xq[:, :, None])[:, :, 0]
-        if bit == "1":
-            xq = _mul_x_many(gf, xq, tails)
     by_xq = _mul_matrices(gf, xq, tails)
     frob = np.empty((nb, n, n), dtype=np.int64)
     frob[:, :, 0] = col

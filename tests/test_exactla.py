@@ -329,6 +329,19 @@ def test_eigenspace_basis_is_read_only_reduced_echelon(tower):
                 assert e == LSubspace.from_vectors(t.K, e.basis, n)
 
 
+@pytest.mark.parametrize("p,s,n", [(3, 1, 8), (3, 2, 4), (7, 3, 4), (11, 1, 32)],
+                         ids=["GF(3^8)", "GF(9^4)", "GF(343^4)", "GF(11^32)"])
+def test_identity_shortcuts_equal_elimination(p, s, n, tower):
+    # sigma**n = id, so its (+1)-eigenspace is the kernel of the zero matrix;
+    # the identity is already reduced echelon
+    t = tower(p, s, n)
+    fix = eigenspace_of_power(t, n, 1)
+    full = LSubspace.full(t.K, n)
+    assert np.array_equal(fix.basis, kernel(t.K, np.zeros((n, n), dtype=np.int64)))
+    assert full == LSubspace.from_vectors(t.K, np.eye(n, dtype=np.int64), n) == fix
+    assert not fix.basis.flags.writeable and not full.basis.flags.writeable
+
+
 # -- the one kernel on every field ------------------------------------------------
 
 # GF(9), GF(25), GF(343): table arithmetic; 46337: the largest int32 prime;

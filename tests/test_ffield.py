@@ -878,9 +878,25 @@ def _frobenius_rank(p, f):
 @pytest.mark.parametrize(
     "gf,degree", [(Gf(39989), 3), (Gf(39989), 5), (_GF9, 4), (_GF343, 3), (Gf(11), 12)], ids=str
 )
-def test_frobenius_matrices_match_powmod(gf, degree):
+def test_frobenius_matrices_match_reference(gf, degree):
     # p = 39989: each column entry sums up to n products near p**2, past int32
     rng = np.random.default_rng(degree)
+    polys = np.hstack([rng.integers(0, gf.q, size=(6, degree)), np.ones((6, 1), dtype=np.int64)])
+    _checked_frobenius(gf, polys)
+
+
+# (q, n) around the start of the square-and-multiply chain, x**(q >> r) for the
+# least r with q >> r < n: degree one (the start is 1), q = n - 1, n, n + 1
+# (no squaring below n), q = 2n - 1 and 2n + 1 (q >> 1 just below and at n;
+# q = 2n is even, outside odd characteristic), and tables for s > 1
+_START_CASES = [(Gf(3), 1), (Gf(11), 1), (Gf(5), 4), (Gf(5), 5), (Gf(5), 6), (Gf(11), 10), (Gf(11), 11),
+                (Gf(11), 12), (Gf(7), 4), (Gf(7), 3), (Gf(11), 6), (Gf(11), 5), (_GF9, 8), (_GF9, 9),
+                (_GF9, 10), (_GF9, 5), (_GF9, 4), (_GF343, 4)]
+
+
+@pytest.mark.parametrize("gf,degree", _START_CASES, ids=lambda v: f"q{v.q}" if isinstance(v, Gf) else f"n{v}")
+def test_frobenius_chain_start_matches_reference(gf, degree):
+    rng = np.random.default_rng(gf.q * 100 + degree)
     polys = np.hstack([rng.integers(0, gf.q, size=(6, degree)), np.ones((6, 1), dtype=np.int64)])
     _checked_frobenius(gf, polys)
 

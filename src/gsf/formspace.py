@@ -19,13 +19,15 @@ of U = F* meet K* . {a**(1 + q**i)}, so when that pays it ranks one form per
 coset and counts it |U| times.  An exhaustive census of a whole family runs
 over its parameters: b -> form(b) maps a complement of the parameter kernel
 (all of L, or Fix(sigma**(n/2)) for the involution) one-to-one onto the
-family, and that complement is one line over a subfield.  Either way the
-budget still counts forms, q**d - 1.  Sampled mode draws a fixed number of
-nonzero vectors from a seeded generator.  Either way the histogram is a
-deterministic function of (tower, subspace, i, mode, seed) and is
-independent of how the work is partitioned across workers; at most
-2 * workers chunks wait on the thread pool, so memory stays bounded for any
-worker count.
+family, and that complement is one line over a subfield.  A coset census
+counts against the budget its m representatives, the ranks it computes, so
+`auto` and exhaustive mode take it whenever m fits, even past q**d - 1
+forms; every other census counts its q**d - 1 forms.  Sampled mode draws a
+fixed number of nonzero vectors from a seeded generator.  Either way the
+histogram is a deterministic function of (tower, subspace, i, mode, seed)
+and is independent of how the work is partitioned across workers; at most
+2 * workers chunks wait on the thread pool, and the coset representatives
+are made one chunk at a time, so memory stays bounded for any worker count.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ import math
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Iterator, Optional, Union
 
 import numpy as np
 
@@ -327,14 +329,14 @@ def family(tower: FieldTower, i: int) -> FormSubspace:
 # -- enumeration engine ---------------------------------------------------------
 #
 # A census is a code source (coefficient vectors over the basis Grams, in
-# chunks of `_range_chunks` over code spans, the coset representatives of
-# `_coset_source`, or seeded samples), then `_rank_chunks` (combine and rank
-# each chunk), then a reducer: the histogram of `_profile_from_grams`, which
-# weights each exhaustive rank by the forms it stands for.  `rank_profile`
-# sends an exhaustive census of a form subspace to its family's parameter
-# complement, so the coset source may serve it; a sampled one draws from the
-# form subspace's basis.  Raw Gram stacks (min-rank over kk >= 2 families)
-# always take the projective spans.
+# chunks of `_range_chunks` over code spans, the coset representatives that
+# `_coset_source` streams, or seeded samples), then `_rank_chunks` (combine
+# and rank each chunk), then a reducer: the histogram of `_profile_from_grams`,
+# which weights each exhaustive rank by the forms it stands for.
+# `rank_profile` sends an `auto` or exhaustive census of a form subspace to
+# its family's parameter complement, so the coset source may serve it; a
+# sampled one draws from the form subspace's basis.  Raw Gram stacks
+# (min-rank over kk >= 2 families) never take the coset source.
 # `extremal.exhaustive_search` ranks the projective source over its whole
 # ambient space once, into a table that decides every candidate by lookups;
 # the block lift and the greedy search verify one basis by an exhaustive
@@ -420,8 +422,9 @@ def _rank_chunks(kf, basis_grams: np.ndarray, code_chunks, workers: int = 1):
 
 
 def _census_mode(total: int, run: Run) -> str:
-    """The mode of a census of `total` nonzero forms under `run`: exhaustive
-    refuses past the budget, and `auto` is exhaustive exactly when it fits."""
+    """The mode of a census of `total` nonzero forms without a coset source
+    under `run`: exhaustive refuses past the budget, and `auto` is
+    exhaustive exactly when it fits."""
     if run.mode not in ("auto", "exhaustive", "sampled"):
         raise ValueError(f"unknown enumeration mode {run.mode!r}")
     if run.mode == "exhaustive" and total > run.budget:
@@ -432,43 +435,45 @@ def _census_mode(total: int, run: Run) -> str:
 
 
 def _profile_from_grams(kf, basis_grams: np.ndarray, n: int, run: Run = Run(),
-                        cosets: Optional[tuple[np.ndarray, int]] = None) -> RankProfile:
+                        cosets: Optional[tuple[Iterator[np.ndarray], int]] = None) -> RankProfile:
     """Rank histogram of the nonzero combinations of `basis_grams`, shape (d, n, n).
 
     Exhaustive mode ranks the (q**d - 1)/(q - 1) projective codes, one per
     K-line, and multiplies every bin by q - 1, so the histogram counts all
     q**d - 1 forms; the budget and `auto`'s choice compare that form count.
     `cosets`, from `_coset_source`, replaces the projective codes by the
-    codes of one parameter per coset of U and the weight q - 1 by |U|.
-    Sampled mode ranks `run.sample_count` draws seeded by `run.seed` and
-    counts each once.  The weighted bins of an exhaustive census must add up
-    to q**d - 1; anything else is an internal error.
+    code chunks of one parameter per coset of U and the weight q - 1 by |U|;
+    its representatives already fit the budget, so the census is exhaustive
+    whatever the mode of `run`.  Sampled mode ranks `run.sample_count` draws
+    seeded by `run.seed` and counts each once.  Weights multiply the bins
+    as Python ints, since |U| and q**d - 1 may pass 2**63.  The weighted
+    bins of an exhaustive census must add up to q**d - 1; anything else is
+    an internal error.
     """
     d = basis_grams.shape[0]
     q = kf.q
     total = q**d - 1
-    mode = _census_mode(total, run)
+    mode = "exhaustive" if cosets is not None else _census_mode(total, run)
     sampled = mode == "sampled"
     chunk = _chunk_size(n)
     source, weight = "projective", q - 1  # rank(c*G) = rank(G): one rank per line counts its q - 1 forms
     if d == 0:
         chunks = ()
     elif sampled:
-        chunks = _sample_codes(q, d, run.sample_count, run.seed, chunk)
+        chunks, weight = _sample_codes(q, d, run.sample_count, run.seed, chunk), 1
     elif cosets is not None:
-        (reps, weight), source = cosets, "coset"
-        chunks = (reps[lo : lo + chunk] for lo in range(0, len(reps), chunk))
+        (chunks, weight), source = cosets, "coset"
     else:
         chunks = _range_chunks(q, d, _projective_spans(q, d), chunk)
     hist = np.zeros(n + 1, dtype=np.int64)
     for ranks in _rank_chunks(kf, basis_grams, chunks, run.workers):
         hist += np.bincount(ranks, minlength=n + 1)
+    histogram = {r: int(c) * weight for r, c in enumerate(hist) if c}
     if not sampled:
-        hist *= weight
-        counted = int(hist.sum())
+        counted = sum(histogram.values())
         if counted != total:
             raise AssertionError(f"{source} census counted {counted} of {total} nonzero forms")
-    return RankProfile({r: int(c) for r, c in enumerate(hist) if c}, mode,
+    return RankProfile(histogram, mode,
                        count=run.sample_count if sampled else None, seed=run.seed if sampled else None)
 
 
@@ -540,27 +545,29 @@ def _congruence_audit(tower: FieldTower, i: int, h: np.ndarray, by_h: np.ndarray
         raise AssertionError(f"multiplication by a coset generator is not a congruence for i = {i}")
 
 
-def _coset_source(tower: FieldTower, sub: LSubspace, i: int) -> Optional[tuple[np.ndarray, int]]:
-    """Codes over `sub`'s basis of one parameter per coset of U, and |U|.
+def _coset_source(tower: FieldTower, sub: LSubspace, i: int,
+                  budget: int = DEFAULT_BUDGET) -> Optional[tuple[Iterator[np.ndarray], int]]:
+    """Code chunks over `sub`'s basis of one parameter per coset of U, and |U|.
 
-    None when `sub` is not one line over a subfield or when the cosets do
-    not pay: their set-up is about log2(q**f) field products plus the audit,
-    so they are taken only when m*q <= (q**f - 1)/(q - 1), the projective
-    count.  For w the first echelon row of W and F = GF(q**f),
-    W = {u*w : u in F} exactly when f = dim W divides n and every basis row
-    b of W has b/w fixed by sigma**f, that is sigma**f(b)*w = b*sigma**f(w);
-    no inverse is needed.  The generator candidates run over the echelon
-    basis of Fix(sigma**f), whose first row is 1.  When m = 1 the one
-    representative is w and no generator is searched for; the audit still
-    checks the first candidate.  Otherwise the representatives h**k * w come
-    by doubling, [P, P*h**(2**j)], and their codes are their entries at the
-    echelon pivots.
+    None when `sub` is not one line over a subfield, when the m cosets do
+    not fit the budget, or when they do not pay: their set-up is about
+    log2(q**f) field products plus the audit, so they are taken only when
+    m*q <= (q**f - 1)/(q - 1), the projective count.  Both counts are
+    compared from the integers alone, before any set-up.  For w the first
+    echelon row of W and F = GF(q**f), W = {u*w : u in F} exactly when
+    f = dim W divides n and every basis row b of W has b/w fixed by
+    sigma**f, that is sigma**f(b)*w = b*sigma**f(w); no inverse is needed.
+    The generator candidates run over the echelon basis of Fix(sigma**f),
+    whose first row is 1.  When m = 1 the one representative is w and no
+    generator is searched for; the audit still checks the first candidate.
+    The representatives h**k * w come lazily, one chunk at a time
+    (`_coset_chunks`).
     """
     kf, n, q, f = tower.K, tower.n, tower.q, sub.dim
     if f == 0 or n % f:
         return None
     unit, m = _coset_counts(q, n, i, f)
-    if m * q > (q**f - 1) // (q - 1):
+    if m > budget or m * q > (q**f - 1) // (q - 1):
         return None
     w = sub.basis[0]
     sigma = tower.frobenius_mats[f % n]
@@ -571,13 +578,33 @@ def _coset_source(tower: FieldTower, sub: LSubspace, i: int) -> Optional[tuple[n
     h = next(iter(candidates)) if m == 1 else _coset_generator(tower, candidates, unit, m)
     by_h = _mul_matrix(tower, h)
     _congruence_audit(tower, i, h, by_h)
-    reps, step = w[None], by_h.T
-    while len(reps) < m:
-        reps = np.concatenate([reps, kf.matmul(reps, step)])
-        if len(reps) < m:
-            step = kf.matmul(step, step)
     pivots = [int(np.flatnonzero(row)[0]) for row in sub.basis]
-    return reps[:m, pivots], unit
+    return _coset_chunks(tower, w, h, by_h, m, pivots), unit
+
+
+def _coset_chunks(tower: FieldTower, w: np.ndarray, h: np.ndarray, by_h: np.ndarray, m: int,
+                  pivots: list[int]) -> Iterator[np.ndarray]:
+    """The codes of h**k * w for k < m, in order, in chunks of `_chunk_size(n)`.
+
+    The first chunk P comes by doubling, [P, P*h**(2**j)]; each later chunk
+    is the one before times h**c, c the chunk length, by one product with
+    the matrix of that multiplication.  A code is a representative's
+    entries at the echelon pivots of W.
+    """
+    kf = tower.K
+    chunk = min(m, _chunk_size(tower.n))
+    rows, step = w[None], by_h.T
+    while len(rows) < chunk:
+        rows = np.concatenate([rows, kf.matmul(rows, step)])
+        if len(rows) < chunk:
+            step = kf.matmul(step, step)
+    rows = rows[:chunk]
+    yield rows[:, pivots]
+    if m > chunk:
+        jump = _mul_matrix(tower, tower.pow_elem(h, chunk)).T
+        for lo in range(chunk, m, chunk):
+            rows = kf.matmul(rows, jump)
+            yield rows[: m - lo, pivots]
 
 
 def _parameter_complement(tower: FieldTower, sub: FormSubspace) -> LSubspace:
@@ -598,25 +625,28 @@ def rank_profile(tower: FieldTower, sub, i: Optional[int] = None, run: Run = Run
     """Rank histogram over the nonzero forms of a parameter or form subspace.
 
     `sub` may be an LSubspace of parameters b (then `i` selects the twist) or
-    a FormSubspace made by `family`.  Exhaustive mode refuses beyond the
-    budget; `auto` falls back to seeded sampling instead.  An exhaustive
-    census of a form subspace runs over the parameter complement of its
-    kernel with the power `sub.i`: b -> form(b) maps it one-to-one onto the
-    family, so the histograms are equal.  A sampled one draws from the form
-    subspace's own basis.  An exhaustive census of a parameter subspace that
-    is one line over a subfield ranks one form per coset of U
-    (`_coset_source`) when that pays; every other exhaustive census ranks
-    one form per K-line.
+    a FormSubspace made by `family`.  In `auto` and exhaustive mode a form
+    subspace is first replaced by the parameter complement of its kernel,
+    with the power `sub.i`: b -> form(b) maps it one-to-one onto the family,
+    so the histograms are equal.  A parameter subspace that is one line over
+    a subfield then ranks one form per coset of U (`_coset_source`) when
+    that pays and its m representatives fit the budget, however many forms
+    it holds.  Every other census compares its q**d - 1 forms with the
+    budget: it ranks one form per K-line when they fit, and past the budget
+    exhaustive mode refuses while `auto` falls back to seeded sampling.  A
+    sampled census of a form subspace draws from its own basis.
     """
     if not isinstance(sub, (LSubspace, FormSubspace)):
         raise TypeError(f"expected LSubspace or FormSubspace, got {type(sub).__name__}")
     if isinstance(sub, LSubspace) and i is None:
         raise ValueError("an automorphism power is required for a parameter subspace of b's")
-    mode = _census_mode(tower.q**sub.dim - 1, run)
-    if isinstance(sub, FormSubspace):
-        if mode == "sampled":
+    params, cosets = sub, None
+    if run.mode in ("auto", "exhaustive"):
+        if isinstance(sub, FormSubspace):
+            params, i = _parameter_complement(tower, sub), sub.i
+        cosets = _coset_source(tower, params, i, run.budget)
+    if isinstance(sub, FormSubspace) and cosets is None:
+        if _census_mode(tower.q**sub.dim - 1, run) == "sampled":
             return _profile_from_grams(tower.K, sub.gram_mats(), tower.n, run)
-        sub, i = _parameter_complement(tower, sub), sub.i
-    grams = _combine_forms(tower.K, sub.basis, gram_basis(tower, i))
-    cosets = _coset_source(tower, sub, i) if mode == "exhaustive" else None
+    grams = _combine_forms(tower.K, params.basis, gram_basis(tower, i))
     return _profile_from_grams(tower.K, grams, tower.n, run, cosets)

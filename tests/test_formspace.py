@@ -293,8 +293,8 @@ def test_rank_profile_full_space_counts(tower):
 def test_rank_profile_budget_refusal(tower):
     t = tower(3, 1, 6)
     with pytest.raises(BudgetExceededError):
-        rank_profile(t, LSubspace.full(t.K, 6), 1, Run(mode="exhaustive", budget=100))
-    prof = rank_profile(t, LSubspace.full(t.K, 6), 1, Run(mode="auto", budget=100, sample_count=500, seed=9))
+        rank_profile(t, LSubspace.full(t.K, 6), 1, Run(mode="exhaustive", budget=3))
+    prof = rank_profile(t, LSubspace.full(t.K, 6), 1, Run(mode="auto", budget=3, sample_count=500, seed=9))
     assert prof.mode == "sampled" and prof.total == 500
 
 
@@ -551,6 +551,90 @@ def test_coset_source_refuses_a_plane_that_is_not_a_subfield_line(tower):
         assert formspace._coset_source(t, line, i) is not None
         grams = formspace._combine_forms(t.K, plane.basis, gram_basis(t, i))
         assert rank_profile(t, plane, i).histogram == _full_census(t.K, grams, 4)
+
+
+# -- coset census past the form budget ------------------------------------------
+
+
+def _coset_pieces(t):
+    """(name, subject, power, parameters, i) of every family and split piece:
+    `rank_profile(t, subject, power)` censuses it by ranking the parameters
+    (a family's parameter complement) twisted by sigma**i."""
+    n = t.n
+    for i in range(n):
+        fam = family(t, i)
+        yield f"A^{i}", fam, None, formspace._parameter_complement(t, fam), i
+        if t.sigma_order(i) % 2 == 0:
+            for piece in _split_family(t, i)[0]:
+                yield piece.name, piece.sub, piece.i, piece.sub, i
+
+
+@pytest.mark.parametrize("p,s,n", [(3, 1, 4), (3, 1, 6), (3, 1, 8), (5, 1, 4), (7, 1, 4), (3, 2, 4), (11, 1, 4)],
+                         ids=["gf3_4", "gf3_6", "gf3_8", "gf5_4", "gf7_4", "gf9_4", "gf11_4"])
+def test_coset_census_past_the_form_budget_equals_the_default_census(p, s, n, tower):
+    # a budget of exactly m forces the coset census past q**d - 1 forms; one
+    # less refuses in exhaustive mode and samples in auto.  GF(7^4) and
+    # GF(11^4) at i = 1 and 3 need a generator past the first candidates
+    t = tower(p, s, n)
+    seen = 0
+    for name, sub, power, params, i in _coset_pieces(t):
+        if formspace._coset_source(t, params, i) is None:
+            continue
+        seen += 1
+        m = formspace._coset_counts(t.q, n, i, params.dim)[1]
+        assert t.q**params.dim - 1 > m, name
+        want = rank_profile(t, sub, power)
+        assert want.mode == "exhaustive"
+        for mode in ("auto", "exhaustive"):
+            got = rank_profile(t, sub, power, Run(mode=mode, budget=m))
+            assert got.to_dict() == want.to_dict(), (name, mode)
+        with pytest.raises(BudgetExceededError):
+            rank_profile(t, sub, power, Run(mode="exhaustive", budget=m - 1))
+        below = rank_profile(t, sub, power, Run(budget=m - 1, sample_count=20, seed=1))
+        assert below.mode == "sampled" and below.total == 20, name
+    assert seen >= n
+
+
+def test_cosets_past_the_budget_are_refused_before_any_set_up(monkeypatch, tower):
+    # GF(11^32), i = 8: m = 214,358,882 cosets, past the default budget
+    t = tower(11, 1, 32)
+    full = LSubspace.full(t.K, 32)
+    assert formspace._coset_counts(11, 32, 8, 32)[1] == 214_358_882
+
+    def refuse(*args):
+        raise RuntimeError("set-up ran for a census whose cosets do not fit the budget")
+
+    monkeypatch.setattr(formspace, "_coset_generator", refuse)
+    monkeypatch.setattr(formspace, "_mul_matrix", refuse)
+    assert formspace._coset_source(t, full, 8) is None
+    prof = rank_profile(t, full, 8, Run(sample_count=30, seed=2))
+    assert prof.mode == "sampled" and prof.total == 30
+    with pytest.raises(BudgetExceededError):
+        rank_profile(t, full, 8, Run(mode="exhaustive"))
+    # GF(3^4), i = 1, m = 4: a budget of 3 refuses the cosets just as early
+    small = tower(3, 1, 4)
+    assert formspace._coset_source(small, LSubspace.full(small.K, 4), 1, budget=3) is None
+
+
+@pytest.mark.parametrize("p,n,i,m", [(3, 8, 1, 4), (7, 4, 1, 8), (11, 32, 2, 122), (3, 20, 5, 244)])
+def test_coset_representatives_stream_in_chunks(p, n, i, m, monkeypatch, tower):
+    # the chunked stream yields the same codes in the same order for any chunk size
+    t = tower(p, 1, n)
+    full = LSubspace.full(t.K, n)
+    chunks, _ = formspace._coset_source(t, full, i)
+    want = np.concatenate(list(chunks))
+    assert want.shape == (m, n)
+    hist = rank_profile(t, full, i).histogram
+    for chunk in (1, 5, 64):
+        monkeypatch.setattr(formspace, "_chunk_size", lambda n: chunk)
+        chunks, _ = formspace._coset_source(t, full, i)
+        chunks = list(chunks)
+        assert all(len(c) == chunk for c in chunks[:-1]) and 0 < len(chunks[-1]) <= chunk
+        assert np.array_equal(np.concatenate(chunks), want)
+        seen = _counting_rank_many(monkeypatch)
+        assert rank_profile(t, full, i).histogram == hist
+        assert sum(seen) == m and max(seen) <= chunk
+        monkeypatch.undo()
 
 
 _GRAM_TOWERS = [(3, 1, 8), (3, 2, 4), (7, 3, 4), (11, 1, 32)]

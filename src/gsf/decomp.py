@@ -427,6 +427,8 @@ def min_rank_lower_bound(tower: FieldTower, kk: int, run: Run = Run()) -> Certif
     produce a form of rank at least n - 2*kk."""
     n = tower.n
     m = len(_pair_representatives(n)[0])
+    if m == 0:
+        raise ValueError(f"the min-rank bound needs n >= 3: n = {n} has no non-involution twisted family")
     if not 1 <= kk <= m:
         raise ValueError(f"kk = {kk} out of range 1..{m}")
     name, bound = f"sum(A^1..A^{kk})", n - 2 * kk

@@ -10,24 +10,22 @@ few precomputed basis Grams.
 `rank_profile` runs the enumeration engine, which the extremal witness
 checks and searches share.  Its options come in one frozen `Run` (mode,
 sample count, seed, budget, workers), the only way census options reach the
-engine.  Exhaustive mode covers every nonzero coefficient vector of the
-parameter space, refusing politely once their count passes the budget.
-Rank is constant on K-lines, rank(c*G) = rank(G) for c in K*, so it ranks
-one form per line and counts that rank q - 1 times.  A parameter subspace
-that is one line over a subfield F has rank constant on the larger cosets
-of U = F* meet K* . {a**(1 + q**i)}, so when that pays it ranks one form per
-coset and counts it |U| times.  An exhaustive census of a whole family runs
-over its parameters: b -> form(b) maps a complement of the parameter kernel
-(all of L, or Fix(sigma**(n/2)) for the involution) one-to-one onto the
-family, and that complement is one line over a subfield.  A coset census
-counts against the budget its m representatives, the ranks it computes, so
-`auto` and exhaustive mode take it whenever m fits, even past q**d - 1
-forms; every other census counts its q**d - 1 forms.  Sampled mode draws a
-fixed number of nonzero vectors from a seeded generator.  Either way the
-histogram is a deterministic function of (tower, subspace, i, mode, seed)
-and is independent of how the work is partitioned across workers; at most
-2 * workers chunks wait on the thread pool, and the coset representatives
-are made one chunk at a time, so memory stays bounded for any worker count.
+engine; a `Run` with an unknown mode cannot be built.  A census ranks a set
+of representatives and counts each as the forms it stands for: one per
+K-line with weight q - 1, since rank(c*G) = rank(G) for c in K*; one per
+coset of U = F* meet K* . {a**(1 + q**i)} with weight |U|, when the
+parameter subspace is one line over a subfield F and that pays; or a seeded
+sample with weight 1.  An exhaustive census of a whole family runs over its
+parameters: b -> form(b) maps a complement of the parameter kernel (all of
+L, or Fix(sigma**(n/2)) for the involution) one-to-one onto the family, and
+that complement is one line over a subfield.  The coset source counts its m
+representatives against the budget, so `auto` and exhaustive mode take it
+whenever m fits, even past q**d - 1 forms; otherwise the q**d - 1 forms
+decide.  Either way the histogram is a deterministic function of (tower,
+subspace, i, mode, seed) and is independent of how the work is partitioned
+across workers; at most 2 * workers chunks wait on the thread pool, and the
+coset representatives are made one chunk at a time, so memory stays bounded
+for any worker count.
 """
 
 from __future__ import annotations
@@ -37,7 +35,7 @@ import math
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Iterator, Optional, Union
+from typing import Iterable, Iterator, Optional, Union
 
 import numpy as np
 
@@ -91,6 +89,10 @@ class Run:
     seed: int = 0
     budget: int = DEFAULT_BUDGET
     workers: int = 1
+
+    def __post_init__(self):
+        if self.mode not in ("auto", "exhaustive", "sampled"):
+            raise ValueError(f"unknown enumeration mode {self.mode!r}")
 
 
 @dataclass
@@ -328,19 +330,22 @@ def family(tower: FieldTower, i: int) -> FormSubspace:
 
 # -- enumeration engine ---------------------------------------------------------
 #
-# A census is a code source (coefficient vectors over the basis Grams, in
-# chunks of `_range_chunks` over code spans, the coset representatives that
-# `_coset_source` streams, or seeded samples), then `_rank_chunks` (combine
-# and rank each chunk), then a reducer: the histogram of `_profile_from_grams`,
-# which weights each exhaustive rank by the forms it stands for.
-# `rank_profile` sends an `auto` or exhaustive census of a form subspace to
-# its family's parameter complement, so the coset source may serve it; a
-# sampled one draws from the form subspace's basis.  Raw Gram stacks
-# (min-rank over kk >= 2 families) never take the coset source.
+# A census is a code source, then `_rank_chunks` (combine and rank each chunk),
+# then a reducer: the histogram of `_profile_from_grams`.  A source is one
+# triple (name, code chunks, weight), each ranked code standing for `weight`
+# forms, and `rank_profile` chooses it once per census: the coset source when
+# `_coset_source` offers one, else the projective (`_range_chunks` over code
+# spans) or sampled source of `_census_source`.  An `auto` or exhaustive census
+# of a form subspace runs over its family's parameter complement, so the coset
+# source may serve it; a sampled one draws from the form subspace's basis.  Raw
+# Gram stacks (min-rank over kk >= 2 families) reach `_profile_from_grams`
+# directly and take `_census_source`'s source.
 # `extremal.exhaustive_search` ranks the projective source over its whole
 # ambient space once, into a table that decides every candidate by lookups;
 # the block lift and the greedy search verify one basis by an exhaustive
 # census of its span.
+
+_Source = tuple[str, Iterable[np.ndarray], int]
 
 
 def _combine_forms(kf, coeffs: np.ndarray, basis_grams: np.ndarray) -> np.ndarray:
@@ -421,60 +426,43 @@ def _rank_chunks(kf, basis_grams: np.ndarray, code_chunks, workers: int = 1):
             yield pending.popleft().result()
 
 
-def _census_mode(total: int, run: Run) -> str:
-    """The mode of a census of `total` nonzero forms without a coset source
-    under `run`: exhaustive refuses past the budget, and `auto` is
-    exhaustive exactly when it fits."""
-    if run.mode not in ("auto", "exhaustive", "sampled"):
-        raise ValueError(f"unknown enumeration mode {run.mode!r}")
+def _census_source(q: int, d: int, n: int, run: Run) -> _Source:
+    """The projective or the sampled source of a census of the q**d - 1
+    nonzero combinations of d members under `run`: exhaustive mode refuses
+    past the budget, and `auto` is exhaustive exactly when the forms fit."""
+    total = q**d - 1
     if run.mode == "exhaustive" and total > run.budget:
         raise BudgetExceededError(total, run.budget)
-    if run.mode == "auto":
-        return "exhaustive" if total <= run.budget else "sampled"
-    return run.mode
+    chunk = _chunk_size(n)
+    if run.mode == "sampled" or total > run.budget:
+        return "sampled", _sample_codes(q, d, run.sample_count, run.seed, chunk) if d else (), 1
+    # rank(c*G) = rank(G): one rank per line counts its q - 1 forms
+    return "projective", _range_chunks(q, d, _projective_spans(q, d), chunk), q - 1
 
 
 def _profile_from_grams(kf, basis_grams: np.ndarray, n: int, run: Run = Run(),
-                        cosets: Optional[tuple[Iterator[np.ndarray], int]] = None) -> RankProfile:
+                        source: Optional[_Source] = None) -> RankProfile:
     """Rank histogram of the nonzero combinations of `basis_grams`, shape (d, n, n).
 
-    Exhaustive mode ranks the (q**d - 1)/(q - 1) projective codes, one per
-    K-line, and multiplies every bin by q - 1, so the histogram counts all
-    q**d - 1 forms; the budget and `auto`'s choice compare that form count.
-    `cosets`, from `_coset_source`, replaces the projective codes by the
-    code chunks of one parameter per coset of U and the weight q - 1 by |U|;
-    its representatives already fit the budget, so the census is exhaustive
-    whatever the mode of `run`.  Sampled mode ranks `run.sample_count` draws
-    seeded by `run.seed` and counts each once.  Weights multiply the bins
-    as Python ints, since |U| and q**d - 1 may pass 2**63.  The weighted
-    bins of an exhaustive census must add up to q**d - 1; anything else is
-    an internal error.
+    `source` is a triple (name, code chunks over the d members, weight): the
+    coset source that `rank_profile` found, or else `_census_source`'s for
+    `run`.  Every rank counts `weight` forms; weights multiply the bins as
+    Python ints, since |U| and q**d - 1 may pass 2**63.  The weighted bins of
+    an exhaustive source must add up to q**d - 1; anything else is an
+    internal error that names the source.
     """
-    d = basis_grams.shape[0]
-    q = kf.q
-    total = q**d - 1
-    mode = "exhaustive" if cosets is not None else _census_mode(total, run)
-    sampled = mode == "sampled"
-    chunk = _chunk_size(n)
-    source, weight = "projective", q - 1  # rank(c*G) = rank(G): one rank per line counts its q - 1 forms
-    if d == 0:
-        chunks = ()
-    elif sampled:
-        chunks, weight = _sample_codes(q, d, run.sample_count, run.seed, chunk), 1
-    elif cosets is not None:
-        (chunks, weight), source = cosets, "coset"
-    else:
-        chunks = _range_chunks(q, d, _projective_spans(q, d), chunk)
+    d, q = basis_grams.shape[0], kf.q
+    name, chunks, weight = source or _census_source(q, d, n, run)
     hist = np.zeros(n + 1, dtype=np.int64)
     for ranks in _rank_chunks(kf, basis_grams, chunks, run.workers):
         hist += np.bincount(ranks, minlength=n + 1)
     histogram = {r: int(c) * weight for r, c in enumerate(hist) if c}
-    if not sampled:
-        counted = sum(histogram.values())
-        if counted != total:
-            raise AssertionError(f"{source} census counted {counted} of {total} nonzero forms")
-    return RankProfile(histogram, mode,
-                       count=run.sample_count if sampled else None, seed=run.seed if sampled else None)
+    if name == "sampled":
+        return RankProfile(histogram, name, count=run.sample_count, seed=run.seed)
+    counted = sum(histogram.values())
+    if counted != q**d - 1:
+        raise AssertionError(f"{name} census counted {counted} of {q**d - 1} nonzero forms")
+    return RankProfile(histogram, "exhaustive")
 
 
 # -- coset source -------------------------------------------------------------------
@@ -545,9 +533,9 @@ def _congruence_audit(tower: FieldTower, i: int, h: np.ndarray, by_h: np.ndarray
         raise AssertionError(f"multiplication by a coset generator is not a congruence for i = {i}")
 
 
-def _coset_source(tower: FieldTower, sub: LSubspace, i: int,
-                  budget: int = DEFAULT_BUDGET) -> Optional[tuple[Iterator[np.ndarray], int]]:
-    """Code chunks over `sub`'s basis of one parameter per coset of U, and |U|.
+def _coset_source(tower: FieldTower, sub: LSubspace, i: int, budget: int = DEFAULT_BUDGET) -> Optional[_Source]:
+    """The triple ("coset", code chunks over `sub`'s basis of one parameter
+    per coset of U, |U|), or None.
 
     None when `sub` is not one line over a subfield, when the m cosets do
     not fit the budget, or when they do not pay: their set-up is about
@@ -561,7 +549,7 @@ def _coset_source(tower: FieldTower, sub: LSubspace, i: int,
     whose first row is 1.  When m = 1 the one representative is w and no
     generator is searched for; the audit still checks the first candidate.
     The representatives h**k * w come lazily, one chunk at a time
-    (`_coset_chunks`).
+    (`_coset_chunks`).  Only `rank_profile` asks for this source.
     """
     kf, n, q, f = tower.K, tower.n, tower.q, sub.dim
     if f == 0 or n % f:
@@ -579,7 +567,7 @@ def _coset_source(tower: FieldTower, sub: LSubspace, i: int,
     by_h = _mul_matrix(tower, h)
     _congruence_audit(tower, i, h, by_h)
     pivots = [int(np.flatnonzero(row)[0]) for row in sub.basis]
-    return _coset_chunks(tower, w, h, by_h, m, pivots), unit
+    return "coset", _coset_chunks(tower, w, h, by_h, m, pivots), unit
 
 
 def _coset_chunks(tower: FieldTower, w: np.ndarray, h: np.ndarray, by_h: np.ndarray, m: int,
@@ -628,25 +616,25 @@ def rank_profile(tower: FieldTower, sub, i: Optional[int] = None, run: Run = Run
     a FormSubspace made by `family`.  In `auto` and exhaustive mode a form
     subspace is first replaced by the parameter complement of its kernel,
     with the power `sub.i`: b -> form(b) maps it one-to-one onto the family,
-    so the histograms are equal.  A parameter subspace that is one line over
-    a subfield then ranks one form per coset of U (`_coset_source`) when
-    that pays and its m representatives fit the budget, however many forms
-    it holds.  Every other census compares its q**d - 1 forms with the
-    budget: it ranks one form per K-line when they fit, and past the budget
-    exhaustive mode refuses while `auto` falls back to seeded sampling.  A
-    sampled census of a form subspace draws from its own basis.
+    so the histograms are equal.  This is the one place a census chooses its
+    source: the coset source (`_coset_source`) whenever it is offered, for a
+    parameter subspace that is one line over a subfield whose m cosets pay
+    and fit the budget, however many forms it holds; else `_census_source`,
+    which compares the q**d - 1 forms with the budget.  A sampled census of a
+    form subspace draws from its own basis.
     """
     if not isinstance(sub, (LSubspace, FormSubspace)):
         raise TypeError(f"expected LSubspace or FormSubspace, got {type(sub).__name__}")
     if isinstance(sub, LSubspace) and i is None:
         raise ValueError("an automorphism power is required for a parameter subspace of b's")
-    params, cosets = sub, None
-    if run.mode in ("auto", "exhaustive"):
+    params, source = sub, None
+    if run.mode != "sampled":
         if isinstance(sub, FormSubspace):
             params, i = _parameter_complement(tower, sub), sub.i
-        cosets = _coset_source(tower, params, i, run.budget)
-    if isinstance(sub, FormSubspace) and cosets is None:
-        if _census_mode(tower.q**sub.dim - 1, run) == "sampled":
-            return _profile_from_grams(tower.K, sub.gram_mats(), tower.n, run)
-    grams = _combine_forms(tower.K, params.basis, gram_basis(tower, i))
-    return _profile_from_grams(tower.K, grams, tower.n, run, cosets)
+        source = _coset_source(tower, params, i, run.budget)
+    source = source or _census_source(tower.q, sub.dim, tower.n, run)
+    if isinstance(sub, FormSubspace) and source[0] == "sampled":
+        grams = sub.gram_mats()  # sampled draws depend on the basis: keep the form subspace's own
+    else:
+        grams = _combine_forms(tower.K, params.basis, gram_basis(tower, i))
+    return _profile_from_grams(tower.K, grams, tower.n, run, source)

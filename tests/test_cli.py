@@ -131,6 +131,13 @@ def test_min_rank_cli(capsys):
     assert json.loads(out)["verdict"] == "pass"
 
 
+@pytest.mark.parametrize("n", [1, 2])
+def test_min_rank_needs_a_non_involution_family(capsys, n):
+    code, out, err = run(capsys, "min-rank", "--p", "3", "--n", str(n), "--k", "1")
+    assert (code, out) == (1, "")
+    assert err == f"error: the min-rank bound needs n >= 3: n = {n} has no non-involution twisted family\n"
+
+
 def test_search_exhaustive_cli(capsys):
     code, out, _ = run(capsys, "search", "--target", "tau", "--n", "2", "--q", "3")
     assert code == 0

@@ -527,7 +527,7 @@ def _lifts(gf, basis, budget=DEFAULT_BUDGET):
 
 
 @pytest.mark.parametrize("p,s,n,d", [(3, 1, 2, 2), (5, 1, 2, 2), (3, 2, 2, 2), (3, 1, 3, 3), (7, 1, 3, 2)])
-def test_batched_closure_mask_equals_per_basis_reference(p, s, n, d):
+def test_block_lift_census_verdict_equals_closure_reference(p, s, n, d):
     # the lift's census verdict on each basis of a mixed stack
     gf = Gf(p, s)
     stack = _mixed_stack(gf, n, d, 24, seed=p * 100 + s * 10 + n)
@@ -540,7 +540,7 @@ def test_batched_closure_mask_equals_per_basis_reference(p, s, n, d):
 
 @pytest.mark.parametrize("p,s,n,d", [(3, 1, 3, 3), (3, 1, 4, 4), (5, 1, 3, 3), (3, 2, 3, 3)])
 @pytest.mark.parametrize("chunk", [1, 5, 64])
-def test_projective_closure_mask_equals_full_range_reference(monkeypatch, p, s, n, d, chunk):
+def test_block_lift_census_across_chunk_sizes_equals_closure_reference(monkeypatch, p, s, n, d, chunk):
     # `_closed` ranks every nonzero combination; tiny chunks make the
     # census's projective walk cross its span boundaries inside one rank pass
     gf = Gf(p, s)

@@ -1,4 +1,5 @@
 import hashlib
+import signal
 
 import numpy as np
 import pytest
@@ -298,6 +299,29 @@ def test_rank_profile_budget_refusal(tower):
     assert prof.mode == "sampled" and prof.total == 500
 
 
+def test_run_refuses_an_unknown_mode():
+    with pytest.raises(ValueError, match="unknown enumeration mode 'bogus'"):
+        Run(mode="bogus")
+
+
+def test_sampled_census_of_the_zero_subspace_draws_nothing(tower):
+    # with d = 0 there is no nonzero vector to draw: redrawing would never end,
+    # so the alarm turns a hang into a failure
+    t = tower(3, 1, 4)
+
+    def hang(signum, frame):
+        raise TimeoutError("a sampled census of the zero subspace did not return")
+
+    previous = signal.signal(signal.SIGALRM, hang)
+    signal.alarm(10)
+    try:
+        prof = rank_profile(t, LSubspace.zero(t.K, 4), 1, Run(mode="sampled", seed=0, sample_count=5))
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert prof.to_dict() == {"mode": "sampled", "count": 5, "seed": 0, "histogram": {}}
+
+
 def test_rank_profile_sampled_deterministic(tower):
     t = tower(3, 1, 6)
     a = rank_profile(t, LSubspace.full(t.K, 6), 1, Run(mode="sampled", sample_count=400, seed=5))
@@ -467,8 +491,8 @@ def test_coset_census_checks_its_weighted_total(monkeypatch, tower):
     source = formspace._coset_source
 
     def short(*args):
-        reps, unit = source(*args)
-        return reps, unit - 1
+        name, reps, unit = source(*args)
+        return name, reps, unit - 1
 
     monkeypatch.setattr(formspace, "_coset_source", short)
     with pytest.raises(AssertionError, match="coset census counted 76 of 80 nonzero forms"):
@@ -621,13 +645,13 @@ def test_coset_representatives_stream_in_chunks(p, n, i, m, monkeypatch, tower):
     # the chunked stream yields the same codes in the same order for any chunk size
     t = tower(p, 1, n)
     full = LSubspace.full(t.K, n)
-    chunks, _ = formspace._coset_source(t, full, i)
+    _, chunks, _ = formspace._coset_source(t, full, i)
     want = np.concatenate(list(chunks))
     assert want.shape == (m, n)
     hist = rank_profile(t, full, i).histogram
     for chunk in (1, 5, 64):
         monkeypatch.setattr(formspace, "_chunk_size", lambda n: chunk)
-        chunks, _ = formspace._coset_source(t, full, i)
+        _, chunks, _ = formspace._coset_source(t, full, i)
         chunks = list(chunks)
         assert all(len(c) == chunk for c in chunks[:-1]) and 0 < len(chunks[-1]) <= chunk
         assert np.array_equal(np.concatenate(chunks), want)

@@ -499,20 +499,44 @@ def _coset_candidates(kf, fbasis: np.ndarray):
         yield kf.matmul(base_digits(code, q, f), fbasis)
 
 
-def _coset_generator(tower: FieldTower, candidates, unit: int, m: int) -> np.ndarray:
-    """The first candidate h whose image generates F*/U.
+def _norm_tests(q: int, f: int, m: int) -> list[tuple[int, int]]:
+    """(r, (q**r - 1)/l) for each prime l | m in increasing order, r the order
+    of q mod l.  That order divides f when m | q**f - 1, and it is sought
+    among the divisors of f only, as l can be near the budget."""
+    tests = []
+    for ell in prime_factors(m):
+        r = next((r for r in range(1, f + 1) if f % r == 0 and (q**r - 1) % ell == 0), None)
+        if r is None:
+            raise AssertionError(f"prime {ell} of m divides no q**r - 1 with r dividing f = {f}")
+        tests.append((r, (q**r - 1) // ell))
+    return tests
 
-    x lies in U exactly when x**|U| = 1, so h generates exactly when
-    phi = h**|U| has phi**(m/l) != 1 for every prime l dividing m.  Small
-    candidates such as x + j fail this on GF(7^4) and GF(11^4), and a
-    failing h would repeat some cosets and miss others without any error.
-    """
-    one, primes = tower.one(), prime_factors(m)
-    for h in candidates:
-        phi = tower.pow_elem(h, unit)
-        if all(not np.array_equal(tower.pow_elem(phi, m // ell), one) for ell in primes):
-            return h
-    raise AssertionError(f"no element of F generates F*/U of order {m}")
+
+def _generates(tower: FieldTower, h: np.ndarray, f: int, tests: list[tuple[int, int]]) -> bool:
+    """Whether h**((q**f - 1)/l) != 1 for every l of `tests`.  That power is
+    N(h)**((q**r - 1)/l), N(h) the norm onto GF(q**r), the product of the f/r
+    conjugates sigma**(r*j)(h): one product with the stacked Frobenius
+    matrices, f/r - 1 field products and a short power."""
+    kf, n, one, norms = tower.K, tower.n, tower.one(), {}
+    for r, e in tests:
+        if r not in norms:
+            stack = np.stack([tower.frobenius_mats[r * j] for j in range(f // r)]).reshape(-1, n)
+            norms[r] = functools.reduce(tower.mul, kf.matmul(stack, h).reshape(f // r, n))
+        if np.array_equal(tower.pow_elem(norms[r], e), one):
+            return False
+    return True
+
+
+def _coset_generator(tower: FieldTower, candidates, f: int, m: int) -> np.ndarray:
+    """The first candidate h whose image generates F*/U, F = GF(q**f), that
+    is, h**((q**f - 1)/l) != 1 for every prime l | m (`_generates`).  Small
+    candidates such as x + j fail on GF(7^4) and GF(11^4), and a failing h
+    would repeat some cosets and miss others without any error."""
+    tests = _norm_tests(tower.q, f, m)
+    h = next((h for h in candidates if _generates(tower, h, f, tests)), None)
+    if h is None:
+        raise AssertionError(f"no element of F generates F*/U of order {m}")
+    return h
 
 
 def _mul_matrix(tower: FieldTower, a: np.ndarray) -> np.ndarray:
@@ -538,13 +562,14 @@ def _coset_source(tower: FieldTower, sub: LSubspace, i: int, budget: int = DEFAU
     per coset of U, |U|), or None.
 
     None when `sub` is not one line over a subfield, when the m cosets do
-    not fit the budget, or when they do not pay: their set-up is about
-    log2(q**f) field products plus the audit, so they are taken only when
-    m*q <= (q**f - 1)/(q - 1), the projective count.  Both counts are
-    compared from the integers alone, before any set-up.  For w the first
-    echelon row of W and F = GF(q**f), W = {u*w : u in F} exactly when
-    f = dim W divides n and every basis row b of W has b/w fixed by
-    sigma**f, that is sigma**f(b)*w = b*sigma**f(w); no inverse is needed.
+    not fit the budget, or when they do not pay: their set-up is a few
+    norms and short powers per generator candidate plus the audit, so they
+    are taken only when m*q <= (q**f - 1)/(q - 1), the projective count.
+    Both counts are compared from the integers alone, before any set-up.
+    For w the first echelon row of W and F = GF(q**f), W = {u*w : u in F}
+    exactly when f = dim W divides n and every basis row b of W has b/w
+    fixed by sigma**f, that is sigma**f(b)*w = b*sigma**f(w); no inverse is
+    needed.
     The generator candidates run over the echelon basis of Fix(sigma**f),
     whose first row is 1.  When m = 1 the one representative is w and no
     generator is searched for; the audit still checks the first candidate.
@@ -563,7 +588,7 @@ def _coset_source(tower: FieldTower, sub: LSubspace, i: int, budget: int = DEFAU
     if not np.array_equal(by_w, kf.matmul(sub.basis, _mul_matrix(tower, kf.matmul(sigma, w)).T)):
         return None
     candidates = _coset_candidates(kf, eigenspace_of_power(tower, f, 1).basis)
-    h = next(iter(candidates)) if m == 1 else _coset_generator(tower, candidates, unit, m)
+    h = next(iter(candidates)) if m == 1 else _coset_generator(tower, candidates, f, m)
     by_h = _mul_matrix(tower, h)
     _congruence_audit(tower, i, h, by_h)
     pivots = [int(np.flatnonzero(row)[0]) for row in sub.basis]

@@ -384,6 +384,21 @@ def test_sampled_certificate_bytes_pinned(capsys, argv, exit_code, digest):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
+# Two auto-mode certificates whose coset generator search goes past its first
+# candidate (E_1 of GF(11^32) tries 11); their bytes depend on the h chosen
+@pytest.mark.parametrize("argv, exit_code, digest", [
+    ("theorem-c --q 11 --n 32 --seed 0 --sample-count 1000", 3,
+     "86f5a608d8eaefc5a8f96a11848ec442ca7fb6775b28839c463f21aef2081308"),
+    ("refine --full --p 7 --s 3 --n 4 --seed 0 --sample-count 5000", 0,
+     "4b60b59ad5d96baa5a858ba3bf36eb93c04455bd0c1082fc0fc7c91b03cfc910"),
+])
+def test_auto_coset_certificate_bytes_pinned(capsys, argv, exit_code, digest):
+    code, out, err = run(capsys, *argv.split())
+    assert (code, err) == (exit_code, "")
+    assert '"sampled"' not in out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
 def _claim_digest(claim) -> str:
     return hashlib.sha256(json.dumps(claim, sort_keys=True).encode("utf-8")).hexdigest()[:16]
 

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import signal
 
 import numpy as np
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 from gsf import formspace
 from gsf.decomp import _split_family, min_rank_lower_bound
 from gsf.exactla import LSubspace, eigenspace_of_power, rank_many
-from gsf.ffield import Gf, _mul_matrices
+from gsf.ffield import Gf, _mul_matrices, prime_factors
 from gsf.formspace import (
     BudgetExceededError,
     Run,
@@ -547,6 +548,53 @@ def test_coset_generator_skips_a_failing_candidate(monkeypatch, tower):
     monkeypatch.setattr(formspace, "_coset_candidates", lambda kf, fb: [square, t.mul(square, square)])
     with pytest.raises(AssertionError, match="no element of F generates F\\*/U of order 4"):
         rank_profile(t, full, 1)
+
+
+def _reference_generator(t, candidates, unit, m):
+    """The first candidate h with (h**|U|)**(m/l) != 1 for every prime l | m,
+    by square-and-multiply over the full exponents."""
+    one = t.one()
+    for h in candidates:
+        phi = t.pow_elem(h, unit)
+        if all(not np.array_equal(t.pow_elem(phi, m // ell), one) for ell in prime_factors(m)):
+            return h
+    return None
+
+
+@pytest.mark.parametrize("p,s,n", [(3, 1, 8), (7, 1, 4), (11, 1, 4), (3, 2, 4), (7, 3, 4)])
+def test_norm_generator_check_equals_the_direct_powers(p, s, n, tower):
+    # for every f | n and every i with 1 < m <= 5000, the norm test of each of
+    # the first 40 candidates equals h**((q**f - 1)/l) != 1 for every prime l | m,
+    # and the chosen h is the one the square-and-multiply search picks
+    t = tower(p, s, n)
+    q, one, seen = t.q, t.one(), {}
+    for f in [f for f in range(1, n + 1) if n % f == 0]:
+        fbasis = eigenspace_of_power(t, f, 1).basis
+        for i in range(n):
+            unit, m = formspace._coset_counts(q, n, i, f)
+            if not 1 < m <= 5000:
+                continue
+            tests = seen[f, m] = formspace._norm_tests(q, f, m)
+            assert prime_factors(m) == [(q**r - 1) // e for r, e in tests]
+            assert [r for r, _ in tests] == [min(d for d in range(1, f + 1) if pow(q, d, ell) == 1)
+                                             for ell in prime_factors(m)]
+            for h in itertools.islice(formspace._coset_candidates(t.K, fbasis), 40):
+                direct = all(not np.array_equal(t.pow_elem(h, (q**f - 1) // ell), one) for ell in prime_factors(m))
+                assert formspace._generates(t, h, f, tests) == direct, (f, i, h)
+            chosen = formspace._coset_generator(t, formspace._coset_candidates(t.K, fbasis), f, m)
+            want = _reference_generator(t, formspace._coset_candidates(t.K, fbasis), unit, m)
+            assert np.array_equal(chosen, want), (f, i)
+    if (p, s, n) == (3, 1, 8):
+        # f = 8, i = 4: m = 82, and l = 41 has r = 8, so no norm shortens its power
+        assert seen[8, 82] == [(1, 1), (8, 160)]
+
+
+def test_norm_generator_check_refuses_an_inconsistent_index(tower):
+    # 5 divides neither 3 - 1 nor 3**2 - 1, so no F*/U of order 5 lies in GF(3^2)
+    t = tower(3, 1, 8)
+    candidates = formspace._coset_candidates(t.K, eigenspace_of_power(t, 2, 1).basis)
+    with pytest.raises(AssertionError, match="prime 5 of m divides no q\\*\\*r - 1 with r dividing f = 2"):
+        formspace._coset_generator(t, candidates, 2, 5)
 
 
 def test_full_family_of_gf3_8_ranks_four_forms(monkeypatch, tower):

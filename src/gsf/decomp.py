@@ -28,7 +28,7 @@ from typing import Optional
 import numpy as np
 
 from gsf.exactla import LSubspace, _span_audit, eigenspace_of_power
-from gsf.ffield import FieldTower
+from gsf.ffield import FieldTower, two_adic
 from gsf.formspace import (
     RankProfile,
     Run,
@@ -53,15 +53,6 @@ __all__ = [
 ]
 
 
-def _two_adic(n: int) -> tuple[int, int]:
-    """n = 2**alpha * k with k odd."""
-    alpha = 0
-    while n % 2 == 0:
-        n //= 2
-        alpha += 1
-    return alpha, n
-
-
 @dataclass(frozen=True)
 class TheoremCParams:
     """Case parameters: q + 1 = 2**a * l with l odd, n = 2**alpha * k with k odd."""
@@ -82,8 +73,8 @@ class TheoremCParams:
 
     @classmethod
     def from_qn(cls, q: int, n: int) -> "TheoremCParams":
-        a, l = _two_adic(q + 1)
-        alpha, k = _two_adic(n)
+        a, l = two_adic(q + 1)
+        alpha, k = two_adic(n)
         return cls(q, a, l, alpha, k)
 
     @property
@@ -332,7 +323,7 @@ def _split_family(tower: FieldTower, i: int) -> tuple[list[Piece], bool]:
             Piece(f"V_{i}", _product_subspace(tower, j, u), i, n // 2, [degenerate_rank]),
         ]
     elif d % 4 == 0:
-        beta, kp = _two_adic(d)
+        beta, kp = two_adic(d)
         q_rel = tower.q ** (n // d)
         rel_case = rel_a = None
         if q_rel % 4 == 3:
@@ -395,7 +386,7 @@ def refine_A1_pow4(tower: FieldTower, run: Run = Run()) -> Certificate:
     n, q = tower.n, tower.q
     if q % 4 != 3:
         raise ValueError(f"q = {q} is 1 mod 4: -1 is a square in the base field, refinement not applicable")
-    alpha, k = _two_adic(n)
+    alpha, k = two_adic(n)
     if alpha < 2:
         return _certify("a1-split-pow4", tower, {"i": 1, "alpha": alpha, "k": k}, [], [], run, outside=True)
     params = TheoremCParams.from_qn(q, n)

@@ -21,7 +21,7 @@ from typing import Optional
 import numpy as np
 
 from gsf.exactla import rank_many, rref
-from gsf.ffield import FieldTower, Gf, PrimePower, base_digits, prime_power_decompose
+from gsf.ffield import FieldTower, Gf, PrimePower, base_digits, prime_power_decompose, two_adic
 from gsf.formspace import (
     BudgetExceededError,
     DEFAULT_BUDGET,
@@ -80,11 +80,7 @@ class RhoDecomposition:
 def rho_decompose(n: int) -> RhoDecomposition:
     if n < 1:
         raise ValueError("n must be >= 1")
-    e = 0
-    odd = n
-    while odd % 2 == 0:
-        odd //= 2
-        e += 1
+    e, odd = two_adic(n)
     return RhoDecomposition(n, odd, e % 4, e // 4)
 
 

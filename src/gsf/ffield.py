@@ -16,13 +16,15 @@ matrices Q_f - I of the rest in one `rank_many` call (Berlekamp: the kernel
 dimension counts the distinct irreducible factors of f).  Only its
 survivors, in scan order, meet `is_irreducible`, which alone accepts a
 polynomial: Berlekamp's count plus the squarefree test, two ranks.  The
-tower is built with linear algebra only; inverses in L solve M_a y = 1.
-For s > 1 the GF(q) lookup tables are built with whole (q, q) array
-products of base-p digits.
+tower is built with linear algebra only.  For s > 1 the GF(q) lookup tables
+are built with whole (q, q) array products of base-p digits.
 
-Every automorphism power b -> b**(q**i) is precomputed as an n x n matrix
-over K when the tower is built; trace, norm and all downstream Gram-matrix
-work then reduce to exact linear algebra on integer arrays.
+Every automorphism power b -> b**(q**i) is precomputed when the tower is
+built, as slice i of one read-only (n, n, n) array over K.  The conjugates
+sigma**(t*j)(a) are then one product with a strided view of it: traces and
+norms fold them, and the inverse of a is N(a)**-1 times the product of its
+conjugates other than a (N(a) the norm onto K).  All downstream Gram-matrix
+work reduces to exact linear algebra on integer arrays.
 
 `Gf.matmul` is the one sum of products over K: products in L, the trace
 table, the Frobenius matrices of the sieve, the Hankel trace matrices and
@@ -37,6 +39,7 @@ so are towers whose n Frobenius matrices (n**3 entries) would: n <= 256.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -52,6 +55,7 @@ __all__ = [
     "is_prime",
     "prime_factors",
     "prime_power_decompose",
+    "two_adic",
 ]
 
 _I64_MAX = int(np.iinfo(np.int64).max)
@@ -59,21 +63,6 @@ _I64_MAX = int(np.iinfo(np.int64).max)
 # with s > 1 add/mul tables of q**2 entries, a degree-n tower n Frobenius
 # matrices of n**2 entries
 MAX_TABLE_ENTRIES = 2**24
-
-
-def is_prime(m: int) -> bool:
-    if m < 2:
-        return False
-    if m < 4:
-        return True
-    if m % 2 == 0:
-        return False
-    f = 3
-    while f * f <= m:
-        if m % f == 0:
-            return False
-        f += 2
-    return True
 
 
 def prime_factors(m: int) -> list[int]:
@@ -88,21 +77,26 @@ def prime_factors(m: int) -> list[int]:
     return primes + ([m] if m > 1 else [])
 
 
+def is_prime(m: int) -> bool:
+    return prime_factors(m) == [m]
+
+
+def two_adic(m: int) -> tuple[int, int]:
+    """m = 2**alpha * k with k odd, for m >= 1."""
+    alpha = (m & -m).bit_length() - 1
+    return alpha, m >> alpha
+
+
 def prime_power_decompose(q: int) -> tuple[int, int]:
     """Split q into (p, s) with q = p**s, p prime.  Raises for non prime powers."""
-    if q < 2:
-        raise ValueError(f"{q} is not a prime power")
     if q > MAX_TABLE_ENTRIES:
         raise ValueError(f"q = {q} is past the field size limit of {MAX_TABLE_ENTRIES} (2**24)")
-    # the smallest factor is at most sqrt(q), or q is prime
-    p = next((d for d in range(2, math.isqrt(q) + 1) if q % d == 0), q)
-    s = 0
-    m = q
-    while m % p == 0:
-        m //= p
-        s += 1
-    if m != 1:
+    primes = prime_factors(q)
+    if len(primes) != 1:
         raise ValueError(f"{q} is not a prime power")
+    p, s = primes[0], 1
+    while p**s < q:
+        s += 1
     return p, s
 
 
@@ -552,19 +546,16 @@ class FieldTower:
         xpow.setflags(write=False)
         self.xpow = xpow
 
-        frob = [np.eye(n, dtype=np.int64)]
+        frob = np.empty((n, n, n), dtype=np.int64)
+        frob[0] = np.eye(n, dtype=np.int64)
         if n > 1:
-            f1 = _frobenius_many(K, self.ext_poly[None, :n])[0]
-            frob.append(f1)
-            for _ in range(2, n):
-                frob.append(K.matmul(f1, frob[-1]))
-        for m in frob:
-            m.setflags(write=False)
+            frob[1] = _frobenius_many(K, self.ext_poly[None, :n])[0]
+            for j in range(2, n):
+                frob[j] = K.matmul(frob[1], frob[j - 1])
+        frob.setflags(write=False)
         self.frobenius_mats = frob
 
-        total = frob[0].copy()
-        for m in frob[1:]:
-            total = K.add(total, m)
+        total = functools.reduce(K.add, frob)
         # conjugate sums land in K, i.e. in the span of the basis element 1
         if np.any(total[1:]):
             raise AssertionError("trace of a basis element left the base field")
@@ -625,14 +616,16 @@ class FieldTower:
         return self.K.matmul(conv, self.xpow[: len(conv)])
 
     def inv(self, a) -> np.ndarray:
-        """a**-1: the solution y of M_a y = 1, the last column of rref [M_a | 1]."""
-        from gsf.exactla import rref  # exactla imports this module
-
+        """a**-1 = N(a)**-1 * rest, rest the product of the conjugates
+        sigma**j(a) for 0 < j < n and N(a) = a * rest the norm onto K."""
         a = np.asarray(a, dtype=np.int64)
         if not a.any():
             raise ZeroDivisionError("inverse of 0")
-        by_a = _mul_matrices(self.K, a[None], self.ext_poly[: self.n])[0]
-        return rref(self.K, np.hstack([by_a, self.one()[:, None]]))[0][:, -1]
+        rest = functools.reduce(self.mul, self._conjugates(a, 1)[1:], self.one())
+        norm = self.mul(a, rest)
+        if np.any(norm[1:]) or not norm[0]:
+            raise AssertionError("the norm of a nonzero element is not a unit of the base field")
+        return self.K.mul(int(self.K.inv(norm[0])), rest)
 
     def div(self, a, b) -> np.ndarray:
         return self.mul(a, self.inv(b))
@@ -660,23 +653,22 @@ class FieldTower:
         """Multiplicative order of the i-th Frobenius power."""
         return self.n // math.gcd(self.n, i) if i % self.n else 1
 
+    def _conjugates(self, a, t: int, top: int | None = None) -> np.ndarray:
+        """Rows sigma**(t*j)(a) for j < top/t, one product with a strided view
+        of the Frobenius stack; t | top | n, and top = n by default."""
+        top = self.n if top is None else top
+        if t < 1 or top < 1 or top % t or self.n % top:
+            raise ValueError(f"need t | top | n, got t = {t}, top = {top}, n = {self.n}")
+        return self.K.matmul(self.frobenius_mats[:top:t], np.asarray(a, dtype=np.int64))
+
     def trace_rel(self, t: int, a) -> np.ndarray:
         """Relative trace onto the fixed field of sigma**t; t must divide n."""
-        if t < 1 or self.n % t:
-            raise ValueError(f"t = {t} does not divide n = {self.n}")
-        acc = np.asarray(a, dtype=np.int64).copy()
-        for j in range(1, self.n // t):
-            acc = self.K.add(acc, self.K.matmul(self.frobenius_mats[(t * j) % self.n], a))
-        return acc
+        return functools.reduce(self.K.add, self._conjugates(a, t))
 
-    def norm_rel(self, t: int, a) -> np.ndarray:
-        """Relative norm onto the fixed field of sigma**t; t must divide n."""
-        if t < 1 or self.n % t:
-            raise ValueError(f"t = {t} does not divide n = {self.n}")
-        acc = np.asarray(a, dtype=np.int64).copy()
-        for j in range(1, self.n // t):
-            acc = self.mul(acc, self.K.matmul(self.frobenius_mats[(t * j) % self.n], a))
-        return acc
+    def norm_rel(self, t: int, a, top: int | None = None) -> np.ndarray:
+        """Relative norm from the fixed field of sigma**top (all of L by
+        default), where a must lie, onto that of sigma**t; t | top | n."""
+        return functools.reduce(self.mul, self._conjugates(a, t, top))
 
     def trace_to_base(self, a) -> int:
         """Absolute trace as a K scalar code."""

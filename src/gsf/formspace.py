@@ -514,17 +514,16 @@ def _norm_tests(q: int, f: int, m: int) -> list[tuple[int, int]]:
 
 def _generates(tower: FieldTower, h: np.ndarray, f: int, tests: list[tuple[int, int]]) -> bool:
     """Whether h**((q**f - 1)/l) != 1 for every l of `tests`.  That power is
-    N(h)**((q**r - 1)/l), N(h) the norm onto GF(q**r), the product of the f/r
-    conjugates sigma**(r*j)(h): one product with the stacked Frobenius
-    matrices, f/r - 1 field products and a short power."""
-    kf, n, one, norms = tower.K, tower.n, tower.one(), {}
-    for r, e in tests:
-        if r not in norms:
-            stack = np.stack([tower.frobenius_mats[r * j] for j in range(f // r)]).reshape(-1, n)
-            norms[r] = functools.reduce(tower.mul, kf.matmul(stack, h).reshape(f // r, n))
-        if np.array_equal(tower.pow_elem(norms[r], e), one):
-            return False
-    return True
+    N(h)**((q**r - 1)/l), N(h) the norm onto GF(q**r).  The norms form a
+    chain in decreasing r: each is the product of the r'/r conjugates of the
+    norm already taken onto the smallest GF(q**r') with r | r' (h itself for
+    r' = f), not of f/r conjugates of h.  The primes are then tested in
+    increasing order with short powers."""
+    one, norms = tower.one(), {f: h}
+    for r in sorted({r for r, _ in tests}, reverse=True):
+        top = min(rp for rp in norms if rp % r == 0)
+        norms[r] = tower.norm_rel(r, norms[top], top)
+    return all(not np.array_equal(tower.pow_elem(norms[r], e), one) for r, e in tests)
 
 
 def _coset_generator(tower: FieldTower, candidates, f: int, m: int) -> np.ndarray:

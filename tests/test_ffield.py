@@ -11,7 +11,7 @@ from hypothesis import assume, example
 from hypothesis import strategies as st
 
 from gsf import ffield
-from gsf.exactla import kernel, rank
+from gsf.exactla import kernel, rank, rref
 from gsf.ffield import (
     MAX_TABLE_ENTRIES,
     FieldTower,
@@ -21,7 +21,9 @@ from gsf.ffield import (
     find_irreducible,
     is_irreducible,
     is_prime,
+    prime_factors,
     prime_power_decompose,
+    two_adic,
 )
 
 # -- independent oracle: trial-division irreducibility over GF(p) ---------------
@@ -120,11 +122,22 @@ def test_prime_power_decompose():
     assert is_prime(97) and not is_prime(91)
 
 
-def test_prime_factors_match_primality_scan():
-    from gsf.ffield import prime_factors
+def _is_prime_by_scan(m):
+    """Reference: m >= 2 with no divisor in 2..m-1."""
+    return m >= 2 and all(m % d for d in range(2, m))
 
+
+def test_prime_factors_match_primality_scan():
     for m in range(1, 601):
-        assert prime_factors(m) == [ell for ell in range(2, m + 1) if m % ell == 0 and is_prime(ell)], m
+        assert prime_factors(m) == [ell for ell in range(2, m + 1) if m % ell == 0 and _is_prime_by_scan(ell)], m
+    for m in range(-3, 601):
+        assert is_prime(m) == _is_prime_by_scan(m), m
+
+
+def test_two_adic():
+    for m in range(1, 301):
+        alpha, k = two_adic(m)
+        assert 2**alpha * k == m and k % 2 == 1, m
 
 
 def _decompose_by_trial_division(q):
@@ -332,6 +345,32 @@ def test_norm_fixed_by_sigma_t(tower):
             assert np.array_equal(t.frobenius_apply(tdiv, nm), nm)
 
 
+@pytest.mark.parametrize("p,s,n", [(3, 1, 8), (3, 2, 4)], ids=["GF(3^8)", "GF(9^4)"])
+def test_norm_rel_is_the_product_of_conjugates(p, s, n, tower):
+    t = tower(p, s, n)
+    rng = np.random.default_rng(n)
+    divisors = [d for d in range(1, n + 1) if n % d == 0]
+    for top in divisors:
+        for tdiv in (d for d in divisors if top % d == 0):
+            for a in rng.integers(0, t.q, size=(4, n)):
+                want = functools.reduce(t.mul, [t.frobenius_apply(tdiv * j, a) for j in range(top // tdiv)])
+                assert np.array_equal(t.norm_rel(tdiv, a, top), want), (tdiv, top, a.tolist())
+    for tdiv, top in [(3, 4), (4, 2), (1, 3), (2, 6), (0, 4), (2, 0), (1, 2 * n)]:
+        with pytest.raises(ValueError, match=r"need t \| top \| n"):
+            t.norm_rel(tdiv, t.one(), top)
+
+
+def test_frobenius_stack_is_one_read_only_array(tower):
+    t = tower(3, 1, 4)
+    frob = t.frobenius_mats
+    assert isinstance(frob, np.ndarray) and frob.shape == (4, 4, 4) and frob.dtype == np.int64
+    assert not frob.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        frob[1, 0, 0] = 0
+    with pytest.raises(ValueError, match="read-only"):
+        frob[2] += 1
+
+
 @pytest.mark.parametrize("p,s,n", [(3, 1, 6), (3, 1, 4), (5, 1, 4), (3, 2, 2)])
 def test_fixed_space_dimension_is_gcd(p, s, n, tower):
     t = tower(p, s, n)
@@ -381,8 +420,8 @@ def test_element_arithmetic_inverse_division(tower):
 
 
 @pytest.mark.parametrize("p,s,n", [(3, 1, 8), (7, 3, 4), (11, 1, 32)], ids=["GF(3^8)", "GF(7^3)^4", "GF(11^32)"])
-def test_inverse_by_elimination(p, s, n, tower):
-    # GF(7^3) is the table path; inv solves M_a y = 1 by `rref`
+def test_inverse_times_element_is_one(p, s, n, tower):
+    # GF(7^3) is the table path
     t = tower(p, s, n)
     rng = np.random.default_rng(p * n)
     elems = [t.one(), t.basis_element(n - 1), t.scalar(t.q - 1)] + list(rng.integers(0, t.q, size=(30, n)))
@@ -391,6 +430,39 @@ def test_inverse_by_elimination(p, s, n, tower):
             assert np.array_equal(t.mul(a, t.inv(a)), t.one()), a.tolist()
     with pytest.raises(ZeroDivisionError):
         t.inv(t.zero())
+
+
+def _inverse_by_elimination(t, a):
+    """Reference: the solution y of M_a y = 1, the last column of rref [M_a | 1]."""
+    by_a = ffield._mul_matrices(t.K, a[None], t.ext_poly[: t.n])[0]
+    return rref(t.K, np.hstack([by_a, t.one()[:, None]]))[0][:, -1]
+
+
+# count None checks every nonzero element; GF(343)^2 has 117,648 of them,
+# about 8 s of inverses and eliminations, so it takes a seeded sample
+@pytest.mark.parametrize("p,s,n,count", [(3, 1, 4, None), (3, 2, 3, None), (7, 3, 2, 2000), (11, 1, 32, 30),
+                                         (3, 1, 100, 10)],
+                         ids=["GF(3^4)", "GF(9^3)", "GF(343)^2", "GF(11^32)", "GF(3^100)"])
+def test_inverse_matches_elimination_reference(p, s, n, count, tower):
+    t = tower(p, s, n)
+    if count is None:
+        elems = base_digits(np.arange(1, t.size), t.q, n)
+    else:
+        elems = np.random.default_rng(p * n).integers(0, t.q, size=(count, n))
+    for a in elems:
+        if a.any():
+            assert np.array_equal(t.inv(a), _inverse_by_elimination(t, a)), a.tolist()
+
+
+def test_inverse_audits_the_norm():
+    # a stack whose every power is the identity makes the "norm" of x the
+    # power x**4 = 2x + 1 (ext_poly x**4 + x + 2), which is not in K
+    t = FieldTower(3, 1, 4)
+    assert t.ext_poly.tolist() == [2, 1, 0, 0, 1]
+    t.frobenius_mats = np.stack([np.eye(4, dtype=np.int64)] * 4)
+    assert t.frobenius_mats.flags.writeable
+    with pytest.raises(AssertionError, match="not a unit of the base field"):
+        t.inv(t.basis_element(1))
 
 
 def test_scalar_refuses_non_codes_past_the_prime_field(tower):

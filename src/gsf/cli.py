@@ -15,7 +15,6 @@ import functools
 import json
 import os
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -280,14 +279,8 @@ def _report(args, run: Run):
     if cmd == "block":
         if args.n % 2:
             raise UsageError("block lifting needs an even target size n")
-        # the lift needs an exactly verified witness, so an over-budget census is refused
-        tower = FieldTower(args.p, args.s, args.n // 2)
-        try:
-            base = construct_regular_rep_subspace(tower, replace(run, mode="exhaustive"))
-        except BudgetExceededError as exc:
-            # no sampled mode to offer: a sampled witness cannot be lifted
-            raise BudgetExceededError(exc.needed, exc.budget, "raise the budget") from None
-        return block_construction(base, budget=run.budget).to_dict()
+        base = construct_regular_rep_subspace(FieldTower(args.p, args.s, args.n // 2), run.budget)
+        return block_construction(base, run.budget).to_dict()
 
     raise UsageError(f"unknown command {cmd!r}")
 

@@ -33,6 +33,7 @@ from gsf.formspace import (
     RankProfile,
     Run,
     _profile_from_grams,
+    degenerate_rank_value,
     family,
     gram_basis,
     rank_profile,
@@ -291,8 +292,7 @@ def verify_rank_laws(tower: FieldTower, run: Run = Run()) -> Certificate:
             pieces.append(Piece(f"A^{i}", full, i, ranks=[0, n], counts={0: q ** (n // 2) - 1}))
             pieces.append(Piece(f"A^{i}|E", eigenspace_of_power(tower, i, -1), i, n // 2, [0]))
         else:
-            r = d // 2
-            pieces.append(Piece(f"A^{i}", full, i, ranks=[n - n // r, n]))
+            pieces.append(Piece(f"A^{i}", full, i, ranks=[degenerate_rank_value(tower, i), n]))
     return _certify("rank-laws", tower, {}, pieces, [], run)
 
 
@@ -314,7 +314,7 @@ def _split_family(tower: FieldTower, i: int) -> tuple[list[Piece], bool]:
     """
     n = tower.n
     d = tower.sigma_order(i % n)
-    degenerate_rank = n - 2 * n // d
+    degenerate_rank = degenerate_rank_value(tower, i)
     if d % 4 == 2:
         u = eigenspace_of_power(tower, (i * (d // 2)) % n, 1)
         j = eigenspace_of_power(tower, i, -1).basis[0]

@@ -31,8 +31,9 @@ from gsf.formspace import (
     _profile_from_grams,
     _projective_spans,
     _range_chunks,
+    family,
     flatten_sym,
-    gram_basis,
+    rank_profile,
     unflatten_sym,
 )
 
@@ -157,35 +158,42 @@ def _canonical_witness(gf: Gf, mats, symmetric: bool) -> list[np.ndarray]:
     return list(unflatten_sym(rows, n) if symmetric else rows.reshape(-1, n, n))
 
 
-def _verify_witness(gf: Gf, mats: list[np.ndarray], run: Run):
-    """Census of a field-derived witness (in `auto` mode exhaustive within the
-    budget, else sampled); every nonzero member must have full rank."""
-    basis = np.stack(mats)
+def _verify_witness(gf: Gf, basis: np.ndarray, budget: int) -> bool:
+    """Whether every nonzero member of the span of `basis` (d, n, n) has rank n,
+    by an exhaustive census: the one closure check of the regular representation,
+    the block lift and greedy.  There is no sampled witness: past the budget it
+    raises `BudgetExceededError`, whose one way out is to raise the budget."""
     n = basis.shape[1]
-    prof = _profile_from_grams(gf, basis, n, run)
-    if prof.ranks != {n}:
-        raise AssertionError(f"{prof.mode} verification found a singular member of a field-derived witness")
-    return prof.mode_record(), prof.mode == "exhaustive"
+    try:
+        return _profile_from_grams(gf, basis, n, Run(mode="exhaustive", budget=budget)).ranks == {n}
+    except BudgetExceededError as exc:
+        raise BudgetExceededError(exc.needed, budget, "raise the budget") from None
 
 
-def construct_regular_rep_subspace(tower: FieldTower, run: Run = Run()) -> SearchResult:
+def construct_regular_rep_subspace(tower: FieldTower, budget: int = DEFAULT_BUDGET) -> SearchResult:
     """The multiplication matrices of L span an n-dimensional invertible-closed
     subspace of M(n, K): nonzero combinations are multiplication by nonzero
     field elements."""
     n, kf = tower.n, tower.K
     # column k of the matrix of x**j holds x**(j + k)
-    mats = [tower.xpow[j : j + n].T for j in range(n)]
-    mode, verified = _verify_witness(kf, mats, run)
-    return SearchResult("tau", n, kf.q, n, _canonical_witness(kf, mats, symmetric=False), mode, verified)
+    mats = np.stack([tower.xpow[j : j + n].T for j in range(n)])
+    if not _verify_witness(kf, mats, budget):
+        raise AssertionError("exhaustive verification found a singular member of a field-derived witness")
+    return SearchResult("tau", n, kf.q, n, _canonical_witness(kf, mats, False), {"mode": "exhaustive"}, True)
 
 
-def construct_symmetric_witness(tower: FieldTower, run: Run = Run()) -> SearchResult:
+def construct_symmetric_witness(tower: FieldTower, budget: int = DEFAULT_BUDGET) -> SearchResult:
     """The untwisted trace-form Grams span an n-dimensional invertible-closed
-    subspace of S(n, K): the trace pairing is non-degenerate."""
-    n, kf = tower.n, tower.K
-    mats = [g.copy() for g in gram_basis(tower, 0)]
-    mode, verified = _verify_witness(kf, mats, run)
-    return SearchResult("mu", n, kf.q, n, _canonical_witness(kf, mats, symmetric=True), mode, verified)
+    subspace of S(n, K): the trace pairing is non-degenerate.  The span is the
+    family A^0, which `rank_profile` censuses in at most two coset ranks."""
+    n, fam = tower.n, family(tower, 0)
+    try:
+        prof = rank_profile(tower, fam, run=Run(mode="exhaustive", budget=budget))
+    except BudgetExceededError as exc:
+        raise BudgetExceededError(exc.needed, budget, "raise the budget") from None
+    if prof.ranks != {n}:
+        raise AssertionError("exhaustive verification found a singular member of a field-derived witness")
+    return SearchResult("mu", n, tower.q, n, list(fam.gram_mats()), {"mode": "exhaustive"}, True)
 
 
 def block_construction(u: SearchResult, budget: int = DEFAULT_BUDGET) -> SearchResult:
@@ -193,21 +201,11 @@ def block_construction(u: SearchResult, budget: int = DEFAULT_BUDGET) -> SearchR
     off-diagonal blocks [[0, A], [A^T, 0]]; dimension is preserved."""
     if not u.verified:
         raise ValueError("block construction requires a fully verified input subspace")
-    p, s = prime_power_decompose(u.q)
-    gf = Gf(p, s)
-    m = u.n
-    blocks = []
-    for a in u.witness_basis:
-        a = np.asarray(a, dtype=np.int64)
-        b = np.zeros((2 * m, 2 * m), dtype=np.int64)
-        b[:m, m:] = a
-        b[m:, :m] = a.T
-        blocks.append(b)
-    try:
-        prof = _profile_from_grams(gf, np.stack(blocks), 2 * m, Run(mode="exhaustive", budget=budget))
-    except BudgetExceededError as exc:
-        raise BudgetExceededError(exc.needed, budget, "raise the budget") from None
-    if prof.ranks != {2 * m}:
+    gf, m = Gf(*prime_power_decompose(u.q)), u.n
+    a = np.asarray(u.witness_basis, dtype=np.int64).reshape(-1, m, m)
+    blocks = np.zeros((len(a), 2 * m, 2 * m), dtype=np.int64)
+    blocks[:, :m, m:], blocks[:, m:, :m] = a, a.transpose(0, 2, 1)
+    if not _verify_witness(gf, blocks, budget):
         raise AssertionError("block lift of an invertible-closed subspace has a singular member")
     return SearchResult("mu", 2 * m, u.q, u.best_dim, _canonical_witness(gf, blocks, symmetric=True),
                         {"mode": "exhaustive"}, True)
@@ -374,8 +372,8 @@ def greedy_search(target: str, n: int, q: int, seed: int = 0, restarts: int = 0,
     for name, value, least in (("n", n, 1), ("restarts", restarts, 0), ("seed", seed, 0)):
         if value < least:
             raise ValueError(f"{name} must be >= {least}")
-    p, s = prime_power_decompose(q)
-    gf = Gf(p, s)
+    _ambient(target, n)
+    gf = Gf(*prime_power_decompose(q))
     best: list[np.ndarray] = []
     best_restart = 0
     for restart in range(restarts + 1):
@@ -399,8 +397,7 @@ def greedy_search(target: str, n: int, q: int, seed: int = 0, restarts: int = 0,
             back_left -= 1
             basis.pop(int(rng.integers(0, len(basis))))
     try:
-        verified = bool(best) and _profile_from_grams(
-            gf, np.stack(best), n, Run(mode="exhaustive", budget=budget)).ranks == {n}
+        verified = bool(best) and _verify_witness(gf, np.stack(best), budget)
     except BudgetExceededError:
         verified = False
     return SearchResult(

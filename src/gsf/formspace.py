@@ -342,8 +342,8 @@ def family(tower: FieldTower, i: int) -> FormSubspace:
 # directly and take `_census_source`'s source.
 # `extremal.exhaustive_search` ranks the projective source over its whole
 # ambient space once, into a table that decides every candidate by lookups;
-# the block lift and the greedy search verify one basis by an exhaustive
-# census of its span.
+# `extremal._verify_witness` checks one basis by an exhaustive census of its
+# span, and the trace-form witness is the census of the family A^0.
 
 _Source = tuple[str, Iterable[np.ndarray], int]
 

@@ -24,7 +24,8 @@ from gsf.extremal import (
 )
 from gsf.cli import main
 from gsf.ffield import FieldTower, Gf, prime_power_decompose
-from gsf.formspace import BudgetExceededError, DEFAULT_BUDGET, Run, _combine_forms, unflatten_sym
+from gsf.formspace import BudgetExceededError, DEFAULT_BUDGET, _combine_forms, gram_basis, unflatten_sym
+from test_formspace import _counting_rank_many
 
 
 SPOT_RHO = {1: 1, 2: 2, 4: 4, 8: 8, 16: 9, 32: 10, 64: 12}
@@ -121,11 +122,37 @@ def test_witnesses_reach_the_column_bound(p, s, n, tower):
     assert construct_symmetric_witness(t).best_dim == n
 
 
-def test_witness_sampled_fallback_over_budget(tower):
+def test_witnesses_are_exact_or_refused_past_the_budget(tower):
+    # GF(3^6): the regular representation has 728 forms, over a budget of
+    # 100; A^0 has m = 2 coset classes, which fit it
     t = tower(3, 1, 6)
-    res = construct_regular_rep_subspace(t, Run(budget=100, sample_count=200, seed=4))
-    assert res.best_dim == 6 and not res.verified
-    assert res.mode["mode"] == "sampled"
+    with pytest.raises(BudgetExceededError, match="needs 728 forms, over the budget of 100; raise the budget$"):
+        construct_regular_rep_subspace(t, 100)
+    sym = construct_symmetric_witness(t, 100)
+    assert sym.best_dim == 6 and sym.verified and sym.mode == {"mode": "exhaustive"}
+    # GF(3^8): neither the m = 2 classes nor the 6,560 forms fit a budget of 1,
+    # and no sampled witness is offered
+    with pytest.raises(BudgetExceededError, match="; raise the budget$") as exc:
+        construct_symmetric_witness(tower(3, 1, 8), 1)
+    assert "sampled" not in str(exc.value)
+
+
+@pytest.mark.parametrize("p,s,n", [(3, 1, 1), (3, 1, 8), (3, 2, 2), (7, 3, 2), (5, 1, 5)])
+def test_symmetric_witness_is_the_canonical_trace_form_basis(p, s, n, tower):
+    t = tower(p, s, n)
+    want = extremal._canonical_witness(t.K, list(gram_basis(t, 0)), symmetric=True)
+    got = construct_symmetric_witness(t).witness_basis
+    assert len(got) == len(want) == n
+    assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+
+def test_symmetric_witness_ranks_one_form_per_coset(monkeypatch, tower):
+    # A^0 of GF(3^8): m = 2 coset ranks, not 3,280 K-lines
+    t = tower(3, 1, 8)
+    seen = _counting_rank_many(monkeypatch)
+    res = construct_symmetric_witness(t)
+    assert sum(seen) <= 2
+    assert res.verified and res.best_dim == 8
 
 
 def test_block_construction_m1_swap():
@@ -152,10 +179,11 @@ def test_block_construction_preserves_dimension(tower):
         assert not m[:2, :2].any() and not m[2:, 2:].any()
 
 
-def test_block_construction_rejects_unverified(tower):
-    base = construct_regular_rep_subspace(tower(3, 1, 6), Run(budget=100))
-    assert not base.verified
-    with pytest.raises(ValueError):
+def test_block_construction_rejects_unverified():
+    # over the budget of 5 the 8 combinations of greedy's 2-member basis are not checked
+    base = greedy_search("tau", 2, 3, budget=5)
+    assert base.best_dim == 2 and not base.verified
+    with pytest.raises(ValueError, match="requires a fully verified input subspace"):
         block_construction(base)
 
 
@@ -249,9 +277,11 @@ def test_exhaustive_search_refuses_before_scanning(monkeypatch, target, n, q, bu
     assert calls == []
 
 
-def test_exhaustive_search_rejects_bad_target():
-    with pytest.raises(ValueError):
-        exhaustive_search("nu", 2, 3)
+@pytest.mark.parametrize("search", [exhaustive_search, greedy_search], ids=["exhaustive", "greedy"])
+@pytest.mark.parametrize("target", ["nu", "xx"])
+def test_searches_reject_bad_target(search, target):
+    with pytest.raises(ValueError, match=f"target must be 'tau' or 'mu', got '{target}'"):
+        search(target, 2, 3)
 
 
 @pytest.mark.parametrize("target", ["tau", "mu"])

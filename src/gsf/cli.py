@@ -315,7 +315,7 @@ def golden_entries(workers: int = 1, budget: int = DEFAULT_BUDGET):
     """The pinned corpus: (filename, builder) pairs in a fixed order.
 
     The certificates of one instance share its tower, built on first use:
-    a tower is immutable, so its cached basis Grams serve them all.
+    a tower is immutable, so what its memo holds serves them all.
     """
     run = Run(budget=budget, workers=workers)
     entries = []

@@ -5,7 +5,7 @@ constant-rank splits of one family, the summed families of the rank bound.
 A `Piece` holds what is observed (a parameter subspace with the power i
 that twists it, a form subspace, or a raw Gram stack) next to what is
 claimed (dimension, ranks, and optionally rank counts or a minimum rank).
-Each verifier builds its pieces from scratch and audits its direct sums by
+Each verifier builds its pieces from the tower and audits its direct sums by
 exact echelon accounting.  `_certify`, the one claim path, then runs the
 rank census of each piece, one piece at a time in list order, turns the
 pieces into claims and sets the verdict.  Nothing is trusted; a

@@ -283,12 +283,10 @@ def eigenspace_of_power(tower: FieldTower, t: int, sign: int) -> LSubspace:
         raise ValueError(f"t = {t} out of range 1..{tower.n}")
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
-    kf = tower.K
-    if t == tower.n and sign == 1:  # sigma**n = id
-        return LSubspace.full(kf, tower.n)
-    ft = tower.frobenius_mats[t % tower.n]
-    sgn = 1 if sign == 1 else int(kf.neg(1))
-    m = kf.sub(ft, kf.mul(sgn, np.eye(tower.n, dtype=np.int64)))
-    basis = kernel(kf, m)  # already the reduced echelon basis
-    basis.setflags(write=False)
-    return LSubspace(kf, tower.n, basis)
+    kf, n = tower.K, tower.n
+    if t == n and sign == 1:  # sigma**n = id
+        return LSubspace.full(kf, n)
+    shift = kf.mul(1 if sign == 1 else int(kf.neg(1)), np.eye(n, dtype=np.int64))
+    # the kernel is already the reduced echelon basis; the tower holds it
+    basis = tower._memo(("eigenspace", t, sign), lambda: kernel(kf, kf.sub(tower.frobenius_mats[t % n], shift)))
+    return LSubspace(kf, n, basis)

@@ -41,7 +41,8 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+import sys
+from dataclasses import dataclass, is_dataclass
 
 import numpy as np
 
@@ -63,6 +64,8 @@ _I64_MAX = int(np.iinfo(np.int64).max)
 # with s > 1 add/mul tables of q**2 entries, a degree-n tower n Frobenius
 # matrices of n**2 entries
 MAX_TABLE_ENTRIES = 2**24
+# the bytes of derived objects one tower's memo holds (`FieldTower._memo`)
+MEMO_BYTES = 2**24
 
 
 def prime_factors(m: int) -> list[int]:
@@ -490,11 +493,23 @@ def find_irreducible(gf: Gf, degree: int) -> np.ndarray:
     raise AssertionError("unreachable: irreducibles exist in every degree")
 
 
+def _freeze(value) -> int:
+    """Make the arrays of a memo key or value read-only; returns the bytes it holds."""
+    if isinstance(value, np.ndarray):
+        value.setflags(write=False)
+        return value.nbytes
+    parts = (vars(value).values() if is_dataclass(value) else
+             value.items() if isinstance(value, dict) else value if isinstance(value, tuple) else ())
+    return sys.getsizeof(value) + sum(map(_freeze, parts))
+
+
 class FieldTower:
     """The tower GF(p) <= K = GF(p**s) <= L = GF(q**n), Frobenius included.
 
     Immutable after construction; all methods are pure functions of their
-    arguments, so a tower can be shared freely across threads.
+    arguments.  What the tower alone decides (basis Grams, eigenspaces, families,
+    coset generators, exhaustive censuses) is made once while `_memo` holds it,
+    read-only, up to `MEMO_BYTES` (oldest out first); only the calling thread writes it.
     """
 
     def __init__(self, p: int, s: int = 1, n: int = 1, base_poly=None, ext_poly=None):
@@ -518,7 +533,7 @@ class FieldTower:
         self.ext_poly = ext_poly
         self.ext_poly.setflags(write=False)
         self._precompute()
-        self._gram_cache: dict[int, np.ndarray] = {}
+        self._held, self._held_bytes = {}, 0  # `_memo`: key -> (value, bytes)
 
     @property
     def p(self) -> int:
@@ -563,6 +578,18 @@ class FieldTower:
         self.trace_vec.setflags(write=False)
         self.tau3 = K.matmul(xpow, self.trace_vec)
         self.tau3.setflags(write=False)
+
+    def _memo(self, key, make):
+        """The value `make()` for `key`, made on a miss and held read-only,
+        evicting the oldest while the held keys and values pass `MEMO_BYTES`."""
+        if key in self._held:
+            return self._held[key][0]
+        value = make()
+        self._held[key] = value, _freeze(key) + _freeze(value)
+        self._held_bytes += self._held[key][1]
+        while self._held_bytes > MEMO_BYTES:
+            self._held_bytes -= self._held.pop(next(iter(self._held)))[1]
+        return value
 
     # -- elements --------------------------------------------------------------
 

@@ -33,14 +33,13 @@ from __future__ import annotations
 import functools
 import math
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Iterator, Optional, Union
 
 import numpy as np
 
 from gsf.exactla import LSubspace, _span_audit, eigenspace_of_power, kernel, rank_many, rref
-from gsf.ffield import FieldTower, _mul_x_many, base_digits, prime_factors
+from gsf.ffield import FieldTower, base_digits, prime_factors
 
 __all__ = [
     "DEFAULT_BUDGET",
@@ -53,7 +52,6 @@ __all__ = [
     "flatten_sym",
     "unflatten_sym",
     "gram",
-    "gram_alt",
     "gram_matrix",
     "gram_basis",
     "radical",
@@ -240,33 +238,6 @@ def gram(tower: FieldTower, b, i: int) -> SymForm:
     return SymForm(tower, b, i, gram_matrix(tower, b, i))
 
 
-def gram_alt(tower: FieldTower, b, i: int) -> SymForm:
-    """Same form through the one-sided kernel formula.
-
-    Row j is tr((sigma^{-i}(b e_j) + b sigma^{i}(e_j)) * e_k) over k; built
-    from element products and traces rather than the Hankel shortcut, so it
-    cross-checks `gram` through an independent code path.
-    """
-    b = tower.element(b)
-    if not 0 <= i < tower.n:
-        raise ValueError(f"automorphism power i = {i} out of range 0..{tower.n - 1}")
-    n, kf = tower.n, tower.K
-    inv_i = (-i) % n
-    out = np.zeros((n, n), dtype=np.int64)
-    for j in range(n):
-        ej = tower.basis_element(j)
-        w = kf.add(
-            kf.matmul(tower.frobenius_mats[inv_i], tower.mul(b, ej)),
-            tower.mul(b, kf.matmul(tower.frobenius_mats[i], ej)),
-        )
-        u = w
-        for k in range(n):
-            out[j, k] = tower.trace_to_base(u)
-            if k + 1 < n:
-                u = _mul_x_many(kf, u[None], tower.ext_poly[:n])[0]
-    return SymForm(tower, b, i, out)
-
-
 def radical(form: SymForm) -> LSubspace:
     """The radical of the form: kernel of its Gram matrix."""
     kf = form.tower.K
@@ -300,32 +271,32 @@ def degenerate_rank_value(tower: FieldTower, i: int) -> int:
 
 
 def gram_basis(tower: FieldTower, i: int) -> np.ndarray:
-    """Stack of the Gram matrices of the basis parameters, cached per tower."""
+    """Read-only stack of the Gram matrices of the basis parameters."""
     if not 0 <= i < tower.n:
         raise ValueError(f"automorphism power i = {i} out of range 0..{tower.n - 1}")
-    cached = tower._gram_cache.get(i)
-    if cached is None:
+
+    def make():
         # H_t[j, k] = tr(x**(t + j + k)) is symmetric, so F_i^T H_t = (H_t F_i)^T:
         # one product over K for all n Grams
         n, kf = tower.n, tower.K
         hankel = tower.tau3[np.add.outer(np.arange(n), np.add.outer(np.arange(n), np.arange(n)))]
         half = kf.matmul(hankel.reshape(n * n, n), tower.frobenius_mats[i]).reshape(n, n, n)
-        cached = kf.add(half, half.transpose(0, 2, 1))
-        cached.setflags(write=False)
-        tower._gram_cache[i] = cached
-    return cached
+        return kf.add(half, half.transpose(0, 2, 1))
+
+    return tower._memo(("gram", i), make)
 
 
 def family(tower: FieldTower, i: int) -> FormSubspace:
     """The subspace of forms swept by b, echelonized into a canonical basis."""
     n, kf = tower.n, tower.K
-    grams = gram_basis(tower, i)
-    flat = flatten_sym(grams, n)
-    r, pivots = rref(kf, flat)
-    basis = r[: len(pivots)].copy()
-    basis.setflags(write=False)
-    pk = LSubspace(kf, n, kernel(kf, flat.T))
-    return FormSubspace(tower, i, basis, param_kernel=pk)
+
+    def make():
+        flat = flatten_sym(gram_basis(tower, i), n)
+        r, pivots = rref(kf, flat)
+        return r[: len(pivots)].copy(), kernel(kf, flat.T)
+
+    basis, pk = tower._memo(("family", i), make)
+    return FormSubspace(tower, i, basis, param_kernel=LSubspace(kf, n, pk))
 
 
 # -- enumeration engine ---------------------------------------------------------
@@ -344,6 +315,11 @@ def family(tower: FieldTower, i: int) -> FormSubspace:
 # ambient space once, into a table that decides every candidate by lookups;
 # `extremal._verify_witness` checks one basis by an exhaustive census of its
 # span, and the trace-form witness is the census of the family A^0.
+# `FieldTower._memo` holds, read-only and up to `ffield.MEMO_BYTES`, what the
+# tower alone decides: `gram_basis`, `family`, `eigenspace_of_power`, a coset
+# generator per (f, m) and each exhaustive `rank_profile` census, keyed by i
+# and its parameters' basis bytes once its source is chosen; a miss only
+# recomputes.  Only the calling thread writes it: `_rank_chunks`' pool ranks.
 
 _Source = tuple[str, Iterable[np.ndarray], int]
 
@@ -416,6 +392,8 @@ def _rank_chunks(kf, basis_grams: np.ndarray, code_chunks, workers: int = 1):
         for codes in code_chunks:
             yield ranks(codes)
         return
+    from concurrent.futures import ThreadPoolExecutor
+
     with ThreadPoolExecutor(max_workers=workers) as pool:
         pending = deque()
         for codes in code_chunks:
@@ -586,8 +564,9 @@ def _coset_source(tower: FieldTower, sub: LSubspace, i: int, budget: int = DEFAU
     by_w = kf.matmul(kf.matmul(sub.basis, sigma.T), _mul_matrix(tower, w).T)
     if not np.array_equal(by_w, kf.matmul(sub.basis, _mul_matrix(tower, kf.matmul(sigma, w)).T)):
         return None
-    candidates = _coset_candidates(kf, eigenspace_of_power(tower, f, 1).basis)
-    h = next(iter(candidates)) if m == 1 else _coset_generator(tower, candidates, f, m)
+    candidates = _coset_candidates(kf, eigenspace_of_power(tower, f, 1).basis)  # lazy
+    h = tower._memo(("generator", f, m),
+                    lambda: next(iter(candidates)) if m == 1 else _coset_generator(tower, candidates, f, m))
     by_h = _mul_matrix(tower, h)
     _congruence_audit(tower, i, h, by_h)
     pivots = [int(np.flatnonzero(row)[0]) for row in sub.basis]
@@ -645,7 +624,11 @@ def rank_profile(tower: FieldTower, sub, i: Optional[int] = None, run: Run = Run
     parameter subspace that is one line over a subfield whose m cosets pay
     and fit the budget, however many forms it holds; else `_census_source`,
     which compares the q**d - 1 forms with the budget.  A sampled census of a
-    form subspace draws from its own basis.
+    form subspace draws from its own basis.  The source is chosen, and the
+    budget checked, on every call; the tower's memo then holds each exhaustive
+    result under i and the bytes of the parameters' echelon basis, shared by a
+    family and its parameters, by auto and exhaustive runs and by any budget.
+    A sampled census never reaches it.
     """
     if not isinstance(sub, (LSubspace, FormSubspace)):
         raise TypeError(f"expected LSubspace or FormSubspace, got {type(sub).__name__}")
@@ -657,8 +640,10 @@ def rank_profile(tower: FieldTower, sub, i: Optional[int] = None, run: Run = Run
             params, i = _parameter_complement(tower, sub), sub.i
         source = _coset_source(tower, params, i, run.budget)
     source = source or _census_source(tower.q, sub.dim, tower.n, run)
-    if isinstance(sub, FormSubspace) and source[0] == "sampled":
-        grams = sub.gram_mats()  # sampled draws depend on the basis: keep the form subspace's own
-    else:
-        grams = _combine_forms(tower.K, params.basis, gram_basis(tower, i))
-    return _profile_from_grams(tower.K, grams, tower.n, run, source)
+    if source[0] == "sampled":  # draws depend on the basis: a form subspace keeps its own
+        grams = sub.gram_mats() if isinstance(sub, FormSubspace) else _combine_forms(
+            tower.K, params.basis, gram_basis(tower, i))
+        return _profile_from_grams(tower.K, grams, tower.n, run, source)
+    prof = tower._memo(("census", i, params.basis.tobytes()), lambda: _profile_from_grams(
+        tower.K, _combine_forms(tower.K, params.basis, gram_basis(tower, i)), tower.n, run, source))
+    return replace(prof, histogram=dict(prof.histogram))

@@ -283,6 +283,15 @@ def test_golden_write_then_check_roundtrip(tmp_path, capsys):
     assert code == 0
 
 
+def test_golden_entry_on_its_own_tower_equals_the_shared_tower_result():
+    # the certificates of one instance share a tower and so its memo; each is
+    # rebuilt here on a tower of its own, which starts with an empty memo
+    shared = [(fname, build().to_json()) for fname, build in golden_entries()]
+    for k, (fname, text) in enumerate(shared):
+        fresh = golden_entries()[k][1]().to_json()  # a fresh tower per golden_entries() call
+        assert fresh == text == (default_golden_dir() / fname).read_text(encoding="utf-8"), fname
+
+
 def test_gsf_budget_env_override(capsys, monkeypatch):
     monkeypatch.setenv("GSF_BUDGET", "10")
     code, _, err = run(capsys, "rank-laws", "--p", "3", "--n", "6", "--mode", "exhaustive")

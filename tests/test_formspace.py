@@ -1,19 +1,22 @@
 import hashlib
 import itertools
 import signal
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from gsf import formspace
-from gsf.decomp import _split_family, min_rank_lower_bound
+from gsf import ffield, formspace
+from gsf.cli import default_golden_dir
+from gsf.decomp import _split_family, min_rank_lower_bound, verify_full_refined, verify_rank_laws
 from gsf.exactla import LSubspace, eigenspace_of_power, rank_many
-from gsf.ffield import Gf, _mul_matrices, prime_factors
+from gsf.ffield import FieldTower, Gf, _mul_matrices, _mul_x_many, prime_factors
 from gsf.formspace import (
     BudgetExceededError,
     Run,
+    SymForm,
     _projective_spans,
     _range_chunks,
     degenerate_by_norm,
@@ -21,7 +24,6 @@ from gsf.formspace import (
     family,
     flatten_sym,
     gram,
-    gram_alt,
     gram_basis,
     gram_matrix,
     radical,
@@ -90,6 +92,33 @@ def test_gram_bilinear_exhaustive_gf9(tower):
             for b in range(9):
                 s = (vecs[a] + vecs[b]) % 3
                 assert np.array_equal(gram_matrix(t, s, i), (gs[a] + gs[b]) % 3)
+
+
+def gram_alt(tower, b, i: int) -> SymForm:
+    """Same form through the one-sided kernel formula.
+
+    Row j is tr((sigma^{-i}(b e_j) + b sigma^{i}(e_j)) * e_k) over k; built
+    from element products and traces rather than the Hankel shortcut, so it
+    cross-checks `gram` through an independent code path.
+    """
+    b = tower.element(b)
+    if not 0 <= i < tower.n:
+        raise ValueError(f"automorphism power i = {i} out of range 0..{tower.n - 1}")
+    n, kf = tower.n, tower.K
+    inv_i = (-i) % n
+    out = np.zeros((n, n), dtype=np.int64)
+    for j in range(n):
+        ej = tower.basis_element(j)
+        w = kf.add(
+            kf.matmul(tower.frobenius_mats[inv_i], tower.mul(b, ej)),
+            tower.mul(b, kf.matmul(tower.frobenius_mats[i], ej)),
+        )
+        u = w
+        for k in range(n):
+            out[j, k] = tower.trace_to_base(u)
+            if k + 1 < n:
+                u = _mul_x_many(kf, u[None], tower.ext_poly[:n])[0]
+    return SymForm(tower, b, i, out)
 
 
 def test_gram_alt_equals_gram_exhaustive_gf27(tower):
@@ -486,9 +515,10 @@ def test_projective_census_checks_its_weighted_total(monkeypatch, tower):
         formspace._profile_from_grams(t.K, gram_basis(t, 1), 4)
 
 
-def test_coset_census_checks_its_weighted_total(monkeypatch, tower):
-    # GF(3^4), i = 1: m = 4 cosets of |U| = 20 parameters; one unit short counts 4 * 19
-    t = tower(3, 1, 4)
+def test_coset_census_checks_its_weighted_total(monkeypatch):
+    # GF(3^4), i = 1: m = 4 cosets of |U| = 20 parameters; one unit short counts 4 * 19.
+    # A fresh tower: a census held by a shared one would never reach the patch
+    t = FieldTower(3, 1, 4)
     source = formspace._coset_source
 
     def short(*args):
@@ -516,9 +546,10 @@ def _counting_rank_many(monkeypatch):
 
 
 @pytest.mark.parametrize("p,i,m", [(7, 1, 8), (7, 3, 8), (11, 1, 12), (11, 3, 12)])
-def test_coset_census_equals_full_census_where_small_generators_fail(p, i, m, tower, monkeypatch):
-    # c = 8 and 12: the first candidates x + j of these towers do not generate
-    t = tower(p, 1, 4)
+def test_coset_census_equals_full_census_where_small_generators_fail(p, i, m, monkeypatch):
+    # c = 8 and 12: the first candidates x + j of these towers do not generate.
+    # Each census that counts its ranks runs on a fresh tower, whose memo holds none
+    t = FieldTower(p, 1, 4)
     seen = _counting_rank_many(monkeypatch)
     prof = rank_profile(t, LSubspace.full(t.K, 4), i)
     assert sum(seen) == m
@@ -526,9 +557,9 @@ def test_coset_census_equals_full_census_where_small_generators_fail(p, i, m, to
     assert prof.histogram == _full_census(t.K, gram_basis(t, i), 4)
 
 
-def test_coset_generator_skips_a_failing_candidate(monkeypatch, tower):
+def test_coset_generator_skips_a_failing_candidate(monkeypatch):
     # GF(3^8), i = 1: F*/U has order 4, so the image of a square has order at most 2
-    t = tower(3, 1, 8)
+    t = FieldTower(3, 1, 8)
     full = LSubspace.full(t.K, 8)
     square = t.mul(t.basis_element(1), t.basis_element(1))
     scan = formspace._coset_candidates
@@ -544,7 +575,9 @@ def test_coset_generator_skips_a_failing_candidate(monkeypatch, tower):
     prof = rank_profile(t, full, 1)
     assert len(chosen) == 1 and not np.array_equal(chosen[0], square)
     assert prof.histogram == _full_census(t.K, gram_basis(t, 1), 8)
-    # offered only squares, the census refuses rather than repeat cosets
+    # offered only squares, the census refuses rather than repeat cosets; a
+    # fresh tower, as `t` now holds both the generator and the census
+    t = FieldTower(3, 1, 8)
     monkeypatch.setattr(formspace, "_coset_candidates", lambda kf, fb: [square, t.mul(square, square)])
     with pytest.raises(AssertionError, match="no element of F generates F\\*/U of order 4"):
         rank_profile(t, full, 1)
@@ -597,8 +630,8 @@ def test_norm_generator_check_refuses_an_inconsistent_index(tower):
         formspace._coset_generator(t, candidates, 2, 5)
 
 
-def test_full_family_of_gf3_8_ranks_four_forms(monkeypatch, tower):
-    t = tower(3, 1, 8)
+def test_full_family_of_gf3_8_ranks_four_forms(monkeypatch):
+    t = FieldTower(3, 1, 8)
     seen = _counting_rank_many(monkeypatch)
     prof = rank_profile(t, LSubspace.full(t.K, 8), 1)
     assert sum(seen) == 4  # not (3**8 - 1)/2 = 3,280
@@ -690,7 +723,8 @@ def test_cosets_past_the_budget_are_refused_before_any_set_up(monkeypatch, tower
 
 @pytest.mark.parametrize("p,n,i,m", [(3, 8, 1, 4), (7, 4, 1, 8), (11, 32, 2, 122), (3, 20, 5, 244)])
 def test_coset_representatives_stream_in_chunks(p, n, i, m, monkeypatch, tower):
-    # the chunked stream yields the same codes in the same order for any chunk size
+    # the chunked stream yields the same codes in the same order for any chunk
+    # size; each counted census runs on a fresh tower, whose memo holds none
     t = tower(p, 1, n)
     full = LSubspace.full(t.K, n)
     _, chunks, _ = formspace._coset_source(t, full, i)
@@ -698,6 +732,7 @@ def test_coset_representatives_stream_in_chunks(p, n, i, m, monkeypatch, tower):
     assert want.shape == (m, n)
     hist = rank_profile(t, full, i).histogram
     for chunk in (1, 5, 64):
+        t = FieldTower(p, 1, n)
         monkeypatch.setattr(formspace, "_chunk_size", lambda n: chunk)
         _, chunks, _ = formspace._coset_source(t, full, i)
         chunks = list(chunks)
@@ -748,14 +783,106 @@ def test_family_census_through_parameters_equals_form_census(p, s, n, i, tower):
 
 
 @pytest.mark.parametrize("p,s,n,i,forms", [(3, 1, 8, 0, 2), (7, 3, 4, 2, 1)], ids=["A0_gf3_8", "B1_gf343_4"])
-def test_family_census_ranks_one_form_per_coset(p, s, n, i, forms, monkeypatch, tower):
+def test_family_census_ranks_one_form_per_coset(p, s, n, i, forms, monkeypatch):
     # A^0 of GF(3^8): m = 2, not 3,280 K-lines; B^1 of GF(343^4): Fix(sigma^2) has m = 1, not 344
-    t = tower(p, s, n)
+    t = FieldTower(p, s, n)
     fam = family(t, i)
     seen = _counting_rank_many(monkeypatch)
     prof = rank_profile(t, fam)
     assert sum(seen) == forms
     assert prof.total == t.q**fam.dim - 1 and prof.ranks == {n}
+
+
+# -- per-tower memo ------------------------------------------------------------------
+
+
+def test_family_and_its_parameter_complement_share_one_held_census(monkeypatch):
+    # A^0 of GF(3^8) ranks m = 2 forms once; all of L with i = 0 is the same census
+    t = FieldTower(3, 1, 8)
+    seen = _counting_rank_many(monkeypatch)
+    want = rank_profile(t, family(t, 0))
+    assert sum(seen) == 2
+    assert rank_profile(t, LSubspace.full(t.K, 8), 0).to_dict() == want.to_dict()
+    assert sum(seen) == 2
+
+
+def test_held_census_still_refuses_a_smaller_budget():
+    # A^1 of GF(3^8): m = 4 cosets fit a budget of 4, and neither they nor the
+    # 6,560 forms fit a budget of 3
+    t = FieldTower(3, 1, 8)
+    full = LSubspace.full(t.K, 8)
+    held = rank_profile(t, full, 1, Run(mode="exhaustive", budget=4))
+    assert held.mode == "exhaustive" and held.total == 3**8 - 1
+    assert rank_profile(t, full, 1, Run(mode="exhaustive", budget=4)).to_dict() == held.to_dict()
+    with pytest.raises(BudgetExceededError):
+        rank_profile(t, full, 1, Run(mode="exhaustive", budget=3))
+
+
+def test_sampled_runs_are_never_served_from_the_memo(monkeypatch):
+    t = FieldTower(3, 1, 6)
+    fam, full = family(t, 0), LSubspace.full(t.K, 6)
+    assert rank_profile(t, fam).mode == "exhaustive"  # held
+    run = Run(mode="sampled", sample_count=300, seed=4)
+    want = formspace._profile_from_grams(t.K, fam.gram_mats(), 6, run)
+    seen = _counting_rank_many(monkeypatch)
+    for _ in range(2):
+        assert rank_profile(t, fam, run=run).to_dict() == want.to_dict()
+    assert sum(seen) == 600
+    # auto past the budget samples A^1 (m = 4 cosets over a budget of 3), and holds nothing
+    auto = Run(budget=3, sample_count=50, seed=1)
+    for _ in range(2):
+        assert rank_profile(t, full, 1, auto).mode == "sampled"
+    assert sum(seen) == 700
+
+
+def test_returned_objects_cannot_change_a_later_result(monkeypatch):
+    t = FieldTower(3, 1, 8)
+    full = LSubspace.full(t.K, 8)
+    prof = rank_profile(t, full, 1)
+    want = dict(prof.histogram)
+    prof.histogram[8] = 0
+    prof.histogram[3] = 1
+    assert rank_profile(t, full, 1).histogram == want
+    # eigenspaces, families, basis Grams and coset generators are held read-only
+    eig, fam = eigenspace_of_power(t, 2, -1), family(t, 4)
+    eig_basis = eig.basis.copy()
+    generators = []
+    audit = formspace._congruence_audit
+    monkeypatch.setattr(formspace, "_congruence_audit",
+                        lambda tw, i, h, by_h: generators.append(h) or audit(tw, i, h, by_h))
+    assert rank_profile(t, full, 1, Run(budget=10)).histogram == want  # held; its source audits the held generator
+    assert len(generators) == 1
+    for held in [eig.basis, fam.basis, fam.param_kernel.basis, gram_basis(t, 1), generators[0]]:
+        assert held.size
+        with pytest.raises(ValueError, match="read-only"):
+            held[(0,) * held.ndim] += 1
+    eig.basis = np.zeros((1, 8), dtype=np.int64)
+    assert np.array_equal(eigenspace_of_power(t, 2, -1).basis, eig_basis)
+
+
+@pytest.mark.parametrize("bound", [0, 3000, 20_000])
+def test_memo_never_holds_more_than_its_bound(monkeypatch, bound):
+    # GF(3^8): one stack of basis Grams is 4,096 bytes, so a bound of 3,000
+    # holds no Grams and 20,000 holds a few of them at a time; a census key
+    # holds its parameters' basis, so keys count too
+    monkeypatch.setattr(ffield, "MEMO_BYTES", bound)
+    memo, held = FieldTower._memo, []
+
+    def watched(tower, key, make):
+        value = memo(tower, key, make)
+        held.append(tower._held_bytes)
+        assert tower._held_bytes == sum(size for _, size in tower._held.values()) <= bound
+        assert all(size > sum(map(sys.getsizeof, key)) for key, (_, size) in tower._held.items())
+        return value
+
+    monkeypatch.setattr(FieldTower, "_memo", watched)
+    t = FieldTower(3, 1, 8)
+    for name, verify in [("rank-laws", verify_rank_laws), ("full-refined", verify_full_refined)]:
+        pinned = (default_golden_dir() / f"gf3_1_8_{name}.json").read_text(encoding="utf-8")
+        assert verify(t).to_json() == pinned
+    assert len(held) > 50
+    if bound == 20_000:
+        assert max(held) > 4096
 
 
 def test_sampled_family_census_draws_from_the_form_subspace(tower):
@@ -812,10 +939,11 @@ def test_census_of_a_subfield_line_equals_full_census(data, tower):
 
 @settings(max_examples=25, deadline=None)
 @given(data=st.data())
-def test_census_of_a_plane_off_every_subfield_line_is_projective(data, tower):
-    # n = 2 is left out: there every plane is L, one line over GF(q^2)
+def test_census_of_a_plane_off_every_subfield_line_is_projective(data):
+    # n = 2 is left out: there every plane is L, one line over GF(q^2).  A fresh
+    # tower per example, as two draws may span the same plane
     p, s, n = data.draw(st.sampled_from([tw for tw in _LINE_TOWERS if tw[2] >= 3]))
-    t = tower(p, s, n)
+    t = FieldTower(p, s, n)
     i = data.draw(st.integers(0, n - 1))
     digits = st.lists(st.integers(0, t.q - 1), min_size=n, max_size=n)
     w1, w2 = np.array(data.draw(digits)), np.array(data.draw(digits))

@@ -62,82 +62,32 @@ def _env_budget() -> int:
         raise UsageError(f"GSF_BUDGET must be an integer, got {raw!r}") from exc
 
 
-def _build_parser() -> _Parser:
+# arguments as (flag, add_argument keywords), shared where commands share them
+_TOWER = [("--p", dict(type=int, required=True, help="odd prime characteristic")),
+          ("--s", dict(type=int, default=1, help="base field is GF(p**s)")),
+          ("--n", dict(type=int, required=True, help="extension degree"))]
+_N = [("--n", dict(type=int, required=True))]
+_OUTPUT = [("--output", dict(dest="output_path", default=None)),
+           ("--format", dict(choices=["json", "table"], default="json"))]
+_TAIL = [("--budget", dict(type=int, default=None))] + _OUTPUT
+_CENSUS = [("--mode", dict(choices=["auto", "exhaustive", "sampled"], default="auto")),
+           ("--sample-count", dict(type=int, default=DEFAULT_SAMPLE_COUNT)),
+           ("--seed", dict(type=int, default=None)),
+           ("--workers", dict(type=int, default=1))] + _TAIL
+
+
+def _build_parser(command=None) -> _Parser:
+    """The gsf parser.  For the name of a command it holds that command's
+    subparser only, all a run of it parses; for None or any other word it
+    holds every command's, so help, usage errors and the list of choices
+    read the same whatever was asked for."""
     parser = _Parser(prog="gsf", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def output(p):
-        p.add_argument("--output", dest="output_path", default=None)
-        p.add_argument("--format", choices=["json", "table"], default="json")
-
-    def common(p, tower=True, enum=True):
-        if tower:
-            p.add_argument("--p", type=int, required=True, help="odd prime characteristic")
-            p.add_argument("--s", type=int, default=1, help="base field is GF(p**s)")
-            p.add_argument("--n", type=int, required=True, help="extension degree")
-        if enum:
-            p.add_argument("--mode", choices=["auto", "exhaustive", "sampled"], default="auto")
-            p.add_argument("--sample-count", type=int, default=DEFAULT_SAMPLE_COUNT)
-            p.add_argument("--seed", type=int, default=None)
-            p.add_argument("--workers", type=int, default=1)
-        p.add_argument("--budget", type=int, default=None)
-        output(p)
-
-    common(sub.add_parser("tower", help="construct and print a field tower"), enum=False)
-
-    p_form = sub.add_parser("form", help="Gram matrix of one twisted form")
-    common(p_form, enum=False)
-    p_form.add_argument("--b", required=True, help="element as comma-separated base-p digits, little-endian")
-    p_form.add_argument("--i", type=int, required=True, help="automorphism power")
-
-    p_family = sub.add_parser("family", help="canonical basis of one form family")
-    common(p_family, enum=False)
-    p_family.add_argument("--i", type=int, required=True)
-
-    common(sub.add_parser("rank-laws", help="rank dichotomy census over every power"))
-    common(sub.add_parser("decompose", help="global direct-sum certificate"))
-
-    p_refine = sub.add_parser("refine", help="split one family into constant-rank pieces")
-    common(p_refine)
-    p_refine.add_argument("--i", type=int, default=None)
-    p_refine.add_argument("--full", action="store_true", help="compose all applicable splits")
-
-    p_tc = sub.add_parser("theorem-c", help="two-power case classification plus refinement census")
-    p_tc.add_argument("--q", type=int, required=True, help="base field size (odd prime power, 3 mod 4)")
-    p_tc.add_argument("--n", type=int, required=True)
-    common(p_tc, tower=False)
-
-    p_mr = sub.add_parser("min-rank", help="lower bound census over summed families")
-    common(p_mr)
-    p_mr.add_argument("--k", dest="kk", type=int, required=True, help="number of summed families")
-
-    p_rho = sub.add_parser("rho", help="Radon-Hurwitz number")
-    p_rho.add_argument("--n", type=int, required=True)
-    output(p_rho)
-
-    p_mu = sub.add_parser("real-mu", help="real-field symmetric interval")
-    p_mu.add_argument("--n", type=int, required=True)
-    output(p_mu)
-
-    p_search = sub.add_parser("search", help="invertible-closed subspace search")
-    p_search.add_argument("--target", choices=["tau", "mu"], required=True)
-    p_search.add_argument("--n", type=int, required=True)
-    p_search.add_argument("--q", type=int, required=True)
-    p_search.add_argument("--method", choices=["exhaustive", "greedy"], default="exhaustive")
-    p_search.add_argument("--seed", type=int, default=0)
-    p_search.add_argument("--restarts", type=int, default=0)
-    p_search.add_argument("--budget", type=int, default=None)
-    output(p_search)
-
-    p_block = sub.add_parser("block", help="lift a full-matrix witness to symmetric blocks")
-    common(p_block, enum=False)
-
-    p_gold = sub.add_parser("golden-check", help="recompute and byte-compare pinned certificates")
-    p_gold.add_argument("--golden-dir", default=None)
-    p_gold.add_argument("--write", action="store_true", help="regenerate the pinned corpus")
-    p_gold.add_argument("--workers", type=int, default=1)
-    p_gold.add_argument("--budget", type=int, default=None)
-
+    for name, (help_text, arguments, _) in _COMMANDS.items():
+        if command == name or command not in _COMMANDS:
+            p = sub.add_parser(name, help=help_text)
+            for flag, keywords in arguments:
+                p.add_argument(flag, **keywords)
     return parser
 
 
@@ -199,99 +149,112 @@ def _config(args) -> Run:
                budget=budget, workers=workers)
 
 
-def _refine_dispatch(tower: FieldTower, i: int, run: Run) -> Certificate:
-    n = tower.n
+def _power(tower: FieldTower, i: int, low: int = 0) -> int:
+    if not low <= i < tower.n:
+        raise UsageError(f"--i must be in {low}..{tower.n - 1}")
+    return i
+
+
+def _tower_report(args, run: Run) -> dict:
+    tower = _tower_from_args(args)
+    return {**tower.to_dict(), "q": tower.q}
+
+
+def _form_report(args, run: Run) -> dict:
+    tower = _tower_from_args(args)
+    i = _power(tower, args.i)
+    f = gram(tower, _parse_element(tower, args.b), i)
+    return {**f.to_dict(), "rank": f.rank()}
+
+
+def _refine_report(args, run: Run) -> Certificate:
+    tower = _tower_from_args(args)
+    if args.full:
+        if tower.n % 2:
+            raise UsageError("--full needs an even extension degree")
+        return verify_full_refined(tower, run)
+    if args.i is None:
+        raise UsageError("refine needs --i or --full")
+    i, n = _power(tower, args.i, 1), tower.n
     if i == 1 and n % 2 == 0:
-        if n % 4 == 2:
-            return refine_A1_2k(tower, run)
-        return refine_A1_pow4(tower, run)
+        return (refine_A1_2k if n % 4 == 2 else refine_A1_pow4)(tower, run)
     return refine_Ai_mod2(tower, i, run)
 
 
-def _report(args, run: Run):
-    """The command's report: a plain dict, or a certificate whose verdict sets the exit code."""
-    cmd = args.command
+def _theorem_c_report(args, run: Run) -> Certificate:
+    p, s = prime_power_decompose(args.q)
+    if p == 2:
+        raise UsageError("characteristic 2 is not supported")
+    if args.q % 4 != 3:
+        raise UsageError(f"q = {args.q} is 1 mod 4: -1 is a square in the base field")
+    return refine_A1_pow4(FieldTower(p, s, args.n), run)
 
-    if cmd == "tower":
-        tower = _tower_from_args(args)
-        d = tower.to_dict()
-        d["q"] = tower.q
-        return d
 
-    if cmd == "form":
-        tower = _tower_from_args(args)
-        if not 0 <= args.i < tower.n:
-            raise UsageError(f"--i must be in 0..{tower.n - 1}")
-        b = _parse_element(tower, args.b)
-        f = gram(tower, b, args.i)
-        d = f.to_dict()
-        d["rank"] = f.rank()
-        return d
+def _search_report(args, run: Run) -> dict:
+    if args.method == "exhaustive":
+        return exhaustive_search(args.target, args.n, args.q, budget=run.budget).to_dict()
+    return greedy_search(args.target, args.n, args.q, seed=args.seed,
+                         restarts=args.restarts, budget=run.budget).to_dict()
 
-    if cmd == "family":
-        tower = _tower_from_args(args)
-        if not 0 <= args.i < tower.n:
-            raise UsageError(f"--i must be in 0..{tower.n - 1}")
-        return family(tower, args.i).to_dict()
 
-    if cmd == "rank-laws":
-        return verify_rank_laws(_tower_from_args(args), run)
+def _block_report(args, run: Run) -> dict:
+    if args.n % 2:
+        raise UsageError("block lifting needs an even target size n")
+    base = construct_regular_rep_subspace(FieldTower(args.p, args.s, args.n // 2), run.budget)
+    return block_construction(base, run.budget).to_dict()
 
-    if cmd == "decompose":
-        return verify_global(_tower_from_args(args), run)
 
-    if cmd == "refine":
-        tower = _tower_from_args(args)
-        if args.full:
-            if tower.n % 2:
-                raise UsageError("--full needs an even extension degree")
-            return verify_full_refined(tower, run)
-        if args.i is None:
-            raise UsageError("refine needs --i or --full")
-        if not 1 <= args.i < tower.n:
-            raise UsageError(f"--i must be in 1..{tower.n - 1}")
-        return _refine_dispatch(tower, args.i, run)
+def _golden_report(args, run: Run) -> int:
+    code, report = golden_check(args.golden_dir, write=args.write, workers=run.workers, budget=run.budget)
+    sys.stdout.write(report)
+    return code
 
-    if cmd == "theorem-c":
-        p, s = prime_power_decompose(args.q)
-        if p == 2:
-            raise UsageError("characteristic 2 is not supported")
-        if args.q % 4 != 3:
-            raise UsageError(f"q = {args.q} is 1 mod 4: -1 is a square in the base field")
-        return refine_A1_pow4(FieldTower(p, s, args.n), run)
 
-    if cmd == "min-rank":
-        return min_rank_lower_bound(_tower_from_args(args), args.kk, run)
-
-    if cmd == "rho":
-        return {"rho": rho(args.n)}
-
-    if cmd == "real-mu":
-        lo, hi = real_mu_interval(args.n)
-        return {"n": args.n, "mu_interval": [lo, hi]}
-
-    if cmd == "search":
-        if args.method == "exhaustive":
-            return exhaustive_search(args.target, args.n, args.q, budget=run.budget).to_dict()
-        return greedy_search(args.target, args.n, args.q, seed=args.seed,
-                             restarts=args.restarts, budget=run.budget).to_dict()
-
-    if cmd == "block":
-        if args.n % 2:
-            raise UsageError("block lifting needs an even target size n")
-        base = construct_regular_rep_subspace(FieldTower(args.p, args.s, args.n // 2), run.budget)
-        return block_construction(base, run.budget).to_dict()
-
-    raise UsageError(f"unknown command {cmd!r}")
+# name: (help, arguments, report).  A report comes from (args, run): a plain
+# dict, a certificate whose verdict sets the exit code, or the exit code of
+# golden-check, which writes its own report.  The order is the help's.
+_COMMANDS = {
+    "tower": ("construct and print a field tower", _TOWER + _TAIL, _tower_report),
+    "form": ("Gram matrix of one twisted form", _TOWER + _TAIL + [
+        ("--b", dict(required=True, help="element as comma-separated base-p digits, little-endian")),
+        ("--i", dict(type=int, required=True, help="automorphism power"))], _form_report),
+    "family": ("canonical basis of one form family", _TOWER + _TAIL + [("--i", dict(type=int, required=True))],
+               lambda args, run: family(tower := _tower_from_args(args), _power(tower, args.i)).to_dict()),
+    "rank-laws": ("rank dichotomy census over every power", _TOWER + _CENSUS,
+                  lambda args, run: verify_rank_laws(_tower_from_args(args), run)),
+    "decompose": ("global direct-sum certificate", _TOWER + _CENSUS,
+                  lambda args, run: verify_global(_tower_from_args(args), run)),
+    "refine": ("split one family into constant-rank pieces", _TOWER + _CENSUS + [
+        ("--i", dict(type=int, default=None)),
+        ("--full", dict(action="store_true", help="compose all applicable splits"))], _refine_report),
+    "theorem-c": ("two-power case classification plus refinement census", [
+        ("--q", dict(type=int, required=True, help="base field size (odd prime power, 3 mod 4)"))] + _N + _CENSUS,
+        _theorem_c_report),
+    "min-rank": ("lower bound census over summed families", _TOWER + _CENSUS + [
+        ("--k", dict(dest="kk", type=int, required=True, help="number of summed families"))],
+        lambda args, run: min_rank_lower_bound(_tower_from_args(args), args.kk, run)),
+    "rho": ("Radon-Hurwitz number", _N + _OUTPUT, lambda args, run: {"rho": rho(args.n)}),
+    "real-mu": ("real-field symmetric interval", _N + _OUTPUT,
+                lambda args, run: {"n": args.n, "mu_interval": list(real_mu_interval(args.n))}),
+    "search": ("invertible-closed subspace search", [
+        ("--target", dict(choices=["tau", "mu"], required=True))] + _N + [
+        ("--q", dict(type=int, required=True)),
+        ("--method", dict(choices=["exhaustive", "greedy"], default="exhaustive")),
+        ("--seed", dict(type=int, default=0)),
+        ("--restarts", dict(type=int, default=0))] + _TAIL, _search_report),
+    "block": ("lift a full-matrix witness to symmetric blocks", _TOWER + _TAIL, _block_report),
+    "golden-check": ("recompute and byte-compare pinned certificates", [
+        ("--golden-dir", dict(default=None)),
+        ("--write", dict(action="store_true", help="regenerate the pinned corpus")),
+        ("--workers", dict(type=int, default=1)),
+        ("--budget", dict(type=int, default=None))], _golden_report),
+}
 
 
 def _dispatch(args) -> int:
-    run = _config(args)
-    if args.command == "golden-check":
-        code, report = golden_check(args.golden_dir, write=args.write, workers=run.workers, budget=run.budget)
-        sys.stdout.write(report)
-        return code
-    report = _report(args, run)
+    report = _COMMANDS[args.command][2](args, _config(args))
+    if isinstance(report, int):
+        return report
     code = 0
     if isinstance(report, Certificate):
         code, report = _VERDICT_EXIT[report.verdict], report.to_dict()
@@ -387,10 +350,10 @@ def golden_check(golden_dir=None, write: bool = False, workers: int = 1,
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    """Run one command line (`sys.argv[1:]` when argv is None); returns the exit code."""
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = parser.parse_args(argv)
-        return _dispatch(args)
+        return _dispatch(_build_parser(argv[0] if argv else None).parse_args(argv))
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
@@ -399,6 +362,9 @@ def main(argv=None) -> int:
         return 1
     except (ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except OSError as exc:  # a report or pinned certificate that cannot be written
+        print(f"error: cannot write {exc.filename}: {exc.strerror}", file=sys.stderr)
         return 1
     except AssertionError as exc:
         print(f"internal check failed: {exc}", file=sys.stderr)

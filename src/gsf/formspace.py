@@ -524,13 +524,19 @@ def _mul_matrix(tower: FieldTower, a: np.ndarray) -> np.ndarray:
     return tower.K.matmul(a, powers.reshape(n, n * n)).reshape(n, n).T
 
 
-def _congruence_audit(tower: FieldTower, i: int, h: np.ndarray, by_h: np.ndarray) -> None:
-    """G(e_t*h*sigma^i(h)) = M_h^T G(e_t) M_h for every basis parameter e_t,
-    so multiplying a parameter by h*sigma^i(h) keeps its rank."""
-    kf = tower.K
+def _congruence_audit(tower: FieldTower, i: int, h: np.ndarray, by_h: np.ndarray, rows: np.ndarray) -> None:
+    """G(b*h*sigma^i(h)) = M_h^T G(b) M_h for each basis row b of W, so
+    multiplying a parameter by h*sigma^i(h) keeps its rank.  Multiplying by
+    h keeps W = F*w, so the rows of W are all the census needs.  Each side
+    comes from 2-D products over the flattened (f*n, n) stack; the right is
+    (G(b) M_h)^T M_h, transposed back."""
+    kf, n = tower.K, tower.n
     grams = gram_basis(tower, i)
     by_u = _mul_matrix(tower, tower.mul(h, tower.frobenius_apply(i, h)))
-    if not np.array_equal(_combine_forms(kf, by_u.T, grams), kf.matmul(kf.matmul(by_h.T, grams), by_h)):
+    left = _combine_forms(kf, kf.matmul(rows, by_u.T), grams)
+    right = kf.matmul(_combine_forms(kf, rows, grams).reshape(-1, n), by_h).reshape(-1, n, n)
+    right = kf.matmul(right.transpose(0, 2, 1).reshape(-1, n), by_h).reshape(-1, n, n)
+    if not np.array_equal(left, right.transpose(0, 2, 1)):
         raise AssertionError(f"multiplication by a coset generator is not a congruence for i = {i}")
 
 
@@ -568,7 +574,7 @@ def _coset_source(tower: FieldTower, sub: LSubspace, i: int, budget: int = DEFAU
     h = tower._memo(("generator", f, m),
                     lambda: next(iter(candidates)) if m == 1 else _coset_generator(tower, candidates, f, m))
     by_h = _mul_matrix(tower, h)
-    _congruence_audit(tower, i, h, by_h)
+    _congruence_audit(tower, i, h, by_h, sub.basis)
     pivots = [int(np.flatnonzero(row)[0]) for row in sub.basis]
     return "coset", _coset_chunks(tower, w, h, by_h, m, pivots), unit
 

@@ -322,21 +322,62 @@ def test_nonpositive_sample_count_usage_error(capsys, count):
     assert "sample count must be >= 1" in err
 
 
-def test_parser_flag_sets_and_search_defaults():
+def test_parser_flag_sets_and_search_defaults(capsys, monkeypatch):
     import argparse
 
-    from gsf.cli import _build_parser
+    from gsf.cli import _COMMANDS, UsageError, _build_parser
 
-    sub = next(a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    monkeypatch.setenv("COLUMNS", "80")  # help text wraps at the terminal width
+
+    def subparsers(parser):
+        return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+    sub = subparsers(_build_parser())
+    assert list(sub) == list(_COMMANDS) and len(sub) == 13
 
     def flags(name):
-        return sorted(o for a in sub.choices[name]._actions for o in a.option_strings if o.startswith("--"))
+        return sorted(o for a in sub[name]._actions for o in a.option_strings if o.startswith("--"))
 
     assert flags("rho") == flags("real-mu") == ["--format", "--help", "--n", "--output"]
     assert flags("search") == ["--budget", "--format", "--help", "--method", "--n", "--output", "--q",
                                "--restarts", "--seed", "--target"]
-    args = sub.choices["search"].parse_args(["--target", "mu", "--n", "3", "--q", "3"])
+    args = sub["search"].parse_args(["--target", "mu", "--n", "3", "--q", "3"])
     assert (args.seed, args.budget, args.output_path, args.format) == (0, None, None, "json")
+
+    # a run builds only its command's subparser, and it must be the full parser's
+    def shape(parser):
+        return [(a.option_strings, a.dest, a.default, a.choices, a.required, a.type, a.help)
+                for a in parser._actions]
+
+    for name in _COMMANDS:
+        alone = subparsers(_build_parser(name))
+        assert list(alone) == [name]
+        assert shape(alone[name]) == shape(sub[name])
+        assert alone[name].format_help() == sub[name].format_help()
+    # with no command or an unknown one main builds every subparser: the
+    # same message as the full parser's, and the choices name all 13 commands
+    for argv in ([], ["bogus"]):
+        with pytest.raises(UsageError) as exc:
+            _build_parser().parse_args(argv)
+        assert run(capsys, *argv) == (1, "", f"usage error: {exc.value}\n")
+    choices = str(exc.value).split("choose from")[1]
+    assert all(name in choices for name in _COMMANDS)
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0 and capsys.readouterr().out == _build_parser().format_help()
+
+
+@pytest.mark.parametrize("argv", [
+    ["tower", "--p", "3", "--n", "2", "--output"],
+    ["golden-check", "--write", "--golden-dir"],
+])
+def test_unwritable_path_is_one_error_line(tmp_path, capsys, argv):
+    blocker = tmp_path / "file"  # a file where a directory is needed
+    blocker.write_text("")
+    target = blocker / "out"
+    code, out, err = run(capsys, *argv, str(target))
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: cannot write {target}: ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("argv", [

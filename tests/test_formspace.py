@@ -638,12 +638,28 @@ def test_full_family_of_gf3_8_ranks_four_forms(monkeypatch):
     assert prof.total == 3**8 - 1
 
 
-def test_coset_congruence_audit_refuses_a_wrong_matrix(tower):
-    t = tower(3, 1, 4)
-    h = t.basis_element(1)
-    formspace._congruence_audit(t, 1, h, formspace._mul_matrix(t, h))
-    with pytest.raises(AssertionError, match="not a congruence for i = 1"):
-        formspace._congruence_audit(t, 1, h, formspace._mul_matrix(t, t.add(h, t.one())))
+def test_coset_congruence_audit_refuses_a_wrong_matrix(tower, monkeypatch, capsys):
+    from gsf.cli import main
+
+    # all of GF(3^4) (f = n), and the piece W = GF(3^4) of GF(3^8) (f < n),
+    # of which the audit reads only W's rows
+    for t, rows in [(tower(3, 1, 4), LSubspace.full(tower(3, 1, 4).K, 4).basis),
+                    (tower(3, 1, 8), eigenspace_of_power(tower(3, 1, 8), 4, 1).basis)]:
+        h = rows[1]
+        formspace._congruence_audit(t, 1, h, formspace._mul_matrix(t, h), rows)
+        with pytest.raises(AssertionError, match="not a congruence for i = 1"):
+            formspace._congruence_audit(t, 1, h, formspace._mul_matrix(t, t.add(h, t.one())), rows)
+    # a run whose coset census of such a piece is fed a wrong matrix exits 4
+    audit, pieces = formspace._congruence_audit, []
+
+    def wrong(tw, i, h, by_h, rows):
+        pieces.append(len(rows))
+        audit(tw, i, h, formspace._mul_matrix(tw, tw.add(h, tw.one())), rows)
+
+    monkeypatch.setattr(formspace, "_congruence_audit", wrong)
+    assert main(["refine", "--full", "--p", "3", "--n", "8"]) == 4
+    assert pieces == [4]
+    assert "internal check failed" in capsys.readouterr().err
 
 
 def test_coset_source_refuses_a_plane_that_is_not_a_subfield_line(tower):
@@ -849,7 +865,7 @@ def test_returned_objects_cannot_change_a_later_result(monkeypatch):
     generators = []
     audit = formspace._congruence_audit
     monkeypatch.setattr(formspace, "_congruence_audit",
-                        lambda tw, i, h, by_h: generators.append(h) or audit(tw, i, h, by_h))
+                        lambda tw, i, h, by_h, rows: generators.append(h) or audit(tw, i, h, by_h, rows))
     assert rank_profile(t, full, 1, Run(budget=10)).histogram == want  # held; its source audits the held generator
     assert len(generators) == 1
     for held in [eig.basis, fam.basis, fam.param_kernel.basis, gram_basis(t, 1), generators[0]]:

@@ -2,14 +2,15 @@
 
 Every result is a list of pieces: the global sum of the families A^i, the
 constant-rank splits of one family, the summed families of the rank bound.
-A `Piece` holds what is observed (a parameter subspace with the power i
-that twists it, a form subspace, or a raw Gram stack) next to what is
-claimed (dimension, ranks, and optionally rank counts or a minimum rank).
-Each verifier builds its pieces from the tower and audits its direct sums by
-exact echelon accounting.  `_certify`, the one claim path, then runs the
-rank census of each piece, one piece at a time in list order, turns the
-pieces into claims and sets the verdict.  Nothing is trusted; a
-certificate passes only if every audit holds and every observation matches.
+A `Piece` holds what is observed (parameters j * Fix(sigma**f) built by
+`formspace.translate`, with the power i that twists them, or a raw Gram
+stack) next to what is claimed (dimension, ranks, and optionally rank
+counts or a minimum rank).  Each verifier builds its pieces from the tower
+and audits its direct sums by exact echelon accounting.  `_certify`, the
+one claim path, then runs the rank census of each piece, one piece at a
+time in list order, turns the pieces into claims and sets the verdict.
+Nothing is trusted; a certificate passes only if every audit holds and
+every observation matches.
 
 Every verifier takes one `formspace.Run` (mode, sample count, seed, budget,
 workers; re-exported here), and `_certify` hands it to the census engine
@@ -27,7 +28,7 @@ from typing import Optional
 
 import numpy as np
 
-from gsf.exactla import LSubspace, _span_audit, eigenspace_of_power
+from gsf.exactla import _span_audit
 from gsf.ffield import FieldTower, two_adic
 from gsf.formspace import (
     RankProfile,
@@ -37,6 +38,7 @@ from gsf.formspace import (
     family,
     gram_basis,
     rank_profile,
+    translate,
 )
 
 __all__ = [
@@ -99,10 +101,10 @@ def theorem_c_case(params: TheoremCParams) -> str:
 class Piece:
     """One claimed piece of a decomposition.
 
-    `sub` is what the census enumerates: an LSubspace of parameters twisted
-    by sigma^i, a FormSubspace, or a raw (d, n, n) stack of Grams; None
-    claims a dimension only.  `observed_dim` defaults to the dimension of
-    `sub`.  Rank counts are claimed only when the census is exhaustive.
+    `sub` is what the census enumerates: a `Translate` of parameters twisted
+    by sigma^i, or a raw (d, n, n) stack of Grams; None claims a dimension
+    only.  `observed_dim` defaults to the dimension of `sub`.  Rank counts
+    are claimed only when the census is exhaustive.
     """
 
     name: str
@@ -233,8 +235,10 @@ def _global_pieces(tower: FieldTower, refine: bool) -> tuple[list[Piece], list[b
 
     Without `refine` the families claim dimensions only.  With it each
     family claims constant rank n, except that a family of even order is
-    replaced by its constant-rank split.  The audits are the splits' and,
-    last, the independence of the families.
+    replaced by its constant-rank split.  B^1 and A^0 are censused through
+    parameters that b -> form(b) maps one-to-one onto them: Fix(sigma**(n/2)),
+    which must complement B^1's parameter kernel, and all of L.  The audits
+    are the splits' and, last, the independence of the families.
     """
     n = tower.n
     reps, invol = _pair_representatives(n)
@@ -244,8 +248,11 @@ def _global_pieces(tower: FieldTower, refine: bool) -> tuple[list[Piece], list[b
     for name, i, dim in heads + [("A^0", 0, n)]:
         fam = family(tower, i)
         parts.append(fam)
-        pieces.append(Piece(name, fam if refine else None, dim=dim, ranks=ranks, observed_dim=fam.dim))
-    full = LSubspace.full(tower.K, n) if refine else None
+        params = translate(tower, i or n) if refine else None
+        if refine and fam.param_kernel.dim and _span_audit([params, fam.param_kernel]) != (n, True):
+            raise AssertionError(f"Fix(sigma^{i}) is not a complement of the parameter kernel of {name}")
+        pieces.append(Piece(name, params, i, dim, ranks, observed_dim=fam.dim))
+    full = translate(tower, n) if refine else None
     for i in reps:
         fam = family(tower, i)
         parts.append(fam)
@@ -280,7 +287,7 @@ def verify_rank_laws(tower: FieldTower, run: Run = Run()) -> Certificate:
     2r > 2 gives exactly the two ranks {n - n/r, n}, both realized.
     """
     n, q = tower.n, tower.q
-    full = LSubspace.full(tower.K, n)
+    full = translate(tower, n)
     pieces = []
     for i in range(n):
         d = tower.sigma_order(i)
@@ -290,37 +297,31 @@ def verify_rank_laws(tower: FieldTower, run: Run = Run()) -> Certificate:
             # the exact zero count certifies that the form vanishes precisely
             # on the (-1)-eigenspace
             pieces.append(Piece(f"A^{i}", full, i, ranks=[0, n], counts={0: q ** (n // 2) - 1}))
-            pieces.append(Piece(f"A^{i}|E", eigenspace_of_power(tower, i, -1), i, n // 2, [0]))
+            pieces.append(Piece(f"A^{i}|E", translate(tower, i, i), i, n // 2, [0]))
         else:
             pieces.append(Piece(f"A^{i}", full, i, ranks=[degenerate_rank_value(tower, i), n]))
     return _certify("rank-laws", tower, {}, pieces, [], run)
 
 
-def _product_subspace(tower: FieldTower, j: np.ndarray, u: LSubspace) -> LSubspace:
-    prods = [tower.mul(j, v) for v in u.basis] if u.dim else np.zeros((0, tower.n), dtype=np.int64)
-    return LSubspace.from_vectors(tower.K, np.asarray(prods, dtype=np.int64), tower.n)
-
-
 def _split_family(tower: FieldTower, i: int) -> tuple[list[Piece], bool]:
     """Constant-rank pieces of the i-th family, for sigma^i of even order d.
 
-    Order 2 mod 4: U is fixed by sigma^(i*d/2) and V = j*U for the canonical
+    Order 2 mod 4: U is fixed by sigma^(i*d/2) and V = j*U for a
     (-1)-eigenvector j of sigma^i.  Order 0 mod 4: the eigenspace chain of
     sigma^i, whose rank claims are gated by the case classification taken
     relative to the fixed field of sigma^i (base size q**(n/d)); they are
     None (recorded, not asserted) when that classification does not apply
-    or lands outside.  Each piece is a parameter subspace twisted by
-    sigma^i; the flag says whether the pieces are independent and span L.
+    or lands outside.  Each piece is a translate twisted by sigma^i; the
+    flag says whether the pieces are independent and span L.
     """
     n = tower.n
     d = tower.sigma_order(i % n)
     degenerate_rank = degenerate_rank_value(tower, i)
     if d % 4 == 2:
-        u = eigenspace_of_power(tower, (i * (d // 2)) % n, 1)
-        j = eigenspace_of_power(tower, i, -1).basis[0]
+        f = (i * (d // 2)) % n
         pieces = [
-            Piece(f"U_{i}", u, i, n // 2, [n]),
-            Piece(f"V_{i}", _product_subspace(tower, j, u), i, n // 2, [degenerate_rank]),
+            Piece(f"U_{i}", translate(tower, f), i, n // 2, [n]),
+            Piece(f"V_{i}", translate(tower, f, i), i, n // 2, [degenerate_rank]),
         ]
     elif d % 4 == 0:
         beta, kp = two_adic(d)
@@ -330,20 +331,20 @@ def _split_family(tower: FieldTower, i: int) -> tuple[list[Piece], bool]:
             rel = TheoremCParams.from_qn(q_rel, d)
             rel_case, rel_a = theorem_c_case(rel), rel.a
         v_ranks = [degenerate_rank] if rel_case in ("case1", "case2") else None
-        vdim = kp * n // d
+        vdim, f = kp * n // d, (i * kp) % n
         pieces = [
-            Piece(f"V_1^{i}", eigenspace_of_power(tower, (i * kp) % n, 1), i, vdim, v_ranks),
-            Piece(f"V_2^{i}", eigenspace_of_power(tower, (i * kp) % n, -1), i, vdim, v_ranks),
+            Piece(f"V_1^{i}", translate(tower, f), i, vdim, v_ranks),
+            Piece(f"V_2^{i}", translate(tower, f, f), i, vdim, v_ranks),
         ]
         for idx in range(1, beta):
-            e = eigenspace_of_power(tower, (i * (d >> idx)) % n, -1)
+            t = (i * (d >> idx)) % n
             if rel_case == "case1":
                 e_ranks = [n]
             elif rel_case == "case2":
                 e_ranks = [n] if idx <= rel_a else [degenerate_rank]
             else:
                 e_ranks = None
-            pieces.append(Piece(f"E_{idx}^{i}", e, i, None, e_ranks))
+            pieces.append(Piece(f"E_{idx}^{i}", translate(tower, t, t), i, None, e_ranks))
     else:
         raise ValueError(f"sigma^{i} has odd order {d}: its family does not split")
     span, ds = _span_audit([piece.sub for piece in pieces])
@@ -353,9 +354,9 @@ def _split_family(tower: FieldTower, i: int) -> tuple[list[Piece], bool]:
 def refine_A1_2k(tower: FieldTower, run: Run = Run()) -> Certificate:
     """Split the first twisted family when n = 2k with k odd.
 
-    U is the subfield fixed by sigma^k, V = j*U for the canonical
-    (-1)-eigenvector j of sigma.  All nonzero parameters in U give rank n;
-    all nonzero parameters in V give rank n - 2.
+    U is the subfield fixed by sigma^k, V = j*U for a (-1)-eigenvector j of
+    sigma.  All nonzero parameters in U give rank n; all nonzero parameters
+    in V give rank n - 2.
     """
     inside = tower.n % 4 == 2
     pieces, ok = _split_family(tower, 1) if inside else ([], True)
@@ -367,7 +368,7 @@ def refine_Ai_mod2(tower: FieldTower, i: int, run: Run = Run()) -> Certificate:
 
     The relative version of the 2k split over the fixed field of sigma^i,
     realized concretely as K-subspaces: U_i is fixed by sigma^(i*d/2),
-    V_i = j_i * U_i for the canonical (-1)-eigenvector j_i of sigma^i.
+    V_i = j_i * U_i for a (-1)-eigenvector j_i of sigma^i.
     """
     d = tower.sigma_order(i % tower.n)
     inside = d % 4 == 2 and d != 2
@@ -424,7 +425,7 @@ def min_rank_lower_bound(tower: FieldTower, kk: int, run: Run = Run()) -> Certif
         raise ValueError(f"kk = {kk} out of range 1..{m}")
     name, bound = f"sum(A^1..A^{kk})", n - 2 * kk
     if kk == 1:  # one family: a parameter census of all of L, which may take the coset source
-        piece = Piece(name, LSubspace.full(tower.K, n), 1, min_rank=bound)
+        piece = Piece(name, translate(tower, n), 1, min_rank=bound)
     else:
         grams = np.concatenate([gram_basis(tower, i) for i in range(1, kk + 1)])
         piece = Piece(name, grams, min_rank=bound, observed_dim=kk * n)

@@ -34,6 +34,7 @@ from gsf.formspace import (
     family,
     flatten_sym,
     rank_profile,
+    translate,
     unflatten_sym,
 )
 
@@ -185,15 +186,15 @@ def construct_regular_rep_subspace(tower: FieldTower, budget: int = DEFAULT_BUDG
 def construct_symmetric_witness(tower: FieldTower, budget: int = DEFAULT_BUDGET) -> SearchResult:
     """The untwisted trace-form Grams span an n-dimensional invertible-closed
     subspace of S(n, K): the trace pairing is non-degenerate.  The span is the
-    family A^0, which `rank_profile` censuses in at most two coset ranks."""
-    n, fam = tower.n, family(tower, 0)
+    family A^0, censused through all of L in at most two coset ranks."""
+    n = tower.n
     try:
-        prof = rank_profile(tower, fam, run=Run(mode="exhaustive", budget=budget))
+        prof = rank_profile(tower, translate(tower, n), 0, Run(mode="exhaustive", budget=budget))
     except BudgetExceededError as exc:
         raise BudgetExceededError(exc.needed, budget, "raise the budget") from None
     if prof.ranks != {n}:
         raise AssertionError("exhaustive verification found a singular member of a field-derived witness")
-    return SearchResult("mu", n, tower.q, n, list(fam.gram_mats()), {"mode": "exhaustive"}, True)
+    return SearchResult("mu", n, tower.q, n, list(family(tower, 0).gram_mats()), {"mode": "exhaustive"}, True)
 
 
 def block_construction(u: SearchResult, budget: int = DEFAULT_BUDGET) -> SearchResult:

@@ -7,20 +7,18 @@ tr(b * x^(j+k)) and F_i the Frobenius matrix: the whole family is K-linear
 in b, so enumerating a parameter subspace of b's is a matter of combining a
 few precomputed basis Grams.
 
-`rank_profile` runs the enumeration engine, which the extremal witness
-checks and searches share.  Its options come in one frozen `Run` (mode,
-sample count, seed, budget, workers), the only way census options reach the
-engine; a `Run` with an unknown mode cannot be built.  A census ranks a set
-of representatives and counts each as the forms it stands for: one per
-K-line with weight q - 1, since rank(c*G) = rank(G) for c in K*; one per
-coset of U = F* meet K* . {a**(1 + q**i)} with weight |U|, when the
-parameter subspace is one line over a subfield F and that pays; or a seeded
-sample with weight 1.  An exhaustive census of a whole family runs over its
-parameters: b -> form(b) maps a complement of the parameter kernel (all of
-L, or Fix(sigma**(n/2)) for the involution) one-to-one onto the family, and
-that complement is one line over a subfield.  The coset source counts its m
-representatives against the budget, so `auto` and exhaustive mode take it
-whenever m fits, even past q**d - 1 forms; otherwise the q**d - 1 forms
+`rank_profile` runs the enumeration engine over a subspace of parameters b,
+which the extremal witness checks and searches share.  Its options come in
+one frozen `Run` (mode, sample count, seed, budget, workers), the only way
+census options reach the engine; a `Run` with an unknown mode cannot be
+built.  A census ranks a set of representatives and counts each as the
+forms it stands for: one per K-line with weight q - 1, since
+rank(c*G) = rank(G) for c in K*; one per coset of
+U = F* meet K* . {a**(1 + q**i)} with weight |U|, when the parameters are a
+translate j * F of a subfield F (`translate`: every verifier piece is one)
+and that pays; or a seeded sample with weight 1.  The coset source counts
+its m representatives against the budget, so `auto` and exhaustive mode take
+it whenever m fits, even past q**d - 1 forms; otherwise the q**d - 1 forms
 decide.  Either way the histogram is a deterministic function of (tower,
 subspace, i, mode, seed) and is independent of how the work is partitioned
 across workers; at most 2 * workers chunks wait on the thread pool, and the
@@ -38,7 +36,7 @@ from typing import Iterable, Iterator, Optional, Union
 
 import numpy as np
 
-from gsf.exactla import LSubspace, _span_audit, eigenspace_of_power, kernel, rank_many, rref
+from gsf.exactla import LSubspace, eigenspace_of_power, kernel, rank_many, rref
 from gsf.ffield import FieldTower, base_digits, prime_factors
 
 __all__ = [
@@ -48,6 +46,7 @@ __all__ = [
     "Run",
     "SymForm",
     "FormSubspace",
+    "Translate",
     "RankProfile",
     "flatten_sym",
     "unflatten_sym",
@@ -58,6 +57,7 @@ __all__ = [
     "degenerate_by_norm",
     "degenerate_rank_value",
     "family",
+    "translate",
     "rank_profile",
 ]
 
@@ -130,10 +130,6 @@ class FormSubspace:
     @property
     def dim(self) -> int:
         return self.basis.shape[0]
-
-    @property
-    def ambient_dim(self) -> int:
-        return self.basis.shape[1]
 
     @property
     def gf(self):
@@ -299,6 +295,46 @@ def family(tower: FieldTower, i: int) -> FormSubspace:
     return FormSubspace(tower, i, basis, param_kernel=LSubspace(kf, n, pk))
 
 
+@dataclass(eq=False, repr=False)
+class Translate(LSubspace):
+    """The parameters W = j * F, F = Fix(sigma**f) = GF(q**f) with f = dim W:
+    an `LSubspace` that keeps the element j of W and f."""
+
+    j: np.ndarray
+    f: int
+
+
+def _negated(tower: FieldTower, t: int) -> np.ndarray:
+    """A (-1)-eigenvector of sigma**t of even order, without a kernel: the first
+    nonzero column of sum_k (-1)**k sigma**(g*k), g = gcd(t, n), which sigma**g
+    negates; t/g is odd, so sigma**t negates it too."""
+    kf, n, g = tower.K, tower.n, math.gcd(t, tower.n)
+    signs = np.resize([1, int(kf.neg(1))], n // g)
+    alt = kf.matmul(signs, tower.frobenius_mats[::g].reshape(n // g, n * n)).reshape(n, n)
+    return alt[:, np.argmax(alt.any(axis=0))]
+
+
+def translate(tower: FieldTower, f: int, t: int = 0) -> Translate:
+    """W = j * Fix(sigma**f), f taken as gcd(f, n), with j = 1 for t = 0 and
+    else the (-1)-eigenvector of sigma**t from `_negated`: f = n gives all of
+    L, f = t the (-1)-eigenspace of sigma**t.  j * Fix is held in the memo as
+    the echelon basis of Fix * M_j^T; a j that sigma**t does not negate raises
+    `AssertionError`, as callers rely on it."""
+    kf, n, f = tower.K, tower.n, math.gcd(f, tower.n)
+    fix = eigenspace_of_power(tower, f, 1)
+    if not t:
+        return Translate(kf, n, fix.basis, tower.one(), f)
+
+    def make():
+        j = _negated(tower, t)
+        if not j.any() or not np.array_equal(tower.frobenius_apply(t, j), kf.neg(j)):
+            raise AssertionError(f"j = {j.tolist()} is not a (-1)-eigenvector of sigma^{t}")
+        return LSubspace.from_vectors(kf, kf.matmul(fix.basis, _mul_matrix(tower, j).T), n).basis, j
+
+    basis, j = tower._memo(("translate", f, t), make)
+    return Translate(kf, n, basis, j, f)
+
+
 # -- enumeration engine ---------------------------------------------------------
 #
 # A census is a code source, then `_rank_chunks` (combine and rank each chunk),
@@ -306,20 +342,19 @@ def family(tower: FieldTower, i: int) -> FormSubspace:
 # triple (name, code chunks, weight), each ranked code standing for `weight`
 # forms, and `rank_profile` chooses it once per census: the coset source when
 # `_coset_source` offers one, else the projective (`_range_chunks` over code
-# spans) or sampled source of `_census_source`.  An `auto` or exhaustive census
-# of a form subspace runs over its family's parameter complement, so the coset
-# source may serve it; a sampled one draws from the form subspace's basis.  Raw
-# Gram stacks (min-rank over kk >= 2 families) reach `_profile_from_grams`
-# directly and take `_census_source`'s source.
+# spans) or sampled source of `_census_source`.  Only a `Translate` may take
+# the coset source.  Raw Gram stacks (min-rank over kk >= 2 families) reach
+# `_profile_from_grams` directly and take `_census_source`'s source.
 # `extremal.exhaustive_search` ranks the projective source over its whole
 # ambient space once, into a table that decides every candidate by lookups;
 # `extremal._verify_witness` checks one basis by an exhaustive census of its
-# span, and the trace-form witness is the census of the family A^0.
+# span, and the trace-form witness is the census of A^0 through all of L.
 # `FieldTower._memo` holds, read-only and up to `ffield.MEMO_BYTES`, what the
-# tower alone decides: `gram_basis`, `family`, `eigenspace_of_power`, a coset
-# generator per (f, m) and each exhaustive `rank_profile` census, keyed by i
-# and its parameters' basis bytes once its source is chosen; a miss only
-# recomputes.  Only the calling thread writes it: `_rank_chunks`' pool ranks.
+# tower alone decides: `gram_basis`, `family`, `eigenspace_of_power`, each
+# translate with j != 1, a coset generator per (f, m) and each exhaustive
+# `rank_profile` census, keyed by i and its parameters' basis bytes once its
+# source is chosen; a miss only recomputes.  Only the calling thread writes
+# it: `_rank_chunks`' pool ranks.
 
 _Source = tuple[str, Iterable[np.ndarray], int]
 
@@ -540,35 +575,23 @@ def _congruence_audit(tower: FieldTower, i: int, h: np.ndarray, by_h: np.ndarray
         raise AssertionError(f"multiplication by a coset generator is not a congruence for i = {i}")
 
 
-def _coset_source(tower: FieldTower, sub: LSubspace, i: int, budget: int = DEFAULT_BUDGET) -> Optional[_Source]:
+def _coset_source(tower: FieldTower, sub: Translate, i: int, budget: int = DEFAULT_BUDGET) -> Optional[_Source]:
     """The triple ("coset", code chunks over `sub`'s basis of one parameter
-    per coset of U, |U|), or None.
+    h**k * j per coset of U, |U|) for W = j*F, F = GF(q**f), or None.
 
-    None when `sub` is not one line over a subfield, when the m cosets do
-    not fit the budget, or when they do not pay: their set-up is a few
-    norms and short powers per generator candidate plus the audit, so they
-    are taken only when m*q <= (q**f - 1)/(q - 1), the projective count.
-    Both counts are compared from the integers alone, before any set-up.
-    For w the first echelon row of W and F = GF(q**f), W = {u*w : u in F}
-    exactly when f = dim W divides n and every basis row b of W has b/w
-    fixed by sigma**f, that is sigma**f(b)*w = b*sigma**f(w); no inverse is
-    needed.
-    The generator candidates run over the echelon basis of Fix(sigma**f),
-    whose first row is 1.  When m = 1 the one representative is w and no
-    generator is searched for; the audit still checks the first candidate.
-    The representatives h**k * w come lazily, one chunk at a time
+    None when the m cosets do not fit the budget or do not pay: their set-up
+    is a few norms and short powers per generator candidate plus the audit,
+    so they are taken only when m*q <= (q**f - 1)/(q - 1), the projective
+    count.  Both counts are compared from the integers alone, before any
+    set-up.  The generator candidates run over the echelon basis of
+    Fix(sigma**f), whose first row is 1.  When m = 1 the one representative
+    is j and no generator is searched for; the audit still checks the first
+    candidate.  The representatives come lazily, one chunk at a time
     (`_coset_chunks`).  Only `rank_profile` asks for this source.
     """
-    kf, n, q, f = tower.K, tower.n, tower.q, sub.dim
-    if f == 0 or n % f:
-        return None
+    kf, n, q, f = tower.K, tower.n, tower.q, sub.f
     unit, m = _coset_counts(q, n, i, f)
     if m > budget or m * q > (q**f - 1) // (q - 1):
-        return None
-    w = sub.basis[0]
-    sigma = tower.frobenius_mats[f % n]
-    by_w = kf.matmul(kf.matmul(sub.basis, sigma.T), _mul_matrix(tower, w).T)
-    if not np.array_equal(by_w, kf.matmul(sub.basis, _mul_matrix(tower, kf.matmul(sigma, w)).T)):
         return None
     candidates = _coset_candidates(kf, eigenspace_of_power(tower, f, 1).basis)  # lazy
     h = tower._memo(("generator", f, m),
@@ -576,7 +599,7 @@ def _coset_source(tower: FieldTower, sub: LSubspace, i: int, budget: int = DEFAU
     by_h = _mul_matrix(tower, h)
     _congruence_audit(tower, i, h, by_h, sub.basis)
     pivots = [int(np.flatnonzero(row)[0]) for row in sub.basis]
-    return "coset", _coset_chunks(tower, w, h, by_h, m, pivots), unit
+    return "coset", _coset_chunks(tower, sub.j, h, by_h, m, pivots), unit
 
 
 def _coset_chunks(tower: FieldTower, w: np.ndarray, h: np.ndarray, by_h: np.ndarray, m: int,
@@ -604,52 +627,26 @@ def _coset_chunks(tower: FieldTower, w: np.ndarray, h: np.ndarray, by_h: np.ndar
             yield rows[: m - lo, pivots]
 
 
-def _parameter_complement(tower: FieldTower, sub: FormSubspace) -> LSubspace:
-    """A complement of `sub.param_kernel`, which b -> form(b) maps one-to-one
-    onto `sub`: all of L, or for the involution, whose kernel is the
-    (-1)-eigenspace of sigma**(n/2), the (+1)-eigenspace (q is odd)."""
-    kf, n = tower.K, tower.n
-    if sub.param_kernel.dim == 0:
-        return LSubspace.full(kf, n)
-    comp = eigenspace_of_power(tower, n // 2, 1)
-    span, direct = _span_audit([comp, sub.param_kernel])
-    if not direct or span != n:
-        raise AssertionError(f"Fix(sigma^{n // 2}) is not a complement of the parameter kernel of A^{sub.i}")
-    return comp
+def rank_profile(tower: FieldTower, sub: LSubspace, i: int, run: Run = Run()) -> RankProfile:
+    """Rank histogram over the nonzero forms of the parameters `sub` twisted by sigma^i.
 
-
-def rank_profile(tower: FieldTower, sub, i: Optional[int] = None, run: Run = Run()) -> RankProfile:
-    """Rank histogram over the nonzero forms of a parameter or form subspace.
-
-    `sub` may be an LSubspace of parameters b (then `i` selects the twist) or
-    a FormSubspace made by `family`.  In `auto` and exhaustive mode a form
-    subspace is first replaced by the parameter complement of its kernel,
-    with the power `sub.i`: b -> form(b) maps it one-to-one onto the family,
-    so the histograms are equal.  This is the one place a census chooses its
-    source: the coset source (`_coset_source`) whenever it is offered, for a
-    parameter subspace that is one line over a subfield whose m cosets pay
-    and fit the budget, however many forms it holds; else `_census_source`,
-    which compares the q**d - 1 forms with the budget.  A sampled census of a
-    form subspace draws from its own basis.  The source is chosen, and the
-    budget checked, on every call; the tower's memo then holds each exhaustive
-    result under i and the bytes of the parameters' echelon basis, shared by a
-    family and its parameters, by auto and exhaustive runs and by any budget.
-    A sampled census never reaches it.
+    This is the one place a census chooses its source: the coset source
+    (`_coset_source`) whenever it is offered, for a `Translate` whose m
+    cosets pay and fit the budget, however many forms it holds; else
+    `_census_source`, which compares the q**d - 1 forms with the budget.  So
+    a bare `LSubspace` is censused by lines or samples.  The source is
+    chosen, and the budget checked, on every call; the tower's memo then
+    holds each exhaustive result under i and the bytes of the echelon basis,
+    shared by auto and exhaustive runs and by any budget, never a sampled one.
     """
-    if not isinstance(sub, (LSubspace, FormSubspace)):
-        raise TypeError(f"expected LSubspace or FormSubspace, got {type(sub).__name__}")
-    if isinstance(sub, LSubspace) and i is None:
-        raise ValueError("an automorphism power is required for a parameter subspace of b's")
-    params, source = sub, None
-    if run.mode != "sampled":
-        if isinstance(sub, FormSubspace):
-            params, i = _parameter_complement(tower, sub), sub.i
-        source = _coset_source(tower, params, i, run.budget)
+    if not isinstance(sub, LSubspace):
+        raise TypeError(f"expected an LSubspace of parameters, got {type(sub).__name__}")
+    source = run.mode != "sampled" and isinstance(sub, Translate) and _coset_source(tower, sub, i, run.budget)
     source = source or _census_source(tower.q, sub.dim, tower.n, run)
-    if source[0] == "sampled":  # draws depend on the basis: a form subspace keeps its own
-        grams = sub.gram_mats() if isinstance(sub, FormSubspace) else _combine_forms(
-            tower.K, params.basis, gram_basis(tower, i))
+
+    def census():
+        grams = _combine_forms(tower.K, sub.basis, gram_basis(tower, i))
         return _profile_from_grams(tower.K, grams, tower.n, run, source)
-    prof = tower._memo(("census", i, params.basis.tobytes()), lambda: _profile_from_grams(
-        tower.K, _combine_forms(tower.K, params.basis, gram_basis(tower, i)), tower.n, run, source))
+
+    prof = census() if source[0] == "sampled" else tower._memo(("census", i, sub.basis.tobytes()), census)
     return replace(prof, histogram=dict(prof.histogram))

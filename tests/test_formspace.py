@@ -5,12 +5,12 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from gsf import ffield, formspace
 from gsf.cli import default_golden_dir
-from gsf.decomp import _split_family, min_rank_lower_bound, verify_full_refined, verify_rank_laws
+from gsf.decomp import _global_pieces, _split_family, min_rank_lower_bound, verify_full_refined, verify_rank_laws
 from gsf.exactla import LSubspace, eigenspace_of_power, rank_many
 from gsf.ffield import FieldTower, Gf, _mul_matrices, _mul_x_many, prime_factors
 from gsf.formspace import (
@@ -28,6 +28,7 @@ from gsf.formspace import (
     gram_matrix,
     radical,
     rank_profile,
+    translate,
     unflatten_sym,
 )
 
@@ -307,10 +308,16 @@ def test_rank_profile_on_eigenspace_all_zero(tower):
     assert prof.histogram == {0: 2}
 
 
+def _global_piece(t, name):
+    """The piece `name` of the refined global sum, censused through its parameters."""
+    return next(piece for piece in _global_pieces(t, refine=True)[0] if piece.name == name)
+
+
 def test_rank_profile_form_subspace_counts(tower):
     t = tower(3, 1, 4)
     fam = family(t, 2)
-    prof = rank_profile(t, fam)
+    b1 = _global_piece(t, "B^1")
+    prof = rank_profile(t, b1.sub, b1.i)
     assert prof.total == 3**fam.dim - 1
     assert set(prof.histogram) == {4}  # the involution family is invertible off zero
 
@@ -371,7 +378,7 @@ def test_rank_profile_worker_invariance(tower):
 
 def test_rank_profile_rejects_missing_power(tower):
     t = tower(3, 1, 3)
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError, match="'i'"):
         rank_profile(t, LSubspace.full(t.K, 3))
     with pytest.raises(TypeError):
         rank_profile(t, np.eye(3), 1)
@@ -527,7 +534,7 @@ def test_coset_census_checks_its_weighted_total(monkeypatch):
 
     monkeypatch.setattr(formspace, "_coset_source", short)
     with pytest.raises(AssertionError, match="coset census counted 76 of 80 nonzero forms"):
-        rank_profile(t, LSubspace.full(t.K, 4), 1)
+        rank_profile(t, translate(t, 4), 1)
 
 
 # -- coset source -------------------------------------------------------------------
@@ -551,7 +558,7 @@ def test_coset_census_equals_full_census_where_small_generators_fail(p, i, m, mo
     # Each census that counts its ranks runs on a fresh tower, whose memo holds none
     t = FieldTower(p, 1, 4)
     seen = _counting_rank_many(monkeypatch)
-    prof = rank_profile(t, LSubspace.full(t.K, 4), i)
+    prof = rank_profile(t, translate(t, 4), i)
     assert sum(seen) == m
     assert prof.mode == "exhaustive"
     assert prof.histogram == _full_census(t.K, gram_basis(t, i), 4)
@@ -560,7 +567,7 @@ def test_coset_census_equals_full_census_where_small_generators_fail(p, i, m, mo
 def test_coset_generator_skips_a_failing_candidate(monkeypatch):
     # GF(3^8), i = 1: F*/U has order 4, so the image of a square has order at most 2
     t = FieldTower(3, 1, 8)
-    full = LSubspace.full(t.K, 8)
+    full = translate(t, 8)
     square = t.mul(t.basis_element(1), t.basis_element(1))
     scan = formspace._coset_candidates
     chosen = []
@@ -633,7 +640,7 @@ def test_norm_generator_check_refuses_an_inconsistent_index(tower):
 def test_full_family_of_gf3_8_ranks_four_forms(monkeypatch):
     t = FieldTower(3, 1, 8)
     seen = _counting_rank_many(monkeypatch)
-    prof = rank_profile(t, LSubspace.full(t.K, 8), 1)
+    prof = rank_profile(t, translate(t, 8), 1)
     assert sum(seen) == 4  # not (3**8 - 1)/2 = 3,280
     assert prof.total == 3**8 - 1
 
@@ -662,32 +669,39 @@ def test_coset_congruence_audit_refuses_a_wrong_matrix(tower, monkeypatch, capsy
     assert "internal check failed" in capsys.readouterr().err
 
 
-def test_coset_source_refuses_a_plane_that_is_not_a_subfield_line(tower):
-    # GF(3^4), f = 2: for i = 0 and 2 the cosets pay (m = 1), so only the line test decides
-    t = tower(3, 1, 4)
-    plane = LSubspace.from_vectors(t.K, [t.one(), t.basis_element(1)], 4)  # x is not in GF(9)
-    line = eigenspace_of_power(t, 2, 1)  # GF(9) itself
+def test_bare_plane_censuses_through_the_projective_source():
+    # GF(3^4), f = 2: for i = 0 and 2 the cosets of the translate GF(9) pay
+    # (m = 1); a bare plane, even GF(9) itself, ranks its (q**2 - 1)/(q - 1)
+    # K-lines.  A fresh tower per census, so that none is served from the memo
     for i in (0, 2):
-        assert formspace._coset_source(t, plane, i) is None
+        t = FieldTower(3, 1, 4)
+        line = translate(t, 2)  # GF(9)
         assert formspace._coset_source(t, line, i) is not None
-        grams = formspace._combine_forms(t.K, plane.basis, gram_basis(t, i))
-        assert rank_profile(t, plane, i).histogram == _full_census(t.K, grams, 4)
+        for plane in [LSubspace.from_vectors(t.K, [t.one(), t.basis_element(1)], 4),  # x is not in GF(9)
+                      LSubspace(t.K, 4, line.basis)]:
+            t = FieldTower(3, 1, 4)
+            with pytest.MonkeyPatch.context() as mp:
+                seen = _counting_rank_many(mp)
+                prof = rank_profile(t, plane, i)
+            assert sum(seen) == (3**2 - 1) // (3 - 1)
+            grams = formspace._combine_forms(t.K, plane.basis, gram_basis(t, i))
+            assert prof.histogram == _full_census(t.K, grams, 4)
 
 
 # -- coset census past the form budget ------------------------------------------
 
 
 def _coset_pieces(t):
-    """(name, subject, power, parameters, i) of every family and split piece:
-    `rank_profile(t, subject, power)` censuses it by ranking the parameters
-    (a family's parameter complement) twisted by sigma**i."""
-    n = t.n
-    for i in range(n):
-        fam = family(t, i)
-        yield f"A^{i}", fam, None, formspace._parameter_complement(t, fam), i
+    """(name, parameters, i) of every piece that `_global_pieces` censuses,
+    of all of L twisted by every power, and of every split piece."""
+    for piece in _global_pieces(t, refine=True)[0]:
+        if piece.sub is not None:
+            yield piece.name, piece.sub, piece.i
+    for i in range(t.n):
+        yield f"A^{i}", translate(t, t.n), i
         if t.sigma_order(i) % 2 == 0:
             for piece in _split_family(t, i)[0]:
-                yield piece.name, piece.sub, piece.i, piece.sub, i
+                yield piece.name, piece.sub, i
 
 
 @pytest.mark.parametrize("p,s,n", [(3, 1, 4), (3, 1, 6), (3, 1, 8), (5, 1, 4), (7, 1, 4), (3, 2, 4), (11, 1, 4)],
@@ -698,20 +712,20 @@ def test_coset_census_past_the_form_budget_equals_the_default_census(p, s, n, to
     # GF(11^4) at i = 1 and 3 need a generator past the first candidates
     t = tower(p, s, n)
     seen = 0
-    for name, sub, power, params, i in _coset_pieces(t):
+    for name, params, i in _coset_pieces(t):
         if formspace._coset_source(t, params, i) is None:
             continue
         seen += 1
         m = formspace._coset_counts(t.q, n, i, params.dim)[1]
         assert t.q**params.dim - 1 > m, name
-        want = rank_profile(t, sub, power)
+        want = rank_profile(t, params, i)
         assert want.mode == "exhaustive"
         for mode in ("auto", "exhaustive"):
-            got = rank_profile(t, sub, power, Run(mode=mode, budget=m))
+            got = rank_profile(t, params, i, Run(mode=mode, budget=m))
             assert got.to_dict() == want.to_dict(), (name, mode)
         with pytest.raises(BudgetExceededError):
-            rank_profile(t, sub, power, Run(mode="exhaustive", budget=m - 1))
-        below = rank_profile(t, sub, power, Run(budget=m - 1, sample_count=20, seed=1))
+            rank_profile(t, params, i, Run(mode="exhaustive", budget=m - 1))
+        below = rank_profile(t, params, i, Run(budget=m - 1, sample_count=20, seed=1))
         assert below.mode == "sampled" and below.total == 20, name
     assert seen >= n
 
@@ -719,7 +733,7 @@ def test_coset_census_past_the_form_budget_equals_the_default_census(p, s, n, to
 def test_cosets_past_the_budget_are_refused_before_any_set_up(monkeypatch, tower):
     # GF(11^32), i = 8: m = 214,358,882 cosets, past the default budget
     t = tower(11, 1, 32)
-    full = LSubspace.full(t.K, 32)
+    full = translate(t, 32)
     assert formspace._coset_counts(11, 32, 8, 32)[1] == 214_358_882
 
     def refuse(*args):
@@ -734,7 +748,7 @@ def test_cosets_past_the_budget_are_refused_before_any_set_up(monkeypatch, tower
         rank_profile(t, full, 8, Run(mode="exhaustive"))
     # GF(3^4), i = 1, m = 4: a budget of 3 refuses the cosets just as early
     small = tower(3, 1, 4)
-    assert formspace._coset_source(small, LSubspace.full(small.K, 4), 1, budget=3) is None
+    assert formspace._coset_source(small, translate(small, 4), 1, budget=3) is None
 
 
 @pytest.mark.parametrize("p,n,i,m", [(3, 8, 1, 4), (7, 4, 1, 8), (11, 32, 2, 122), (3, 20, 5, 244)])
@@ -742,7 +756,7 @@ def test_coset_representatives_stream_in_chunks(p, n, i, m, monkeypatch, tower):
     # the chunked stream yields the same codes in the same order for any chunk
     # size; each counted census runs on a fresh tower, whose memo holds none
     t = tower(p, 1, n)
-    full = LSubspace.full(t.K, n)
+    full = translate(t, n)
     _, chunks, _ = formspace._coset_source(t, full, i)
     want = np.concatenate(list(chunks))
     assert want.shape == (m, n)
@@ -782,6 +796,83 @@ def test_mul_matrix_equals_mul_matrices(p, s, n, tower):
         assert np.array_equal(formspace._mul_matrix(t, a), m)
 
 
+# -- translates j * Fix(sigma**f) ---------------------------------------------------
+
+
+def _product_subspace(t, j, u):
+    """j * U from the products of j with U's basis rows: the reference for V = j * U."""
+    prods = [t.mul(j, v) for v in u.basis] if u.dim else np.zeros((0, t.n), dtype=np.int64)
+    return LSubspace.from_vectors(t.K, np.asarray(prods, dtype=np.int64), t.n)
+
+
+def _same_bytes(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+# q**n <= 3**12, and towers over GF(9), GF(27), GF(25) and GF(49)
+_TRANSLATE_TOWERS = ([(3, 1, n) for n in range(1, 13)] + [(5, 1, n) for n in range(1, 9)]
+                     + [(7, 1, n) for n in range(1, 7)] + [(11, 1, n) for n in range(1, 6)]
+                     + [(13, 1, n) for n in range(1, 6)]
+                     + [(3, 2, n) for n in range(1, 7)] + [(3, 3, 4), (5, 2, 4), (7, 2, 2)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(pick=st.sampled_from(_TRANSLATE_TOWERS))
+@example(pick=(3, 2, 4))
+@example(pick=(3, 2, 6))
+@example(pick=(3, 3, 4))
+@example(pick=(5, 2, 4))
+@example(pick=(7, 2, 2))
+def test_translates_equal_the_pieces_they_replace(pick, tower):
+    # echelon bytes, not just spans, must be equal: sampled draws depend on them.
+    # For every power k: Fix(sigma^k), for even order the (-1)-eigenspace of
+    # sigma^k, and V = j * U with U fixed by the involution sigma^(k*d/2)
+    p, s, n = pick
+    t = tower(p, s, n)
+    for k in range(1, n + 1):
+        plus = translate(t, k)
+        assert _same_bytes(plus.basis, eigenspace_of_power(t, k, 1).basis), k
+        assert plus.f == plus.dim and np.array_equal(plus.j, t.one())
+        d = t.sigma_order(k % n)
+        if d % 2:
+            continue
+        minus = translate(t, k, k)
+        assert _same_bytes(minus.basis, eigenspace_of_power(t, k, -1).basis), k
+        assert minus.f == minus.dim and minus.contains(minus.j)
+        f = (k * (d // 2)) % n
+        j = eigenspace_of_power(t, k, -1).basis[0]
+        assert _same_bytes(translate(t, f, k).basis, _product_subspace(t, j, eigenspace_of_power(t, f, 1)).basis), k
+
+
+def test_a_wrong_translate_element_exits_four(monkeypatch, capsys):
+    # translate audits sigma^t(j) = -j; with j = 1 the refinement of GF(3^8) stops
+    from gsf.cli import main
+
+    monkeypatch.setattr(formspace, "_negated", lambda tw, t: tw.one())
+    assert main(["refine", "--full", "--p", "3", "--n", "8"]) == 4
+    err = capsys.readouterr().err
+    assert "internal check failed" in err and "is not a (-1)-eigenvector of sigma^" in err
+
+
+def test_a_parameter_kernel_meeting_fix_exits_four(monkeypatch, capsys):
+    # B^1 is censused through Fix(sigma^(n/2)) only if that complements its parameter kernel
+    from dataclasses import replace
+
+    from gsf import decomp
+    from gsf.cli import main
+
+    real = decomp.family
+
+    def wrong(tw, i):
+        fam = real(tw, i)
+        return replace(fam, param_kernel=eigenspace_of_power(tw, tw.n // 2, 1)) if fam.param_kernel.dim else fam
+
+    monkeypatch.setattr(decomp, "family", wrong)
+    assert main(["refine", "--full", "--p", "3", "--n", "8"]) == 4
+    err = capsys.readouterr().err
+    assert "internal check failed" in err and "not a complement of the parameter kernel of B^1" in err
+
+
 # -- census of a family through its parameter space ------------------------------
 
 _FAMILY_TOWERS = [(3, 1, 2), (3, 1, 4), (3, 1, 6), (3, 1, 8), (5, 1, 4), (7, 1, 4), (3, 2, 4)]
@@ -793,7 +884,8 @@ def test_family_census_through_parameters_equals_form_census(p, s, n, i, tower):
     t = tower(p, s, n)
     fam = family(t, i)
     want = formspace._profile_from_grams(t.K, fam.gram_mats(), n, Run(mode="exhaustive"))
-    got = rank_profile(t, fam)
+    piece = _global_piece(t, "A^0" if i == 0 else "B^1")
+    got = rank_profile(t, piece.sub, piece.i)
     assert got.to_dict() == want.to_dict()
     assert got.total == t.q**fam.dim - 1
 
@@ -803,8 +895,9 @@ def test_family_census_ranks_one_form_per_coset(p, s, n, i, forms, monkeypatch):
     # A^0 of GF(3^8): m = 2, not 3,280 K-lines; B^1 of GF(343^4): Fix(sigma^2) has m = 1, not 344
     t = FieldTower(p, s, n)
     fam = family(t, i)
+    piece = _global_piece(t, "A^0" if i == 0 else "B^1")
     seen = _counting_rank_many(monkeypatch)
-    prof = rank_profile(t, fam)
+    prof = rank_profile(t, piece.sub, piece.i)
     assert sum(seen) == forms
     assert prof.total == t.q**fam.dim - 1 and prof.ranks == {n}
 
@@ -813,10 +906,12 @@ def test_family_census_ranks_one_form_per_coset(p, s, n, i, forms, monkeypatch):
 
 
 def test_family_and_its_parameter_complement_share_one_held_census(monkeypatch):
-    # A^0 of GF(3^8) ranks m = 2 forms once; all of L with i = 0 is the same census
+    # A^0 of GF(3^8) ranks m = 2 forms once; all of L with i = 0, even as a
+    # bare LSubspace, is the same census
     t = FieldTower(3, 1, 8)
+    a0 = _global_piece(t, "A^0")
     seen = _counting_rank_many(monkeypatch)
-    want = rank_profile(t, family(t, 0))
+    want = rank_profile(t, a0.sub, a0.i)
     assert sum(seen) == 2
     assert rank_profile(t, LSubspace.full(t.K, 8), 0).to_dict() == want.to_dict()
     assert sum(seen) == 2
@@ -826,7 +921,7 @@ def test_held_census_still_refuses_a_smaller_budget():
     # A^1 of GF(3^8): m = 4 cosets fit a budget of 4, and neither they nor the
     # 6,560 forms fit a budget of 3
     t = FieldTower(3, 1, 8)
-    full = LSubspace.full(t.K, 8)
+    full = translate(t, 8)
     held = rank_profile(t, full, 1, Run(mode="exhaustive", budget=4))
     assert held.mode == "exhaustive" and held.total == 3**8 - 1
     assert rank_profile(t, full, 1, Run(mode="exhaustive", budget=4)).to_dict() == held.to_dict()
@@ -836,13 +931,13 @@ def test_held_census_still_refuses_a_smaller_budget():
 
 def test_sampled_runs_are_never_served_from_the_memo(monkeypatch):
     t = FieldTower(3, 1, 6)
-    fam, full = family(t, 0), LSubspace.full(t.K, 6)
-    assert rank_profile(t, fam).mode == "exhaustive"  # held
+    full = translate(t, 6)
+    assert rank_profile(t, full, 0).mode == "exhaustive"  # held
     run = Run(mode="sampled", sample_count=300, seed=4)
-    want = formspace._profile_from_grams(t.K, fam.gram_mats(), 6, run)
+    want = formspace._profile_from_grams(t.K, gram_basis(t, 0), 6, run)  # L's basis is the identity
     seen = _counting_rank_many(monkeypatch)
     for _ in range(2):
-        assert rank_profile(t, fam, run=run).to_dict() == want.to_dict()
+        assert rank_profile(t, full, 0, run).to_dict() == want.to_dict()
     assert sum(seen) == 600
     # auto past the budget samples A^1 (m = 4 cosets over a budget of 3), and holds nothing
     auto = Run(budget=3, sample_count=50, seed=1)
@@ -853,14 +948,14 @@ def test_sampled_runs_are_never_served_from_the_memo(monkeypatch):
 
 def test_returned_objects_cannot_change_a_later_result(monkeypatch):
     t = FieldTower(3, 1, 8)
-    full = LSubspace.full(t.K, 8)
+    full = translate(t, 8)
     prof = rank_profile(t, full, 1)
     want = dict(prof.histogram)
     prof.histogram[8] = 0
     prof.histogram[3] = 1
     assert rank_profile(t, full, 1).histogram == want
-    # eigenspaces, families, basis Grams and coset generators are held read-only
-    eig, fam = eigenspace_of_power(t, 2, -1), family(t, 4)
+    # eigenspaces, translates, families, basis Grams and coset generators are held read-only
+    eig, fam, minus = eigenspace_of_power(t, 2, -1), family(t, 4), translate(t, 2, 2)
     eig_basis = eig.basis.copy()
     generators = []
     audit = formspace._congruence_audit
@@ -868,7 +963,8 @@ def test_returned_objects_cannot_change_a_later_result(monkeypatch):
                         lambda tw, i, h, by_h, rows: generators.append(h) or audit(tw, i, h, by_h, rows))
     assert rank_profile(t, full, 1, Run(budget=10)).histogram == want  # held; its source audits the held generator
     assert len(generators) == 1
-    for held in [eig.basis, fam.basis, fam.param_kernel.basis, gram_basis(t, 1), generators[0]]:
+    for held in [eig.basis, minus.basis, minus.j, fam.basis, fam.param_kernel.basis, gram_basis(t, 1),
+                 generators[0]]:
         assert held.size
         with pytest.raises(ValueError, match="read-only"):
             held[(0,) * held.ndim] += 1
@@ -899,15 +995,6 @@ def test_memo_never_holds_more_than_its_bound(monkeypatch, bound):
     assert len(held) > 50
     if bound == 20_000:
         assert max(held) > 4096
-
-
-def test_sampled_family_census_draws_from_the_form_subspace(tower):
-    # sampled draws depend on the basis, so they stay on the form subspace's own
-    t = tower(3, 1, 6)
-    fam = family(t, 0)
-    run = Run(mode="sampled", sample_count=300, seed=4)
-    want = formspace._profile_from_grams(t.K, fam.gram_mats(), 6, run)
-    assert rank_profile(t, fam, run=run).to_dict() == want.to_dict()
 
 
 @pytest.mark.parametrize("p,n", [(3, 4), (3, 6), (3, 8), (5, 4), (7, 4)])
@@ -949,6 +1036,7 @@ def test_census_of_a_subfield_line_equals_full_census(data, tower):
     fix = eigenspace_of_power(t, f, 1)
     line = LSubspace.from_vectors(t.K, [t.mul(w, v) for v in fix.basis], n)
     assert line.dim == f
+    line = formspace.Translate(t.K, n, line.basis, w, f)
     grams = formspace._combine_forms(t.K, line.basis, gram_basis(t, i))
     assert rank_profile(t, line, i).histogram == _full_census(t.K, grams, n)
 

@@ -7,8 +7,8 @@ A `Piece` holds what is observed (parameters j * Fix(sigma**f) built by
 stack) next to what is claimed (dimension, ranks, and optionally rank
 counts or a minimum rank).  Each verifier builds its pieces from the tower
 and audits its direct sums by exact echelon accounting.  `_certify`, the
-one claim path, then runs the rank census of each piece, one piece at a
-time in list order, turns the pieces into claims and sets the verdict.
+one claim path, then censuses the pieces, all their parameters in one
+`formspace.rank_profiles` call, turns them into claims and sets the verdict.
 Nothing is trusted; a certificate passes only if every audit holds and
 every observation matches.
 
@@ -37,7 +37,7 @@ from gsf.formspace import (
     degenerate_rank_value,
     family,
     gram_basis,
-    rank_profile,
+    rank_profiles,
     translate,
 )
 
@@ -189,27 +189,20 @@ class Certificate:
 
 def _certify(theorem_id: str, tower: FieldTower, instance: dict, pieces: list[Piece],
              audits: list[bool], run: Run, outside: bool = False) -> Certificate:
-    """The one claim path: census each piece in order, claim, and judge.
+    """The one claim path: census the pieces, claim, and judge.
 
-    The k-th census draws with seed run.seed + k, and the header records
-    sampling if any census sampled.  The verdict is outside_hypotheses when
-    `outside`, else pass exactly when every audit holds and every claim
-    matches its observation.
+    The parameter censuses (pieces with a power i) go to one `rank_profiles`
+    call, a raw Gram stack to `_profile_from_grams`; the k-th census draws
+    with seed run.seed + k, and the header records sampling if any sampled.
+    The verdict is outside_hypotheses when `outside`, else pass exactly when
+    every audit holds and every claim matches its observation.
     """
-    claims = []
-    censuses = 0
-    sampled = False
-    for piece in pieces:
-        prof = None
-        if piece.sub is not None:
-            census_run = replace(run, seed=run.seed + censuses)
-            if isinstance(piece.sub, np.ndarray):
-                prof = _profile_from_grams(tower.K, piece.sub, tower.n, census_run)
-            else:
-                prof = rank_profile(tower, piece.sub, piece.i, census_run)
-            censuses += 1
-            sampled = sampled or prof.mode == "sampled"
-        claims.append(piece.claim(prof))
+    todo = [(p, replace(run, seed=run.seed + k)) for k, p in enumerate(p for p in pieces if p.sub is not None)]
+    by_params = iter(rank_profiles(tower, [(p.sub, p.i, r) for p, r in todo if p.i is not None]))
+    profs = [next(by_params) if p.i is not None else _profile_from_grams(tower.K, p.sub, tower.n, r)
+             for p, r in todo]
+    sampled = any(prof.mode == "sampled" for prof in profs)
+    claims = [piece.claim(None if piece.sub is None else profs.pop(0)) for piece in pieces]
     ds = all(audits)
     if outside:
         verdict = "outside_hypotheses"

@@ -11,6 +11,7 @@ the narrowest integer type.  `_span_audit` is the one direct-sum audit.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -156,14 +157,10 @@ def kernel(gf: Gf, mat) -> np.ndarray:
     rows, cols = a.shape
     r, pivots = rref(gf, a)
     free = [c for c in range(cols) if c not in pivots]
-    if not free:
-        return np.zeros((0, cols), dtype=np.int64)
     basis = np.zeros((len(free), cols), dtype=np.int64)
-    for k, f in enumerate(free):
-        basis[k, f] = 1
-        for row, pc in enumerate(pivots):
-            basis[k, pc] = gf.neg(r[row, f])
-    return rref(gf, basis)[0][: len(free)]
+    basis[np.arange(len(free)), free] = 1
+    basis[:, pivots] = gf.neg(r[: len(pivots), free]).T
+    return rref(gf, basis)[0][: len(free)] if free else basis
 
 
 def _canonical_basis(gf: Gf, vectors, ambient_dim: int) -> np.ndarray:
@@ -277,16 +274,31 @@ def is_direct_sum(parts) -> bool:
     return _span_audit(parts)[1]
 
 
+def _frobenius_sum(tower: FieldTower, g: int, coeffs) -> np.ndarray:
+    """sum_k c_k F_(g*k) over k < n/g, the c_k being `coeffs` repeated
+    cyclically: one product with the strided Frobenius stack."""
+    kf, n = tower.K, tower.n
+    return kf.matmul(np.resize(coeffs, n // g), tower.frobenius_mats[::g].reshape(n // g, n * n)).reshape(n, n)
+
+
 def eigenspace_of_power(tower: FieldTower, t: int, sign: int) -> LSubspace:
-    """Kernel of (sigma**t - sign) acting K-linearly on L, sign in {+1, -1}."""
+    """For sign +1, Fix(sigma**t) = GF(q**g), g = gcd(t, n), as the row-reduced image of the relative
+    trace sum_k sigma**(g*k), audited to have rank g and be fixed by sigma**t; for sign -1, the kernel
+    of sigma**t + 1.  The tower holds either basis."""
     if not 1 <= t <= tower.n:
         raise ValueError(f"t = {t} out of range 1..{tower.n}")
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
-    kf, n = tower.K, tower.n
+    kf, n, g = tower.K, tower.n, math.gcd(t, tower.n)
     if t == n and sign == 1:  # sigma**n = id
         return LSubspace.full(kf, n)
-    shift = kf.mul(1 if sign == 1 else int(kf.neg(1)), np.eye(n, dtype=np.int64))
-    # the kernel is already the reduced echelon basis; the tower holds it
-    basis = tower._memo(("eigenspace", t, sign), lambda: kernel(kf, kf.sub(tower.frobenius_mats[t % n], shift)))
-    return LSubspace(kf, n, basis)
+    frob = tower.frobenius_mats[t % n]
+
+    def fixed():
+        r, pivots = rref(kf, _frobenius_sum(tower, g, [1]).T)
+        if len(pivots) != g or not np.array_equal(kf.matmul(r[:g], frob.T), r[:g]):
+            raise AssertionError(f"the trace image of rank {len(pivots)} is not Fix(sigma^{t}) of dimension {g}")
+        return r[:g].copy()
+
+    make = fixed if sign == 1 else lambda: kernel(kf, kf.add(frob, np.eye(n, dtype=np.int64)))
+    return LSubspace(kf, n, tower._memo(("eigenspace", t, sign), make))

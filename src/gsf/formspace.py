@@ -7,28 +7,28 @@ tr(b * x^(j+k)) and F_i the Frobenius matrix: the whole family is K-linear
 in b, so enumerating a parameter subspace of b's is a matter of combining a
 few precomputed basis Grams.
 
-`rank_profile` runs the enumeration engine over a subspace of parameters b,
-which the extremal witness checks and searches share.  Its options come in
-one frozen `Run` (mode, sample count, seed, budget, workers), the only way
-census options reach the engine; a `Run` with an unknown mode cannot be
-built.  A census ranks a set of representatives and counts each as the
-forms it stands for: one per K-line with weight q - 1, since
-rank(c*G) = rank(G) for c in K*; one per coset of
-U = F* meet K* . {a**(1 + q**i)} with weight |U|, when the parameters are a
-translate j * F of a subfield F (`translate`: every verifier piece is one)
-and that pays; or a seeded sample with weight 1.  The coset source counts
-its m representatives against the budget, so `auto` and exhaustive mode take
-it whenever m fits, even past q**d - 1 forms; otherwise the q**d - 1 forms
-decide.  Either way the histogram is a deterministic function of (tower,
-subspace, i, mode, seed) and is independent of how the work is partitioned
-across workers; at most 2 * workers chunks wait on the thread pool, and the
-coset representatives are made one chunk at a time, so memory stays bounded
-for any worker count.
+`rank_profiles` runs the enumeration engine over subspaces of parameters b,
+one pass for all the censuses of a certificate; `rank_profile`, its
+one-census case, is what the extremal witness checks and searches share.
+Census options come in one frozen `Run` (mode, sample count, seed, budget,
+workers); a `Run` with an unknown mode cannot be built.  A census ranks a
+set of representatives and counts each as the forms it stands for: one per
+K-line with weight q - 1, since rank(c*G) = rank(G) for c in K*; one per
+coset of U = F* meet K* . {a**(1 + q**i)} with weight |U|, when the
+parameters are a translate j * F of a subfield F (`translate`: every
+verifier piece is one) and that pays; or a seeded sample with weight 1.
+The coset source counts its m representatives against the budget, so
+`auto` and exhaustive mode take it whenever m fits, even past q**d - 1
+forms; otherwise the q**d - 1 forms decide.  Either way the histogram is a
+deterministic function of (tower, subspace, i, mode, seed), whatever the
+worker count and whatever censuses share its `rank_many` calls; memory
+stays bounded, as chunks are made one at a time.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from collections import deque
 from dataclasses import dataclass, replace
@@ -36,7 +36,7 @@ from typing import Iterable, Iterator, Optional, Union
 
 import numpy as np
 
-from gsf.exactla import LSubspace, eigenspace_of_power, kernel, rank_many, rref
+from gsf.exactla import LSubspace, _frobenius_sum, eigenspace_of_power, kernel, rank_many, rref
 from gsf.ffield import FieldTower, base_digits, prime_factors
 
 __all__ = [
@@ -59,6 +59,7 @@ __all__ = [
     "family",
     "translate",
     "rank_profile",
+    "rank_profiles",
 ]
 
 DEFAULT_BUDGET = 2_000_000
@@ -308,9 +309,7 @@ def _negated(tower: FieldTower, t: int) -> np.ndarray:
     """A (-1)-eigenvector of sigma**t of even order, without a kernel: the first
     nonzero column of sum_k (-1)**k sigma**(g*k), g = gcd(t, n), which sigma**g
     negates; t/g is odd, so sigma**t negates it too."""
-    kf, n, g = tower.K, tower.n, math.gcd(t, tower.n)
-    signs = np.resize([1, int(kf.neg(1))], n // g)
-    alt = kf.matmul(signs, tower.frobenius_mats[::g].reshape(n // g, n * n)).reshape(n, n)
+    alt = _frobenius_sum(tower, math.gcd(t, tower.n), [1, int(tower.K.neg(1))])
     return alt[:, np.argmax(alt.any(axis=0))]
 
 
@@ -337,14 +336,15 @@ def translate(tower: FieldTower, f: int, t: int = 0) -> Translate:
 
 # -- enumeration engine ---------------------------------------------------------
 #
-# A census is a code source, then `_rank_chunks` (combine and rank each chunk),
-# then a reducer: the histogram of `_profile_from_grams`.  A source is one
-# triple (name, code chunks, weight), each ranked code standing for `weight`
-# forms, and `rank_profile` chooses it once per census: the coset source when
-# `_coset_source` offers one, else the projective (`_range_chunks` over code
-# spans) or sampled source of `_census_source`.  Only a `Translate` may take
-# the coset source.  Raw Gram stacks (min-rank over kk >= 2 families) reach
-# `_profile_from_grams` directly and take `_census_source`'s source.
+# A census is a code source, then combine and rank, then a reducer: the
+# histogram of `_censuses`.  A source is one triple (name, code chunks,
+# weight), each ranked code standing for `weight` forms, and `rank_profiles`
+# chooses it once per census: the coset source when `_coset_source` offers
+# one (only to a `Translate`), else the projective (`_range_chunks` over code
+# spans) or sampled source of `_census_source`.  `decomp._certify` hands a
+# certificate's parameter censuses to one `rank_profiles` call, whose
+# single-chunk censuses share `rank_many` calls; raw Gram stacks reach
+# `_profile_from_grams`.
 # `extremal.exhaustive_search` ranks the projective source over its whole
 # ambient space once, into a table that decides every candidate by lookups;
 # `extremal._verify_witness` checks one basis by an exhaustive census of its
@@ -352,7 +352,7 @@ def translate(tower: FieldTower, f: int, t: int = 0) -> Translate:
 # `FieldTower._memo` holds, read-only and up to `ffield.MEMO_BYTES`, what the
 # tower alone decides: `gram_basis`, `family`, `eigenspace_of_power`, each
 # translate with j != 1, a coset generator per (f, m) and each exhaustive
-# `rank_profile` census, keyed by i and its parameters' basis bytes once its
+# parameter census, keyed by i and its parameters' basis bytes once its
 # source is chosen; a miss only recomputes.  Only the calling thread writes
 # it: `_rank_chunks`' pool ranks.
 
@@ -411,30 +411,23 @@ def _chunk_size(n: int) -> int:
     return int(min(8192, max(256, 250_000 // max(n * n, 1))))
 
 
-def _rank_chunks(kf, basis_grams: np.ndarray, code_chunks, workers: int = 1):
-    """Ranks of the combined forms, one array per code chunk, in chunk order.
-
-    With several workers the chunks are ranked on a thread pool.  At most
-    2 * workers chunks wait on the pool at a time, so memory stays bounded
-    whatever the source's length; the order of the yielded arrays does not
-    depend on the worker count.
-    """
-
-    def ranks(codes):
-        return rank_many(kf, _combine_forms(kf, codes, basis_grams))
-
+def _rank_chunks(kf, jobs, workers: int = 1):
+    """(tag, ranks of the forms that make() returns) for each job (tag, make),
+    in order.  With several workers the jobs are made and ranked on a thread
+    pool, at most 2 * workers waiting at a time, so memory stays bounded
+    whatever the sources' length; the output does not depend on the workers."""
     if workers == 1:
-        for codes in code_chunks:
-            yield ranks(codes)
+        for tag, make in jobs:
+            yield tag, rank_many(kf, make())
         return
     from concurrent.futures import ThreadPoolExecutor
 
     with ThreadPoolExecutor(max_workers=workers) as pool:
         pending = deque()
-        for codes in code_chunks:
+        for tag, make in jobs:
             if len(pending) == 2 * workers:
                 yield pending.popleft().result()
-            pending.append(pool.submit(ranks, codes))
+            pending.append(pool.submit(lambda tag=tag, make=make: (tag, rank_many(kf, make()))))
         while pending:
             yield pending.popleft().result()
 
@@ -453,29 +446,50 @@ def _census_source(q: int, d: int, n: int, run: Run) -> _Source:
     return "projective", _range_chunks(q, d, _projective_spans(q, d), chunk), q - 1
 
 
-def _profile_from_grams(kf, basis_grams: np.ndarray, n: int, run: Run = Run(),
-                        source: Optional[_Source] = None) -> RankProfile:
-    """Rank histogram of the nonzero combinations of `basis_grams`, shape (d, n, n).
+def _censuses(kf, n: int, items, workers: int = 1) -> Iterator[RankProfile]:
+    """Rank histograms of the censuses (d, maker of the (d, n, n) basis Grams,
+    source, run), in order, once all are ranked.  Exhaustive single-chunk
+    sources are combined in turn into a queue of jobs of up to `_chunk_size(n)`
+    forms; then sampled and multi-chunk sources stream, one job per chunk.  A
+    rank counts its source's weight, as Python ints (|U| and q**d - 1 may pass
+    2**63); exhaustive bins must add up to q**d - 1, else an internal error
+    names the source."""
+    hists, cap = np.zeros((len(items), n + 1), dtype=np.int64), _chunk_size(n)
 
-    `source` is a triple (name, code chunks over the d members, weight): the
-    coset source that `rank_profile` found, or else `_census_source`'s for
-    `run`.  Every rank counts `weight` forms; weights multiply the bins as
-    Python ints, since |U| and q**d - 1 may pass 2**63.  The weighted bins of
-    an exhaustive source must add up to q**d - 1; anything else is an
-    internal error that names the source.
-    """
-    d, q = basis_grams.shape[0], kf.q
-    name, chunks, weight = source or _census_source(q, d, n, run)
-    hist = np.zeros(n + 1, dtype=np.int64)
-    for ranks in _rank_chunks(kf, basis_grams, chunks, run.workers):
-        hist += np.bincount(ranks, minlength=n + 1)
-    histogram = {r: int(c) * weight for r, c in enumerate(hist) if c}
-    if name == "sampled":
-        return RankProfile(histogram, name, count=run.sample_count, seed=run.seed)
-    counted = sum(histogram.values())
-    if counted != q**d - 1:
-        raise AssertionError(f"{name} census counted {counted} of {q**d - 1} nonzero forms")
-    return RankProfile(histogram, "exhaustive")
+    def jobs():  # the queue is a buffer of `cap` forms, touched only as far as it is filled
+        queue, tag, lo, streams = np.empty((cap, n, n), dtype=np.int64), [], 0, []
+        for k, (_, grams, (name, chunks, _), _) in enumerate(items):
+            head = [] if name == "sampled" else list(itertools.islice(chunks := iter(chunks), 2))
+            if len(head) != 1:
+                streams.append((k, grams, itertools.chain(head, chunks)))
+                continue
+            if lo + len(head[0]) > cap:
+                yield tag, functools.partial(np.asarray, queue[:lo])
+                queue, tag, lo = np.empty((cap, n, n), dtype=np.int64), [], 0
+            queue[lo : lo + len(head[0])] = _combine_forms(kf, head[0], grams())
+            tag, lo = tag + [(k, len(head[0]))], lo + len(head[0])
+        if tag:
+            yield tag, functools.partial(np.asarray, queue[:lo])
+        del queue  # the streams run after the queue, without its buffer
+        for k, grams, chunks in streams:
+            grams = grams()
+            for codes in chunks:
+                yield [(k, len(codes))], functools.partial(_combine_forms, kf, codes, grams)
+
+    for tag, ranks in _rank_chunks(kf, jobs(), workers):  # rank r of census k counts in bin k*(n + 1) + r
+        hists += np.bincount(np.repeat(*zip(*tag)) * (n + 1) + ranks, minlength=hists.size).reshape(hists.shape)
+    for hist, (d, _, (name, _, weight), run) in zip(hists, items):
+        histogram = {r: int(c) * weight for r, c in enumerate(hist) if c}
+        if name != "sampled" and (counted := sum(histogram.values())) != kf.q**d - 1:
+            raise AssertionError(f"{name} census counted {counted} of {kf.q**d - 1} nonzero forms")
+        yield (RankProfile(histogram, name, count=run.sample_count, seed=run.seed) if name == "sampled"
+               else RankProfile(histogram, "exhaustive"))
+
+
+def _profile_from_grams(kf, basis_grams: np.ndarray, n: int, run: Run = Run()) -> RankProfile:
+    """Rank histogram of the nonzero combinations of `basis_grams` (d, n, n), by `_census_source`."""
+    d = basis_grams.shape[0]
+    return next(_censuses(kf, n, [(d, lambda: basis_grams, _census_source(kf.q, d, n, run), run)], run.workers))
 
 
 # -- coset source -------------------------------------------------------------------
@@ -587,7 +601,7 @@ def _coset_source(tower: FieldTower, sub: Translate, i: int, budget: int = DEFAU
     Fix(sigma**f), whose first row is 1.  When m = 1 the one representative
     is j and no generator is searched for; the audit still checks the first
     candidate.  The representatives come lazily, one chunk at a time
-    (`_coset_chunks`).  Only `rank_profile` asks for this source.
+    (`_coset_chunks`).  Only `rank_profiles` asks for this source.
     """
     kf, n, q, f = tower.K, tower.n, tower.q, sub.f
     unit, m = _coset_counts(q, n, i, f)
@@ -627,26 +641,32 @@ def _coset_chunks(tower: FieldTower, w: np.ndarray, h: np.ndarray, by_h: np.ndar
             yield rows[: m - lo, pivots]
 
 
+def rank_profiles(tower: FieldTower, requests) -> list[RankProfile]:
+    """Rank histograms over the nonzero forms of the parameters `sub` twisted by
+    sigma^i, for each request (sub, i, run) in order, from one `_censuses` pass on
+    the largest worker count.  Each takes the coset source if `_coset_source` offers
+    it (a `Translate` whose m cosets pay and fit the budget), else `_census_source`'s,
+    which weighs the q**d - 1 forms against the budget, before anything is ranked.
+    The tower's memo holds each exhaustive result under i and the echelon basis
+    bytes, for any mode and budget; never a sampled one."""
+    kf, n, items, misses, held = tower.K, tower.n, [], [], []
+    for sub, i, run in requests:
+        if not isinstance(sub, LSubspace):
+            raise TypeError(f"expected an LSubspace of parameters, got {type(sub).__name__}")
+        coset = run.mode != "sampled" and isinstance(sub, Translate) and _coset_source(tower, sub, i, run.budget)
+        source = coset or _census_source(tower.q, sub.dim, n, run)
+        key = source[0] != "sampled" and ("census", i, sub.basis.tobytes())
+        held.append(tower._held.get(key, (None,))[0])
+        if held[-1] is None:  # the key is made again to hold the result, so keys are not kept
+            misses.append((len(held) - 1, bool(key), sub, i))
+            items.append((sub.dim, lambda sub=sub, i=i: _combine_forms(kf, sub.basis, gram_basis(tower, i)),
+                          source, run))
+    workers = max([1] + [r.workers for *_, r in requests])
+    for (at, keep, sub, i), prof in zip(misses, _censuses(kf, n, items, workers)):
+        held[at] = tower._memo(("census", i, sub.basis.tobytes()), lambda prof=prof: prof) if keep else prof
+    return [replace(prof, histogram=dict(prof.histogram)) for prof in held]
+
+
 def rank_profile(tower: FieldTower, sub: LSubspace, i: int, run: Run = Run()) -> RankProfile:
-    """Rank histogram over the nonzero forms of the parameters `sub` twisted by sigma^i.
-
-    This is the one place a census chooses its source: the coset source
-    (`_coset_source`) whenever it is offered, for a `Translate` whose m
-    cosets pay and fit the budget, however many forms it holds; else
-    `_census_source`, which compares the q**d - 1 forms with the budget.  So
-    a bare `LSubspace` is censused by lines or samples.  The source is
-    chosen, and the budget checked, on every call; the tower's memo then
-    holds each exhaustive result under i and the bytes of the echelon basis,
-    shared by auto and exhaustive runs and by any budget, never a sampled one.
-    """
-    if not isinstance(sub, LSubspace):
-        raise TypeError(f"expected an LSubspace of parameters, got {type(sub).__name__}")
-    source = run.mode != "sampled" and isinstance(sub, Translate) and _coset_source(tower, sub, i, run.budget)
-    source = source or _census_source(tower.q, sub.dim, tower.n, run)
-
-    def census():
-        grams = _combine_forms(tower.K, sub.basis, gram_basis(tower, i))
-        return _profile_from_grams(tower.K, grams, tower.n, run, source)
-
-    prof = census() if source[0] == "sampled" else tower._memo(("census", i, sub.basis.tobytes()), census)
-    return replace(prof, histogram=dict(prof.histogram))
+    """The histogram of the one request (sub, i, run) of `rank_profiles`."""
+    return rank_profiles(tower, [(sub, i, run)])[0]

@@ -2,9 +2,10 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from gsf import exactla
 from gsf.exactla import LSubspace, _span_audit, eigenspace_of_power, is_direct_sum, kernel, rank, rank_many, rref
 from gsf.ffield import Gf
 from gsf.formspace import gram
@@ -340,6 +341,48 @@ def test_identity_shortcuts_equal_elimination(p, s, n, tower):
     assert np.array_equal(fix.basis, kernel(t.K, np.zeros((n, n), dtype=np.int64)))
     assert full == LSubspace.from_vectors(t.K, np.eye(n, dtype=np.int64), n) == fix
     assert not fix.basis.flags.writeable and not full.basis.flags.writeable
+
+
+# -- fixed fields from the image of the relative trace -----------------------------
+
+# q**n <= 3**12, and towers over GF(9), GF(27), GF(25) and GF(49)
+_FIXED_TOWERS = ([(3, 1, n) for n in range(1, 13)] + [(5, 1, n) for n in range(1, 9)]
+                 + [(7, 1, n) for n in range(1, 7)] + [(11, 1, n) for n in range(1, 6)]
+                 + [(13, 1, n) for n in range(1, 6)]
+                 + [(3, 2, n) for n in range(1, 7)] + [(3, 3, 4), (5, 2, 4), (7, 2, 2)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(pick=st.sampled_from(_FIXED_TOWERS))
+@example(pick=(3, 2, 1))
+@example(pick=(3, 2, 2))
+@example(pick=(3, 2, 3))
+@example(pick=(3, 2, 4))
+@example(pick=(3, 2, 5))
+@example(pick=(3, 2, 6))
+@example(pick=(3, 3, 4))
+@example(pick=(5, 2, 4))
+@example(pick=(7, 2, 2))
+def test_fixed_fields_from_the_trace_image_equal_the_kernels(pick, tower):
+    # echelon bytes, not just spans: every Fix(sigma^t) equals kernel(F_t - I)
+    p, s, n = pick
+    t = tower(p, s, n)
+    for k in range(1, n + 1):
+        want = kernel(t.K, t.K.sub(t.frobenius_mats[k % n], np.eye(n, dtype=np.int64)))
+        got = eigenspace_of_power(t, k, 1).basis
+        assert got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes(), k
+
+
+def test_a_wrong_trace_stride_exits_four(monkeypatch, capsys):
+    # a relative trace summed with stride 1 instead of g = gcd(t, n) has the
+    # image K, of rank 1; the audit stops the refinement of GF(3^8)
+    from gsf.cli import main
+
+    real = exactla._frobenius_sum
+    monkeypatch.setattr(exactla, "_frobenius_sum", lambda tw, g, coeffs: real(tw, 1, coeffs))
+    assert main(["refine", "--full", "--p", "3", "--n", "8"]) == 4
+    err = capsys.readouterr().err
+    assert "internal check failed" in err and "is not Fix(sigma^" in err
 
 
 # -- the one kernel on every field ------------------------------------------------

@@ -28,6 +28,7 @@ from gsf.formspace import (
     gram_matrix,
     radical,
     rank_profile,
+    rank_profiles,
     translate,
     unflatten_sym,
 )
@@ -439,8 +440,8 @@ def test_rank_profile_worker_invariance_over_several_chunks(tower):
 
 @pytest.mark.parametrize("workers", [2, 3])
 def test_rank_chunks_pool_takes_a_bounded_lead(tower, workers):
-    # the pool must not drain the code source: when the first rank array
-    # arrives, at most 2 * workers chunks have been taken beyond it
+    # the pool must not drain the job source: when the first rank array
+    # arrives, at most 2 * workers jobs have been taken beyond it
     t = tower(3, 1, 3)
     taken = 0
 
@@ -448,15 +449,17 @@ def test_rank_chunks_pool_takes_a_bounded_lead(tower, workers):
         nonlocal taken
         for code in range(1, 101):
             taken += 1
-            yield formspace.base_digits(np.array([code]), 3, 3)
+            codes = formspace.base_digits(np.array([code]), 3, 3)
+            yield code, lambda codes=codes: formspace._combine_forms(t.K, codes, gram_basis(t, 1))
 
-    ranks = formspace._rank_chunks(t.K, gram_basis(t, 1), source(), workers)
+    ranks = formspace._rank_chunks(t.K, source(), workers)
     first = next(ranks)
     assert taken <= 2 * workers + 1
     rest = list(ranks)
     assert taken == 100 and len(rest) == 99
-    serial = list(formspace._rank_chunks(t.K, gram_basis(t, 1), source(), 1))
-    assert [r.tolist() for r in [first] + rest] == [r.tolist() for r in serial]
+    serial = list(formspace._rank_chunks(t.K, source(), 1))
+    assert [(tag, r.tolist()) for tag, r in [first] + rest] == [(tag, r.tolist()) for tag, r in serial]
+    assert [tag for tag, _ in serial] == list(range(1, 101))
 
 
 # -- projective source: references that enumerate every code ---------------------
@@ -900,6 +903,113 @@ def test_family_census_ranks_one_form_per_coset(p, s, n, i, forms, monkeypatch):
     prof = rank_profile(t, piece.sub, piece.i)
     assert sum(seen) == forms
     assert prof.total == t.q**fam.dim - 1 and prof.ranks == {n}
+
+
+# -- one census pass per certificate -------------------------------------------------
+
+
+def _recording_rank_many(monkeypatch):
+    """Patch the engine's `rank_many` to record the shape of every batch."""
+    shapes = []
+
+    def recorded(kf, mats):
+        shapes.append(np.shape(mats))
+        return rank_many(kf, mats)
+
+    monkeypatch.setattr(formspace, "rank_many", recorded)
+    return shapes
+
+
+def _one_at_a_time(tower, requests):
+    return [rank_profile(tower, *request) for request in requests]
+
+
+def _golden_texts():
+    from gsf.cli import golden_entries
+
+    return [(fname, build().to_json()) for fname, build in golden_entries()]
+
+
+def _cli_text(capsys, argv):
+    from gsf.cli import main
+
+    code = main(argv)
+    return code, capsys.readouterr().out
+
+
+_BATCHED_COMMANDS = [["theorem-c", "--q", "11", "--n", "32"], ["refine", "--full", "--p", "3", "--n", "16"],
+                     ["refine", "--full", "--p", "3", "--s", "2", "--n", "4"]]
+
+
+@pytest.mark.parametrize("argv", [None] + _BATCHED_COMMANDS,
+                         ids=["golden", "theorem_c_gf11_32", "refine_full_gf3_16", "refine_full_gf9_4"])
+def test_batched_censuses_equal_one_at_a_time_on_every_claim(argv, monkeypatch, capsys):
+    # every claim of every golden certificate, and of three larger commands, is
+    # the same with one `rank_profiles` call per certificate as with one
+    # `rank_profile` call per piece; each side builds its own towers, so no
+    # census is served from the other's memo.  No batch passes one chunk
+    from gsf import decomp
+
+    with pytest.MonkeyPatch.context() as mp:
+        shapes = _recording_rank_many(mp)
+        batched = _golden_texts() if argv is None else _cli_text(capsys, argv)
+    assert shapes and all(len(shape) == 3 and shape[0] <= formspace._chunk_size(shape[-1]) for shape in shapes)
+    monkeypatch.setattr(decomp, "rank_profiles", _one_at_a_time)
+    singles = _recording_rank_many(monkeypatch)
+    alone = _golden_texts() if argv is None else _cli_text(capsys, argv)
+    assert batched == alone
+    assert len(shapes) < len(singles)
+    if argv is None:
+        assert batched == [(fname, (default_golden_dir() / fname).read_text(encoding="utf-8")) for fname, _ in batched]
+
+
+def test_multi_chunk_censuses_stream_after_the_queue(monkeypatch):
+    # GF(7^4) with chunks of 5: all of L with i = 0 (m = 2), GF(49) with i = 0
+    # (m = 1) and K with i = 1 (one line) are queued and ranked together; then
+    # all of L twisted by sigma and by sigma^3, m = 8 cosets each, stream as 5 + 3
+    def requests(t):
+        full = translate(t, 4)
+        return [(full, 1, Run()), (full, 0, Run()), (translate(t, 2), 0, Run()), (translate(t, 1), 1, Run()),
+                (full, 3, Run())]
+
+    monkeypatch.setattr(formspace, "_chunk_size", lambda n: 5)
+    want = _one_at_a_time(FieldTower(7, 1, 4), requests(FieldTower(7, 1, 4)))
+    t = FieldTower(7, 1, 4)
+    shapes = _recording_rank_many(monkeypatch)
+    got = rank_profiles(t, requests(t))
+    assert [shape[0] for shape in shapes] == [4, 5, 3, 5, 3]
+    assert [prof.to_dict() for prof in got] == [prof.to_dict() for prof in want]
+    assert [(prof.mode, prof.total) for prof in got] == [("exhaustive", 7**d - 1) for d in (4, 4, 2, 1, 4)]
+
+
+def test_sampled_censuses_in_a_batch_stream_on_their_own(monkeypatch):
+    # a sampled census ranks its draws in its own calls, after the queue and
+    # never with it, and keeps its seed; the exhaustive census behind it is queued
+    t = FieldTower(3, 1, 6)
+    full, sampled = translate(t, 6), Run(mode="sampled", sample_count=30, seed=5)
+    want = [formspace._profile_from_grams(t.K, gram_basis(t, 1), 6, sampled), rank_profile(FieldTower(3, 1, 6), full, 0)]
+    shapes = _recording_rank_many(monkeypatch)
+    got = rank_profiles(t, [(full, 1, sampled), (full, 0, Run())])
+    assert [prof.to_dict() for prof in got] == [prof.to_dict() for prof in want]
+    assert [shape[0] for shape in shapes] == [2, 30]
+
+
+def test_a_batch_checks_every_budget_before_it_ranks(monkeypatch):
+    # A^1 of GF(3^8) is held after a census under a budget of 4 (m = 4 cosets);
+    # in a later batch that asks it under a budget of 3 it is still refused,
+    # and the refusal comes before the unheld census ahead of it is ranked
+    t = FieldTower(3, 1, 8)
+    full = translate(t, 8)
+    held = rank_profiles(t, [(full, 1, Run(mode="exhaustive", budget=4))])[0]
+    assert held.mode == "exhaustive" and held.total == 3**8 - 1
+    seen = _counting_rank_many(monkeypatch)
+    assert rank_profiles(t, [(full, 1, Run(mode="exhaustive", budget=4))])[0].to_dict() == held.to_dict()
+    with pytest.raises(BudgetExceededError):
+        rank_profiles(t, [(full, 2, Run()), (full, 1, Run(mode="exhaustive", budget=3))])
+    assert seen == []
+    with pytest.raises(TypeError, match="expected an LSubspace"):
+        rank_profiles(t, [(full, 2, Run()), (gram_basis(t, 1), 1, Run())])
+    assert seen == []
 
 
 # -- per-tower memo ------------------------------------------------------------------

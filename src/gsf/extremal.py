@@ -111,7 +111,8 @@ class SearchResult:
     """A witness subspace with the record of how it was verified.
 
     `verified` is True only when every one of the q**best_dim - 1 nonzero
-    combinations of the witness basis was checked invertible.
+    combinations of the witness basis was checked invertible.  The exhaustive
+    search fills `dims_exhausted`: above n by the column bound, then by scan.
     """
 
     target: str
@@ -306,26 +307,27 @@ def _first_closed(gf: Gf, table: np.ndarray, ambient: int, k: int, n: int) -> Op
 def exhaustive_search(target: str, n: int, q: int, budget: int = DEFAULT_BUDGET) -> SearchResult:
     """Exact maximal invertible-closed dimension on a tiny instance.
 
-    Scans dimensions downward from n + 1 (capped by the ambient dimension),
-    enumerating canonical echelon bases in `_echelon_chunks` order.  Every
-    K-line of the ambient space is ranked once, into the table of
-    `_invertibility_table`, and a candidate is closed iff every one of its
-    combinations whose first nonzero coefficient is 1 reads invertible
-    there (`_first_closed`); echelon form makes those codes projective.  The
-    first survivor in scan order of the first dimension with one is the
-    witness of the exact maximum, and every larger dimension scanned without
-    a witness is recorded in `dims_exhausted`.
+    No subspace above dimension n is invertible-closed (column bound: A ->
+    A e_1 is injective on one), so those dimensions go into `dims_exhausted`
+    unscanned, and the scan runs downward from n, enumerating canonical
+    echelon bases in `_echelon_chunks` order.  Every K-line of the ambient
+    space is ranked once, into the table of `_invertibility_table`, and a
+    candidate is closed iff every one of its combinations whose first
+    nonzero coefficient is 1 reads invertible there (`_first_closed`);
+    echelon form makes those codes projective.  The first survivor in scan
+    order of the first dimension with one is the witness of the exact
+    maximum, and every dimension scanned before it joins `dims_exhausted`.
 
     The budget counts candidates and forms (q**k - 1 per candidate), not
-    ranks.  No (n + 1)-dimensional subspace is invertible-closed (column
-    bound), so the scan always reaches dimension n: every dimension down to
-    n is checked against the budget before anything is scanned, and before
-    the field tables are built: the check needs only q, n and the target.
-    The table ranks (q**ambient - 1)/(q - 1) forms and is built after that
-    check, which already bounds it: for top < ambient the top dimension's
-    candidate count is a Gaussian binomial [ambient, top]_q, at least
-    [ambient, 1]_q, and for top = ambient its q**ambient - 1 forms are at
-    least [ambient, 1]_q.
+    ranks.  It still counts dimension n + 1, so refusals are those of a
+    scan from n + 1: every dimension from top = min(ambient, n + 1) down to
+    n is checked against the budget before anything is built or scanned;
+    the check needs only q, n and the target.  The table ranks
+    (q**ambient - 1)/(q - 1) forms and is built after that check, which
+    already bounds it: for top < ambient the top dimension's candidate
+    count is a Gaussian binomial [ambient, top]_q, at least [ambient, 1]_q,
+    and for top = ambient its q**ambient - 1 forms are at least
+    [ambient, 1]_q.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -343,8 +345,8 @@ def exhaustive_search(target: str, n: int, q: int, budget: int = DEFAULT_BUDGET)
         check_budget(k)
     gf = Gf(p, s)
     table = _invertibility_table(gf, target, n)
-    exhausted = []
-    for k in range(top, 0, -1):
+    exhausted = list(range(top, n, -1))
+    for k in range(n, 0, -1):
         check_budget(k)
         flat = _first_closed(gf, table, ambient, k, n)
         if flat is not None:
@@ -365,8 +367,8 @@ def greedy_search(target: str, n: int, q: int, seed: int = 0, restarts: int = 0,
     candidate survives the walk backtracks by dropping a random member, up
     to `_GREEDY_BACKTRACKS` times, keeping the best basis seen.  Restart
     streams derive deterministically from (seed, restart index), so
-    restarts = 0 is the deterministic first pass.  An extension past
-    dimension n succeeding would contradict the column bound, so it raises.
+    restarts = 0 is the deterministic first pass.  By the column bound a
+    walk stops at n members, and no restart starts once the best basis has n.
     The best basis is verified by an exhaustive census of its span; over
     the budget it is reported unverified.
     """
@@ -378,22 +380,20 @@ def greedy_search(target: str, n: int, q: int, seed: int = 0, restarts: int = 0,
     best: list[np.ndarray] = []
     best_restart = 0
     for restart in range(restarts + 1):
+        if len(best) == n:
+            break
         rng = np.random.default_rng([seed, restart])
         basis: list[np.ndarray] = []
         back_left = _GREEDY_BACKTRACKS
-        while True:
-            if q ** len(basis) > budget:
-                break
+        while len(basis) < n and q ** len(basis) <= budget:
             cand = _find_extension(gf, target, n, basis, rng, _GREEDY_TRIES)
             if cand is not None:
-                if len(basis) == n:
-                    raise AssertionError("greedy extension exceeded the dimension bound n")
                 basis.append(cand)
                 if len(basis) > len(best):
                     best = list(basis)
                     best_restart = restart
                 continue
-            if len(basis) == n or not basis or back_left == 0:
+            if not basis or back_left == 0:
                 break
             back_left -= 1
             basis.pop(int(rng.integers(0, len(basis))))

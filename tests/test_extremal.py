@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import itertools
 import json
 
@@ -326,6 +327,55 @@ def test_greedy_matches_construction_on_small_grid():
         assert res.best_dim == n
 
 
+@pytest.mark.parametrize("target,n,q,seed", [("mu", 4, 3, 0), ("tau", 2, 3, 1), ("mu", 2, 5, 2), ("tau", 3, 3, 0),
+                                             ("mu", 1, 3, 0)])
+def test_greedy_never_extends_a_basis_of_n_members(monkeypatch, target, n, q, seed):
+    # by the column bound an extension of n members can only fail
+    sizes = []
+    orig = extremal._find_extension
+
+    def recording(gf, target, n, basis, rng, max_tries):
+        sizes.append(len(basis))
+        return orig(gf, target, n, basis, rng, max_tries)
+
+    monkeypatch.setattr(extremal, "_find_extension", recording)
+    res = greedy_search(target, n, q, seed=seed, restarts=2)
+    assert res.best_dim == n and res.verified
+    assert n - 1 in sizes and max(sizes) == n - 1
+
+
+def test_greedy_starts_no_restart_after_reaching_n(monkeypatch):
+    # restart 0 of (mu, 4, 3, seed 0) reaches n = 4, so restarts 1..5 never
+    # draw a stream, and the result is that of restarts=0 but for the count
+    streams = []
+    orig = np.random.default_rng
+
+    def recording(seed=None):
+        streams.append(list(seed))
+        return orig(seed)
+
+    monkeypatch.setattr(np.random, "default_rng", recording)
+    res = greedy_search("mu", 4, 3, seed=0, restarts=5).to_dict()
+    assert streams == [[0, 0]]
+    monkeypatch.setattr(np.random, "default_rng", orig)
+    want = greedy_search("mu", 4, 3, seed=0, restarts=0).to_dict()
+    assert res["mode"] == {**want["mode"], "restarts": 5} and res["mode"]["best_restart"] == 0
+    assert {**res, "mode": want["mode"]} == want and res["best_dim"] == 4
+
+
+def test_greedy_grid_output_is_pinned():
+    # sha256 of the sorted-key JSON of each result, concatenated in grid
+    # order; the digest was taken before greedy stopped at n, so stopping
+    # changed no witness, dimension, verdict or best restart
+    digest = hashlib.sha256()
+    for target, (n, q), seed, restarts, budget in itertools.product(
+            ("tau", "mu"), ((1, 3), (2, 3), (2, 5), (2, 9), (3, 3), (3, 5), (4, 3)), range(3), (0, 1, 3),
+            (5, DEFAULT_BUDGET)):
+        res = greedy_search(target, n, q, seed=seed, restarts=restarts, budget=budget)
+        digest.update(json.dumps(res.to_dict(), sort_keys=True).encode())
+    assert digest.hexdigest() == "7592b69ce238453a8be340559e94c3b73219da99fcc24d686b13ceb764217ca0"
+
+
 # -- batched closure test and the exhaustive scan --------------------------------
 
 
@@ -383,6 +433,37 @@ def test_exhaustive_search_equals_reference_scan(target, n, q):
     assert np.array_equal(_flat_witness(res), flat)
 
 
+@pytest.mark.parametrize("target,n,q", SEARCH_GRID)
+def test_exhaustive_search_scans_no_dimension_above_n(monkeypatch, target, n, q):
+    # dimensions above n are exhausted by the column bound, not scanned
+    scanned = []
+    orig = extremal._first_closed
+
+    def recording(gf, table, ambient, k, n):
+        scanned.append(k)
+        return orig(gf, table, ambient, k, n)
+
+    monkeypatch.setattr(extremal, "_first_closed", recording)
+    res = exhaustive_search(target, n, q)
+    ambient = extremal._ambient(target, n)
+    assert max(scanned) == min(n, ambient)
+    assert res.dims_exhausted + [res.best_dim] == list(range(min(n + 1, ambient), n, -1)) + scanned
+
+
+@pytest.mark.parametrize("target,n,q", [("tau", 2, 3), ("tau", 2, 5), ("mu", 2, 3), ("mu", 2, 5), ("mu", 2, 7)])
+def test_no_subspace_above_n_is_invertible_closed(target, n, q):
+    # the column bound, checked by brute force on every (n + 1)-dimensional
+    # subspace of a tiny ambient space
+    gf = Gf(*prime_power_decompose(q))
+    ambient = extremal._ambient(target, n)
+    count = 0
+    for flat in _iter_rref_bases(q, ambient, n + 1):
+        mats = [row.reshape(n, n) if target == "tau" else _sym(row, n) for row in flat]
+        assert not _closed(gf, mats)
+        count += 1
+    assert count == gaussian_binomial(ambient, n + 1, q) > 0
+
+
 def test_exhaustive_search_mu_3_3_pinned_and_batched(monkeypatch):
     sizes = []
     orig = extremal.rank_many
@@ -399,8 +480,9 @@ def test_exhaustive_search_mu_3_3_pinned_and_batched(monkeypatch):
         '[[[1, 0, 0], [0, 0, 1], [0, 1, 1]], [[0, 1, 0], [1, 2, 0], [0, 0, 1]], '
         '[[0, 0, 1], [0, 1, 0], [1, 0, 0]]]}'
     )
-    # 11,011 candidates of dimension 4 and 1,039 of dimension 3 are decided
-    # by lookups: only the (3**6 - 1)/2 = 364 K-lines of S(3, GF(3)) are ranked
+    # dimension 4 is exhausted by the column bound and 1,039 candidates of
+    # dimension 3 are decided by lookups: only the (3**6 - 1)/2 = 364 K-lines
+    # of S(3, GF(3)) are ranked
     assert sum(sizes) == 364
 
 
@@ -485,14 +567,15 @@ def test_echelon_combinations_with_leading_one_have_projective_codes(data):
 
 
 def test_corrupted_table_entry_is_an_internal_error(monkeypatch, capsys):
-    # the first code read in S(3, GF(3)) is the last row e_3 of the first
-    # 4-dimensional candidate: 3**(6 - 1 - 3) = 9
+    # the scan of S(3, GF(3)) starts at dimension 3, and the first code it
+    # reads is the last row e_2 of the first 3-dimensional candidate:
+    # 3**(6 - 1 - 2) = 27
     build = extremal._invertibility_table
 
     def corrupted(gf, target, n):
         table = build(gf, target, n)
-        assert table[9] != extremal._UNFILLED
-        table[9] = extremal._UNFILLED
+        assert table[27] != extremal._UNFILLED
+        table[27] = extremal._UNFILLED
         return table
 
     monkeypatch.setattr(extremal, "_invertibility_table", corrupted)

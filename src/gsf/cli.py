@@ -167,6 +167,14 @@ def _form_report(args, run: Run) -> dict:
     return {**f.to_dict(), "rank": f.rank()}
 
 
+def _family_report(args, run: Run) -> dict:
+    """The echelon basis of one family; b -> form(b) has kernel dimension n - dim."""
+    tower = _tower_from_args(args)
+    i = _power(tower, args.i)
+    fam = family(tower, i)
+    return {"i": i, "dim": fam.dim, "basis": fam.basis.tolist(), "param_kernel_dim": tower.n - fam.dim}
+
+
 def _refine_report(args, run: Run) -> Certificate:
     tower = _tower_from_args(args)
     if args.full:
@@ -219,7 +227,7 @@ _COMMANDS = {
         ("--b", dict(required=True, help="element as comma-separated base-p digits, little-endian")),
         ("--i", dict(type=int, required=True, help="automorphism power"))], _form_report),
     "family": ("canonical basis of one form family", _TOWER + _TAIL + [("--i", dict(type=int, required=True))],
-               lambda args, run: family(tower := _tower_from_args(args), _power(tower, args.i)).to_dict()),
+               _family_report),
     "rank-laws": ("rank dichotomy census over every power", _TOWER + _CENSUS,
                   lambda args, run: verify_rank_laws(_tower_from_args(args), run)),
     "decompose": ("global direct-sum certificate", _TOWER + _CENSUS,

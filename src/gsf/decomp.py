@@ -28,7 +28,7 @@ from typing import Optional
 
 import numpy as np
 
-from gsf.exactla import _span_audit
+from gsf.exactla import _span_audit, rank
 from gsf.ffield import FieldTower, two_adic
 from gsf.formspace import (
     RankProfile,
@@ -36,6 +36,7 @@ from gsf.formspace import (
     _profile_from_grams,
     degenerate_rank_value,
     family,
+    flatten_sym,
     gram_basis,
     rank_profiles,
     translate,
@@ -229,11 +230,13 @@ def _global_pieces(tower: FieldTower, refine: bool) -> tuple[list[Piece], list[b
     Without `refine` the families claim dimensions only.  With it each
     family claims constant rank n, except that a family of even order is
     replaced by its constant-rank split.  B^1 and A^0 are censused through
-    parameters that b -> form(b) maps one-to-one onto them: Fix(sigma**(n/2)),
-    which must complement B^1's parameter kernel, and all of L.  The audits
-    are the splits' and, last, the independence of the families.
+    parameters that b -> form(b) maps one-to-one onto them, Fix(sigma**(n/2))
+    and all of L: one rank each checks that their forms have the dimension
+    of the parameters and of the family, so the parameters complement the
+    map's kernel.  The audits are the splits' and, last, the independence of
+    the families.
     """
-    n = tower.n
+    n, kf = tower.n, tower.K
     reps, invol = _pair_representatives(n)
     ranks = [n] if refine else None
     pieces, audits, parts = [], [], []
@@ -242,8 +245,9 @@ def _global_pieces(tower: FieldTower, refine: bool) -> tuple[list[Piece], list[b
         fam = family(tower, i)
         parts.append(fam)
         params = translate(tower, i or n) if refine else None
-        if refine and fam.param_kernel.dim and _span_audit([params, fam.param_kernel]) != (n, True):
-            raise AssertionError(f"Fix(sigma^{i}) is not a complement of the parameter kernel of {name}")
+        if refine and not (rank(kf, kf.matmul(params.basis, flatten_sym(gram_basis(tower, i), n)))
+                           == params.dim == fam.dim):
+            raise AssertionError(f"Fix(sigma^{i or n}) is not a complement of the parameter kernel of {name}")
         pieces.append(Piece(name, params, i, dim, ranks, observed_dim=fam.dim))
     full = translate(tower, n) if refine else None
     for i in reps:

@@ -6,7 +6,8 @@ subspace, so subspace equality and direct-sum audits are literal array
 comparisons.  `rank_many` eliminates a whole batch of matrices in lockstep;
 it is the hot kernel behind every rank census and the one elimination loop
 for every GF(q): batch-last, and for s = 1 reduced lazily, under `bound`, in
-the narrowest integer type.  `_span_audit` is the one direct-sum audit.
+the narrowest integer type, and `rank` is a batch of one.  `_span_audit`,
+the one direct-sum audit, takes its rank there.
 """
 
 from __future__ import annotations
@@ -56,7 +57,11 @@ def rref(gf: Gf, mat) -> tuple[np.ndarray, list[int]]:
 
 
 def rank(gf: Gf, mat) -> int:
-    return len(rref(gf, mat)[1])
+    """Rank of one 2-D matrix: a batch of one for `rank_many`."""
+    a = np.asarray(mat)
+    if a.ndim != 2:
+        raise ValueError("expected a 2-D matrix")
+    return int(rank_many(gf, a[None])[0])
 
 
 def rank_many(gf: Gf, mats) -> np.ndarray:
@@ -211,34 +216,6 @@ class LSubspace:
         stacked = np.vstack([self.basis, other.basis])
         return LSubspace.from_vectors(self.gf, stacked, self.ambient_dim)
 
-    def intersect(self, other: "LSubspace") -> "LSubspace":
-        """Zassenhaus: echelonize [A|A; B|0], read the intersection off the
-        rows whose left block vanished."""
-        self._check_ambient(other)
-        n = self.ambient_dim
-        da, db = self.dim, other.dim
-        if da == 0 or db == 0:
-            return LSubspace.zero(self.gf, n)
-        block = np.zeros((da + db, 2 * n), dtype=np.int64)
-        block[:da, :n] = self.basis
-        block[:da, n:] = self.basis
-        block[da:, :n] = other.basis
-        r, _ = rref(self.gf, block)
-        zero_left = ~np.any(r[:, :n], axis=1)
-        nonzero_right = np.any(r[:, n:], axis=1)
-        inter = r[zero_left & nonzero_right, n:]
-        return LSubspace.from_vectors(self.gf, inter, n) if inter.size else LSubspace.zero(self.gf, n)
-
-    def contains(self, vector) -> bool:
-        v = np.asarray(vector, dtype=np.int64).copy()
-        if v.shape != (self.ambient_dim,):
-            raise ValueError("ambient dimension mismatch")
-        for row in self.basis:
-            pc = int(np.nonzero(row)[0][0])
-            if v[pc]:
-                v = self.gf.sub(v, self.gf.mul(int(v[pc]), row))
-        return not np.any(v)
-
     def _check_ambient(self, other: "LSubspace"):
         if self.ambient_dim != other.ambient_dim:
             raise ValueError("ambient dimension mismatch")
@@ -260,8 +237,7 @@ def _span_audit(parts) -> tuple[int, bool]:
     parts = list(parts)
     if not parts:
         return 0, True
-    stacked = np.vstack([p.basis for p in parts])
-    span = rank(parts[0].gf, stacked) if stacked.size else 0
+    span = rank(parts[0].gf, np.vstack([p.basis for p in parts]))
     return span, span == sum(p.dim for p in parts)
 
 

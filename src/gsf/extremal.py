@@ -195,7 +195,8 @@ def construct_symmetric_witness(tower: FieldTower, budget: int = DEFAULT_BUDGET)
         raise BudgetExceededError(exc.needed, budget, "raise the budget") from None
     if prof.ranks != {n}:
         raise AssertionError("exhaustive verification found a singular member of a field-derived witness")
-    return SearchResult("mu", n, tower.q, n, list(family(tower, 0).gram_mats()), {"mode": "exhaustive"}, True)
+    witness = list(unflatten_sym(family(tower, 0).basis, n))
+    return SearchResult("mu", n, tower.q, n, witness, {"mode": "exhaustive"}, True)
 
 
 def block_construction(u: SearchResult, budget: int = DEFAULT_BUDGET) -> SearchResult:

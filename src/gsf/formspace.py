@@ -30,13 +30,14 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import os
 from collections import deque
 from dataclasses import dataclass, replace
-from typing import Iterable, Iterator, Optional, Union
+from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
-from gsf.exactla import LSubspace, _frobenius_sum, eigenspace_of_power, kernel, rank_many, rref
+from gsf.exactla import LSubspace, _frobenius_sum, eigenspace_of_power, kernel, rank_many
 from gsf.ffield import FieldTower, base_digits, prime_factors
 
 __all__ = [
@@ -45,7 +46,6 @@ __all__ = [
     "BudgetExceededError",
     "Run",
     "SymForm",
-    "FormSubspace",
     "Translate",
     "RankProfile",
     "flatten_sym",
@@ -112,43 +112,6 @@ class SymForm:
             "i": self.i,
             "gram": [[int(v) for v in row] for row in self.gram],
         }
-
-
-@dataclass
-class FormSubspace:
-    """A subspace of the symmetric forms, flattened to upper-triangle rows.
-
-    `basis` is in reduced echelon form, so equal subspaces have equal arrays.
-    `param_kernel` is the kernel of b -> form(b): zero unless the power is an
-    involution, where it is the (-1)-eigenspace of sigma^i.
-    """
-
-    tower: FieldTower
-    i: Union[int, str]
-    basis: np.ndarray
-    param_kernel: Optional[LSubspace] = None
-
-    @property
-    def dim(self) -> int:
-        return self.basis.shape[0]
-
-    @property
-    def gf(self):
-        return self.tower.K
-
-    def gram_mats(self) -> np.ndarray:
-        return unflatten_sym(self.basis, self.tower.n)
-
-    def to_dict(self) -> dict:
-        return {
-            "i": self.i,
-            "dim": self.dim,
-            "basis": [[int(v) for v in row] for row in self.basis],
-            "param_kernel_dim": None if self.param_kernel is None else self.param_kernel.dim,
-        }
-
-    def __eq__(self, other):
-        return isinstance(other, FormSubspace) and np.array_equal(self.basis, other.basis)
 
 
 @dataclass
@@ -283,17 +246,14 @@ def gram_basis(tower: FieldTower, i: int) -> np.ndarray:
     return tower._memo(("gram", i), make)
 
 
-def family(tower: FieldTower, i: int) -> FormSubspace:
-    """The subspace of forms swept by b, echelonized into a canonical basis."""
+def family(tower: FieldTower, i: int) -> LSubspace:
+    """The forms swept by b, an `LSubspace` of Sym_K(L) flattened by
+    `flatten_sym` (ambient dimension n(n+1)/2), in canonical echelon form.
+    By rank-nullity b -> form(b) has a kernel of dimension n - dim: the
+    (-1)-eigenspace of sigma^i at the involution, zero elsewhere."""
     n, kf = tower.n, tower.K
-
-    def make():
-        flat = flatten_sym(gram_basis(tower, i), n)
-        r, pivots = rref(kf, flat)
-        return r[: len(pivots)].copy(), kernel(kf, flat.T)
-
-    basis, pk = tower._memo(("family", i), make)
-    return FormSubspace(tower, i, basis, param_kernel=LSubspace(kf, n, pk))
+    make = lambda: LSubspace.from_vectors(kf, flatten_sym(gram_basis(tower, i), n)).basis
+    return LSubspace(kf, n * (n + 1) // 2, tower._memo(("family", i), make))
 
 
 @dataclass(eq=False, repr=False)
@@ -411,11 +371,19 @@ def _chunk_size(n: int) -> int:
     return int(min(8192, max(256, 250_000 // max(n * n, 1))))
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on (all of them where affinity is unknown)."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
 def _rank_chunks(kf, jobs, workers: int = 1):
     """(tag, ranks of the forms that make() returns) for each job (tag, make),
     in order.  With several workers the jobs are made and ranked on a thread
     pool, at most 2 * workers waiting at a time, so memory stays bounded
-    whatever the sources' length; the output does not depend on the workers."""
+    whatever the sources' length; the output does not depend on the workers.
+    Workers are capped at the usable CPUs: the pool starts a thread per job
+    in flight while none is idle, and more threads than CPUs only wait."""
+    workers = min(workers, _usable_cpus())
     if workers == 1:
         for tag, make in jobs:
             yield tag, rank_many(kf, make())

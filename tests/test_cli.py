@@ -55,6 +55,22 @@ def test_family_output(capsys):
     assert d["dim"] == 2 and d["param_kernel_dim"] == 2
 
 
+@pytest.mark.parametrize("argv,digest", [
+    ("--p 3 --n 4 --i 2", "df7ac85af28e6e6b9bf2f8cc05d31cab30531274f9689e55b3cdc8833a99b6a0"),
+    ("--p 3 --n 4 --i 0", "340a179fdf424952691c5611938e6dc1e23aeb379f680106ec5a28500b319496"),
+    ("--p 3 --n 5 --i 1", "4f4018d4439e84f3494460e57d10a5b8e08908b3b22f5ebbfce322206ba29fef"),
+    ("--p 5 --n 8 --i 4", "a6b2dbf846da56dc6479cbd30745b0d07419a83a4e11247ba53ff24ea1578c6d"),
+    ("--p 11 --n 6 --i 3", "84f9f83837ee696689bf34e46aec9ebe5b02bc1445d0057897dbc525210f7583"),
+    ("--p 3 --s 2 --n 4 --i 2", "5963330a324ebde75761b0e4eb8bc8b19e74b6491f44abc3181bd0a15482ac38"),
+    ("--p 7 --s 3 --n 4 --i 1", "1a7130c061ae178aaa73d6c907cb22a013923ac069dea04aaf521b2b6fd113e0"),
+])
+def test_family_stdout_pinned(capsys, argv, digest):
+    # the involutions report param_kernel_dim n/2, every other power 0
+    code, out, err = run(capsys, "family", *argv.split())
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
 def test_rank_laws_exit_zero(capsys):
     code, out, _ = run(capsys, "rank-laws", "--p", "3", "--n", "3")
     assert code == 0

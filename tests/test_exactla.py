@@ -42,6 +42,11 @@ def oracle_rank(gf, m):
     return 0
 
 
+def rref_rank(gf, m) -> int:
+    """The reference rank: the pivot count of `rref`, independent of `rank_many`."""
+    return len(rref(gf, m)[1])
+
+
 @pytest.mark.parametrize("gf,q", [(GF3, 3), (GF9, 9)])
 def test_rank_matches_minor_oracle(gf, q):
     rng = np.random.default_rng(17)
@@ -56,6 +61,36 @@ def test_rank_matches_minor_oracle(gf, q):
 def test_rank_identity_and_zero():
     assert rank(GF3, np.eye(5, dtype=np.int64)) == 5
     assert rank(GF3, np.zeros((4, 6), dtype=np.int64)) == 0
+
+
+# one field per dtype tier of rank_many: int16 (3, 11, 181), int32 (191,
+# 46337), int64 (46349), and the tables (GF(9), GF(343))
+_RANK_FIELDS = {(p, s): Gf(p, s) for p, s in [(3, 1), (11, 1), (181, 1), (191, 1), (46337, 1), (46349, 1),
+                                              (3, 2), (7, 3)]}
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_rank_matches_rref(data):
+    gf = _RANK_FIELDS[data.draw(st.sampled_from(sorted(_RANK_FIELDS)))]
+    shape = data.draw(st.sampled_from(["square", "wide", "tall"]))
+    small, large = data.draw(st.integers(1, 10)), data.draw(st.integers(1, 18))
+    rows, cols = {"square": (small, small), "wide": (small, small + large), "tall": (small + large, small)}[shape]
+    rng = np.random.default_rng(data.draw(st.integers(0, 10_000)))
+    r = data.draw(st.integers(0, min(rows, cols)))  # rank at most r: rank-deficient whenever r < min
+    m, bound = gf.matmul(rng.integers(0, gf.q, size=(rows, r)), rng.integers(0, gf.q, size=(r, cols))), r
+    if data.draw(st.booleans()):  # uniform codes: mostly full rank
+        m, bound = rng.integers(0, gf.q, size=(rows, cols)), min(rows, cols)
+    want = rref_rank(gf, m)
+    assert rank(gf, m) == want <= bound
+    assert rank(gf, m.T) == want
+
+
+def test_rank_takes_only_2d_input():
+    for bad in ([1, 2, 0], np.zeros((2, 3, 3), dtype=np.int64), 1):
+        with pytest.raises(ValueError, match="2-D"):
+            rank(GF3, bad)
+    assert rank(GF3, np.zeros((0, 4), dtype=np.int64)) == rank(GF3, np.zeros((4, 0), dtype=np.int64)) == 0
 
 
 def test_gram_of_untwisted_form_on_gf9_has_rank_2(tower):
@@ -120,6 +155,7 @@ def test_canonical_basis_is_order_independent():
 @settings(max_examples=50, deadline=None)
 @given(data=st.data())
 def test_dimension_formula_sum_intersection(data):
+    # A meet B is the image of the left kernel of the stacked bases [A; B]
     amb = data.draw(st.integers(2, 6))
     da = data.draw(st.integers(1, amb))
     db = data.draw(st.integers(1, amb))
@@ -127,26 +163,19 @@ def test_dimension_formula_sum_intersection(data):
     rng = np.random.default_rng(seed)
     a = LSubspace.from_vectors(GF3, rng.integers(0, 3, size=(da, amb)), amb)
     b = LSubspace.from_vectors(GF3, rng.integers(0, 3, size=(db, amb)), amb)
-    assert a.sum(b).dim + a.intersect(b).dim == a.dim + b.dim
-
-
-def test_intersection_members_lie_in_both():
-    rng = np.random.default_rng(41)
-    for _ in range(20):
-        a = LSubspace.from_vectors(GF3, rng.integers(0, 3, size=(3, 5)), 5)
-        b = LSubspace.from_vectors(GF3, rng.integers(0, 3, size=(3, 5)), 5)
-        inter = a.intersect(b)
-        for v in inter.basis:
-            assert a.contains(v) and b.contains(v)
+    meet = kernel(GF3, np.vstack([a.basis, b.basis]).T).shape[0]
+    assert a.sum(b).dim + meet == a.dim + b.dim
+    assert _span_audit([a, b]) == (a.sum(b).dim, meet == 0)
 
 
 def test_contains_and_zero_full():
+    # v lies in W exactly when adding it leaves W's echelon basis unchanged
     z = LSubspace.zero(GF3, 4)
     f = LSubspace.full(GF3, 4)
     assert z.dim == 0 and f.dim == 4
-    assert f.contains([1, 2, 0, 1])
-    assert not z.contains([1, 0, 0, 0])
-    assert z.contains([0, 0, 0, 0])
+    assert f.sum(LSubspace.from_vectors(GF3, [[1, 2, 0, 1]])) == f
+    assert z.sum(LSubspace.from_vectors(GF3, [[1, 0, 0, 0]])) != z
+    assert z.sum(LSubspace.from_vectors(GF3, [[0, 0, 0, 0]])) == z
 
 
 def test_is_direct_sum_trivial_cases():
@@ -174,8 +203,6 @@ def test_ambient_mismatch_rejected():
         a.sum(b)
     with pytest.raises(ValueError):
         is_direct_sum([a, b])
-    with pytest.raises(ValueError):
-        a.contains([1, 0, 0, 0])
 
 
 def test_eigenspace_dimensions_gf81(tower):
@@ -240,7 +267,7 @@ def _low_rank_batch(rng, p, nb, rows, cols, r):
 
 def _assert_matches_rref(gf, mats, max_ranks=None):
     got = rank_many(gf, mats)
-    want = [rank(gf, m) for m in mats]
+    want = [rref_rank(gf, m) for m in mats]
     assert got.tolist() == want
     if max_ranks is not None:
         assert np.all(np.array(want) <= max_ranks)
@@ -266,7 +293,7 @@ def test_rank_many_prime_2d_zero_and_swapped_inputs(p):
     gf = Gf(p)
     rng = np.random.default_rng(43)
     m = _low_rank_batch(rng, p, 1, 5, 7, 3)[0]
-    assert rank_many(gf, m).tolist() == [rank(gf, m)]
+    assert rank_many(gf, m).tolist() == [rref_rank(gf, m)]
     assert rank_many(gf, np.zeros((4, 6, 6), dtype=np.int64)).tolist() == [0] * 4
     # a zero leading diagonal forces a row swap at every pivot
     anti = np.zeros((6, 6), dtype=np.int64)
@@ -438,7 +465,7 @@ def test_rank_many_matches_rref_on_every_tier_and_layout(data):
     if data.draw(st.booleans()):
         # codes near q - 1: the lazy bound reaches the top of its dtype
         mats = np.concatenate([mats, rng.integers(gf.q - 3, gf.q, size=(2, rows, cols))])
-    want = [rank(gf, m) for m in mats]
+    want = [rref_rank(gf, m) for m in mats]
     for name, arr in _layouts(mats):
         before = arr.copy()
         assert rank_many(gf, arr).tolist() == want, name
@@ -453,7 +480,7 @@ def test_rank_many_leaves_its_input_unchanged(key):
     rng = np.random.default_rng(59)
     mats = rng.integers(0, gf.q, size=(6, 9, 9))
     mats[:, 0] = 0  # every first pivot swaps
-    want = [rank(gf, m) for m in mats]
+    want = [rref_rank(gf, m) for m in mats]
     for arr in (mats, mats.astype(np.int32), mats.tolist()):
         before = np.array(arr, copy=True)
         assert rank_many(gf, arr).tolist() == want
@@ -468,4 +495,4 @@ def test_rank_many_largest_products_fit_the_tier(p):
     v = np.where(np.arange(8) % 2, p - 1, 1)
     rank_one = np.outer(np.where(np.arange(8) % 3, p - 1, 1), v) % p
     mats = np.stack([rank_one, rank_one.T, (rank_one + np.eye(8, dtype=np.int64)) % p])
-    assert rank_many(gf, mats).tolist() == [1, 1, rank(gf, mats[2])]
+    assert rank_many(gf, mats).tolist() == [1, 1, rref_rank(gf, mats[2])]

@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gsf import cli, extremal, formspace
-from gsf.exactla import rank
 from gsf.extremal import (
     RhoDecomposition,
     SearchResult,
@@ -26,6 +25,7 @@ from gsf.extremal import (
 from gsf.cli import main
 from gsf.ffield import FieldTower, Gf, prime_power_decompose
 from gsf.formspace import BudgetExceededError, DEFAULT_BUDGET, _combine_forms, gram_basis, unflatten_sym
+from test_exactla import rref_rank
 from test_formspace import _counting_rank_many
 
 
@@ -90,7 +90,7 @@ def test_regular_rep_witness_gf9(tower):
     # the identity matrix is the image of 1, so it lies in the span
     flat = np.stack([np.asarray(m).reshape(-1) for m in res.witness_basis])
     with_id = np.vstack([flat, np.eye(2, dtype=np.int64).reshape(1, -1)])
-    assert rank(Gf(3), with_id) == rank(Gf(3), flat)
+    assert rref_rank(Gf(3), with_id) == rref_rank(Gf(3), flat)
 
 
 def test_regular_rep_is_multiplicative(tower):
@@ -386,14 +386,14 @@ def _sym(row, n):
 
 
 def _closed(gf, mats):
-    """Every nonzero combination of `mats` has full rank, one `rank` each."""
+    """Every nonzero combination of `mats` has full rank, one reference rank each."""
     n = len(mats[0])
     for coeffs in itertools.product(range(gf.q), repeat=len(mats)):
         if any(coeffs):
             acc = np.zeros((n, n), dtype=np.int64)
             for c, m in zip(coeffs, mats):
                 acc = gf.add(acc, gf.mul(c, np.asarray(m, dtype=np.int64)))
-            if rank(gf, acc) < n:
+            if rref_rank(gf, acc) < n:
                 return False
     return True
 
@@ -528,7 +528,7 @@ def test_table_equals_one_rank_per_ambient_vector(target, n, q):
             continue
         vec = np.array(vec, dtype=np.int64)
         mat = vec.reshape(n, n) if target == "tau" else unflatten_sym(vec, n)
-        want = extremal._INVERTIBLE if rank(gf, mat) == n else extremal._SINGULAR
+        want = extremal._INVERTIBLE if rref_rank(gf, mat) == n else extremal._SINGULAR
         # the line's representative: first nonzero coordinate scaled to 1
         lead = vec[np.nonzero(vec)[0][0]]
         code = _code(q, gf.mul(vec, int(gf.inv(lead))))

@@ -1,17 +1,19 @@
 import hashlib
 import itertools
+import os
 import signal
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from gsf import ffield, formspace
+from gsf import exactla, ffield, formspace
 from gsf.cli import default_golden_dir
 from gsf.decomp import _global_pieces, _split_family, min_rank_lower_bound, verify_full_refined, verify_rank_laws
-from gsf.exactla import LSubspace, eigenspace_of_power, rank_many
+from gsf.exactla import LSubspace, eigenspace_of_power, kernel, rank, rank_many
 from gsf.ffield import FieldTower, Gf, _mul_matrices, _mul_x_many, prime_factors
 from gsf.formspace import (
     BudgetExceededError,
@@ -288,10 +290,28 @@ def test_family_inverse_pair_equality(tower):
 
 
 def test_family_parameter_kernel(tower):
-    t = tower(3, 1, 4)
-    assert family(t, 0).param_kernel.dim == 0
-    assert family(t, 1).param_kernel.dim == 0
-    assert family(t, 2).param_kernel == eigenspace_of_power(t, 2, -1)
+    # rank-nullity: b -> form(b) has a kernel of dimension n - dim A^i, the
+    # (-1)-eigenspace of sigma^(n/2) at the involution and zero elsewhere
+    for p, s, n in [(3, 1, 3), (3, 1, 5), (3, 1, 4), (3, 1, 6), (5, 1, 4), (3, 2, 3), (3, 2, 4), (7, 3, 4)]:
+        t = tower(p, s, n)
+        for i in range(n):
+            fam = family(t, i)
+            pk = LSubspace(t.K, n, kernel(t.K, flatten_sym(gram_basis(t, i), n).T))
+            assert fam.ambient_dim == n * (n + 1) // 2 and fam.dim + pk.dim == n, (p, s, n, i)
+            assert pk == (eigenspace_of_power(t, i, -1) if 2 * i == n else LSubspace.zero(t.K, n)), (p, s, n, i)
+
+
+def test_family_makes_one_rref_and_no_kernel(monkeypatch):
+    t = FieldTower(3, 1, 6)  # a fresh tower: nothing held in its memo
+    calls = []
+    for name in ("rref", "kernel"):
+        real = getattr(exactla, name)
+        for module in (exactla, formspace):
+            if getattr(module, name, None) is real:
+                monkeypatch.setattr(module, name, lambda *a, name=name, real=real: calls.append(name) or real(*a))
+    fam = family(t, 3)
+    assert calls == ["rref"]
+    assert family(t, 3) == fam and calls == ["rref"]  # held in the tower's memo
 
 
 def test_rank_profile_scalar_line_untwisted(tower):
@@ -439,9 +459,11 @@ def test_rank_profile_worker_invariance_over_several_chunks(tower):
 
 
 @pytest.mark.parametrize("workers", [2, 3])
-def test_rank_chunks_pool_takes_a_bounded_lead(tower, workers):
+def test_rank_chunks_pool_takes_a_bounded_lead(tower, workers, monkeypatch):
     # the pool must not drain the job source: when the first rank array
-    # arrives, at most 2 * workers jobs have been taken beyond it
+    # arrives, at most 2 * workers jobs have been taken beyond it.  The CPU
+    # count is raised so that `workers` is not capped on a small machine
+    monkeypatch.setattr(formspace, "_usable_cpus", lambda: 64)
     t = tower(3, 1, 3)
     taken = 0
 
@@ -460,6 +482,43 @@ def test_rank_chunks_pool_takes_a_bounded_lead(tower, workers):
     serial = list(formspace._rank_chunks(t.K, source(), 1))
     assert [(tag, r.tolist()) for tag, r in [first] + rest] == [(tag, r.tolist()) for tag, r in serial]
     assert [tag for tag, _ in serial] == list(range(1, 101))
+
+
+def test_rank_chunks_caps_the_pool_at_the_usable_cpus(tower, monkeypatch):
+    # a thread pool starts a thread per job in flight while none is idle, so
+    # a huge worker count is capped at the CPUs; an inline fake pool records
+    # the size asked for and starts no thread
+    import concurrent.futures
+
+    sizes = []
+
+    class Inline:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn):
+            future = concurrent.futures.Future()
+            future.set_result(fn())
+            return future
+
+    assert 1 <= formspace._usable_cpus() <= (os.cpu_count() or 1)
+    t = tower(3, 1, 9)
+    full = LSubspace.full(t.K, 9)
+    run = Run(mode="sampled", sample_count=9000, seed=3)  # four chunks, never held in the memo
+    want = rank_profile(t, full, 1, run).to_dict()
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Inline)
+    monkeypatch.setattr(formspace, "_usable_cpus", lambda: 3)
+    assert rank_profile(t, full, 1, replace(run, workers=10**6)).to_dict() == want
+    assert sizes == [3]
+    monkeypatch.setattr(formspace, "_usable_cpus", lambda: 1)  # one CPU: no pool at all
+    assert rank_profile(t, full, 1, replace(run, workers=10**6)).to_dict() == want
+    assert sizes == [3]
 
 
 # -- projective source: references that enumerate every code ---------------------
@@ -841,7 +900,7 @@ def test_translates_equal_the_pieces_they_replace(pick, tower):
             continue
         minus = translate(t, k, k)
         assert _same_bytes(minus.basis, eigenspace_of_power(t, k, -1).basis), k
-        assert minus.f == minus.dim and minus.contains(minus.j)
+        assert minus.f == minus.dim and rank(t.K, np.vstack([minus.basis, minus.j])) == minus.dim
         f = (k * (d // 2)) % n
         j = eigenspace_of_power(t, k, -1).basis[0]
         assert _same_bytes(translate(t, f, k).basis, _product_subspace(t, j, eigenspace_of_power(t, f, 1)).basis), k
@@ -858,22 +917,21 @@ def test_a_wrong_translate_element_exits_four(monkeypatch, capsys):
 
 
 def test_a_parameter_kernel_meeting_fix_exits_four(monkeypatch, capsys):
-    # B^1 is censused through Fix(sigma^(n/2)) only if that complements its parameter kernel
-    from dataclasses import replace
-
+    # B^1 and A^0 are censused through their parameters only if the forms of
+    # those have the dimension of the parameters and of the family.  The
+    # (-1)-eigenspace of sigma^(n/2) lies inside B^1's parameter kernel, so
+    # all its forms vanish; K alone maps one-to-one into A^0, but not onto it
     from gsf import decomp
     from gsf.cli import main
 
-    real = decomp.family
-
-    def wrong(tw, i):
-        fam = real(tw, i)
-        return replace(fam, param_kernel=eigenspace_of_power(tw, tw.n // 2, 1)) if fam.param_kernel.dim else fam
-
-    monkeypatch.setattr(decomp, "family", wrong)
-    assert main(["refine", "--full", "--p", "3", "--n", "8"]) == 4
-    err = capsys.readouterr().err
-    assert "internal check failed" in err and "not a complement of the parameter kernel of B^1" in err
+    real = decomp.translate
+    # over GF(3^8), B^1 takes translate(4) and A^0 translate(8); each gets the wrong space
+    for name, right, wrong in [("B^1", (4, 0), (4, 4)), ("A^0", (8, 0), (1, 0))]:
+        monkeypatch.setattr(decomp, "translate", lambda tw, f, t=0, right=right, wrong=wrong:
+                            real(tw, *wrong) if (f, t) == right else real(tw, f, t))
+        assert main(["refine", "--full", "--p", "3", "--n", "8"]) == 4
+        err = capsys.readouterr().err
+        assert "internal check failed" in err and f"not a complement of the parameter kernel of {name}" in err
 
 
 # -- census of a family through its parameter space ------------------------------
@@ -886,7 +944,7 @@ _FAMILY_TOWERS = [(3, 1, 2), (3, 1, 4), (3, 1, 6), (3, 1, 8), (5, 1, 4), (7, 1, 
 def test_family_census_through_parameters_equals_form_census(p, s, n, i, tower):
     t = tower(p, s, n)
     fam = family(t, i)
-    want = formspace._profile_from_grams(t.K, fam.gram_mats(), n, Run(mode="exhaustive"))
+    want = formspace._profile_from_grams(t.K, unflatten_sym(fam.basis, n), n, Run(mode="exhaustive"))
     piece = _global_piece(t, "A^0" if i == 0 else "B^1")
     got = rank_profile(t, piece.sub, piece.i)
     assert got.to_dict() == want.to_dict()
@@ -1073,8 +1131,7 @@ def test_returned_objects_cannot_change_a_later_result(monkeypatch):
                         lambda tw, i, h, by_h, rows: generators.append(h) or audit(tw, i, h, by_h, rows))
     assert rank_profile(t, full, 1, Run(budget=10)).histogram == want  # held; its source audits the held generator
     assert len(generators) == 1
-    for held in [eig.basis, minus.basis, minus.j, fam.basis, fam.param_kernel.basis, gram_basis(t, 1),
-                 generators[0]]:
+    for held in [eig.basis, minus.basis, minus.j, fam.basis, gram_basis(t, 1), generators[0]]:
         assert held.size
         with pytest.raises(ValueError, match="read-only"):
             held[(0,) * held.ndim] += 1

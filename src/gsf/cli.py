@@ -178,8 +178,6 @@ def _family_report(args, run: Run) -> dict:
 def _refine_report(args, run: Run) -> Certificate:
     tower = _tower_from_args(args)
     if args.full:
-        if tower.n % 2:
-            raise UsageError("--full needs an even extension degree")
         return verify_full_refined(tower, run)
     if args.i is None:
         raise UsageError("refine needs --i or --full")

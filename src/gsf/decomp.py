@@ -45,7 +45,6 @@ from gsf.formspace import (
 __all__ = [
     "Certificate",
     "Run",
-    "TheoremCParams",
     "theorem_c_case",
     "verify_global",
     "verify_rank_laws",
@@ -57,42 +56,13 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class TheoremCParams:
-    """Case parameters: q + 1 = 2**a * l with l odd, n = 2**alpha * k with k odd."""
-
-    q: int
-    a: int
-    l: int
-    alpha: int
-    k: int
-
-    def __post_init__(self):
-        if self.q % 4 != 3:
-            raise ValueError(f"q = {self.q} must be 3 mod 4 (-1 must be a nonsquare in the base field)")
-        if (self.q + 1) != 2**self.a * self.l or self.l % 2 == 0:
-            raise ValueError("inconsistent (a, l) for q + 1")
-        if self.alpha < 2 or self.k % 2 == 0:
-            raise ValueError("n must be 2**alpha * k with alpha >= 2 and k odd")
-
-    @classmethod
-    def from_qn(cls, q: int, n: int) -> "TheoremCParams":
-        a, l = two_adic(q + 1)
-        alpha, k = two_adic(n)
-        return cls(q, a, l, alpha, k)
-
-    @property
-    def n(self) -> int:
-        return 2**self.alpha * self.k
-
-
-def theorem_c_case(params: TheoremCParams) -> str:
-    """Classify into case1 / case2 / outside."""
-    if params.alpha <= params.a + 1:
+def theorem_c_case(q: int, n: int) -> str:
+    """Classify q + 1 = 2**a * l (l odd) and n = 2**alpha * k (k odd) into
+    case1 (alpha <= a + 1), case2 (l = 1) or outside."""
+    a, l = two_adic(q + 1)
+    if two_adic(n)[0] <= a + 1:
         return "case1"
-    if params.l == 1:
-        return "case2"
-    return "outside"
+    return "case2" if l == 1 else "outside"
 
 
 # -- certificates -----------------------------------------------------------------
@@ -323,10 +293,8 @@ def _split_family(tower: FieldTower, i: int) -> tuple[list[Piece], bool]:
     elif d % 4 == 0:
         beta, kp = two_adic(d)
         q_rel = tower.q ** (n // d)
-        rel_case = rel_a = None
-        if q_rel % 4 == 3:
-            rel = TheoremCParams.from_qn(q_rel, d)
-            rel_case, rel_a = theorem_c_case(rel), rel.a
+        rel_case = theorem_c_case(q_rel, d) if q_rel % 4 == 3 else None
+        rel_a = two_adic(q_rel + 1)[0]
         v_ranks = [degenerate_rank] if rel_case in ("case1", "case2") else None
         vdim, f = kp * n // d, (i * kp) % n
         pieces = [
@@ -387,9 +355,9 @@ def refine_A1_pow4(tower: FieldTower, run: Run = Run()) -> Certificate:
     alpha, k = two_adic(n)
     if alpha < 2:
         return _certify("a1-split-pow4", tower, {"i": 1, "alpha": alpha, "k": k}, [], [], run, outside=True)
-    params = TheoremCParams.from_qn(q, n)
-    case = theorem_c_case(params)
-    inst = {"i": 1, "q": q, "a": params.a, "l": params.l, "alpha": alpha, "k": k, "case": case}
+    a, l = two_adic(q + 1)
+    case = theorem_c_case(q, n)
+    inst = {"i": 1, "q": q, "a": a, "l": l, "alpha": alpha, "k": k, "case": case}
     pieces, ok = _split_family(tower, 1)
     # this certificate drops the "^1" suffix and claims dim E_idx = n >> idx
     pieces = [replace(piece, name=piece.name.removesuffix("^1"),
@@ -403,10 +371,10 @@ def verify_full_refined(tower: FieldTower, run: Run = Run()) -> Certificate:
 
     Families of odd order stay whole (constant rank n); families of even
     order split through `_split_family` (U/V for order 2 mod 4, the
-    relatively gated eigenspace chain for order 0 mod 4).
+    relatively gated eigenspace chain for order 0 mod 4).  For odd n every
+    family has odd order: this is the central theorem, Sym_K(L) = A^0 + A^1
+    + ... + A^((n-1)/2), (n + 1)/2 families of dimension n and constant rank n.
     """
-    if tower.n % 2:
-        raise ValueError("the fully refined decomposition is stated for even n")
     pieces, audits = _global_pieces(tower, refine=True)
     return _certify("full-refinement", tower, {}, pieces, audits, run)
 

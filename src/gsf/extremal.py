@@ -20,7 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from gsf.exactla import rank_many, rref
+from gsf.exactla import LSubspace, rank_many
 from gsf.ffield import FieldTower, Gf, PrimePower, base_digits, prime_power_decompose, two_adic
 from gsf.formspace import (
     BudgetExceededError,
@@ -39,10 +39,8 @@ from gsf.formspace import (
 )
 
 __all__ = [
-    "RhoDecomposition",
     "SearchResult",
     "rho",
-    "rho_decompose",
     "real_mu_interval",
     "block_construction",
     "construct_regular_rep_subspace",
@@ -61,34 +59,18 @@ _GREEDY_BACKTRACKS = 64
 _UNFILLED, _SINGULAR, _INVERTIBLE = 0, 1, 2
 
 
-@dataclass(frozen=True)
-class RhoDecomposition:
-    """n = (2a+1) * 2**(c + 4d) with 0 <= c <= 3."""
-
-    n: int
-    odd_part: int
-    c: int
-    d: int
-
-    def __post_init__(self):
-        if self.odd_part * 2 ** (self.c + 4 * self.d) != self.n or not 0 <= self.c <= 3:
-            raise ValueError("inconsistent decomposition")
-
-    @property
-    def rho(self) -> int:
-        return 2**self.c + 8 * self.d
-
-
-def rho_decompose(n: int) -> RhoDecomposition:
+def _rho_parts(n: int) -> tuple[int, int]:
+    """(c, d) with n = odd * 2**(c + 4d) and 0 <= c <= 3."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    e, odd = two_adic(n)
-    return RhoDecomposition(n, odd, e % 4, e // 4)
+    e = two_adic(n)[0]
+    return e % 4, e // 4
 
 
 def rho(n: int) -> int:
     """Radon-Hurwitz number 2**c + 8d."""
-    return rho_decompose(n).rho
+    c, d = _rho_parts(n)
+    return 2**c + 8 * d
 
 
 def real_mu_interval(n: int) -> tuple[int, int]:
@@ -97,13 +79,12 @@ def real_mu_interval(n: int) -> tuple[int, int]:
     Odd n gives the single value 1; even n depends on the 2-adic shape:
     c = 0 gives exactly 8d, otherwise [2**(c-1) + 8d, 2**c + 8d].
     """
-    dec = rho_decompose(n)
+    c, d = _rho_parts(n)
     if n % 2:
         return (1, 1)
-    if dec.c == 0:
-        return (8 * dec.d, 8 * dec.d)
-    lo = 2 ** (dec.c - 1) + 8 * dec.d
-    return (lo, dec.rho)
+    if c == 0:
+        return (8 * d, 8 * d)
+    return (2 ** (c - 1) + 8 * d, 2**c + 8 * d)
 
 
 @dataclass
@@ -155,8 +136,7 @@ def _canonical_witness(gf: Gf, mats, symmetric: bool) -> list[np.ndarray]:
     mats = np.asarray(mats, dtype=np.int64)
     n = mats.shape[1]
     flat = flatten_sym(mats, n) if symmetric else mats.reshape(len(mats), -1)
-    r, pivots = rref(gf, flat)
-    rows = r[: len(pivots)]
+    rows = LSubspace.from_vectors(gf, flat).basis
     return list(unflatten_sym(rows, n) if symmetric else rows.reshape(-1, n, n))
 
 

@@ -6,18 +6,20 @@ are its coordinates in the power basis of K over GF(p).  Elements of L are
 length-n int64 vectors of K codes, their coordinates in the power basis
 1, x, ..., x**(n-1) of L over K.
 
-Defining polynomials are always the first irreducible in the canonical scan
-order (coefficient vectors read as base-q integers), so towers, Gram
-matrices and certificates are reproducible bit for bit.  The scan runs in
-blocks of candidates f and has three stages.  A root screen drops every f of
-degree >= 2 with a root in K (one product with a table of the powers of every
-code of K; on only when q <= degree**2).  A sieve then ranks the Frobenius
-matrices Q_f - I of the rest in one `rank_many` call (Berlekamp: the kernel
-dimension counts the distinct irreducible factors of f).  Only its
-survivors, in scan order, meet `is_irreducible`, which alone accepts a
-polynomial: Berlekamp's count plus the squarefree test, two ranks.  The
-tower is built with linear algebra only.  For s > 1 the GF(q) lookup tables
-are built with whole (q, q) array products of base-p digits.
+`Gf(p, s)` and `FieldTower(p, s, n)` are built from these integers alone.
+Their defining polynomials are the first irreducibles in the canonical scan
+order (coefficient vectors read as base-q integers), and no caller passes
+others, so towers, Gram matrices and certificates are reproducible bit for
+bit; `to_dict` prints the polynomials, and nothing reads them back.  The
+scan runs in blocks of candidates f and has three stages.  A root screen
+drops every f of degree >= 2 with a root in K (one product with a table of
+the powers of every code of K; on only when q <= degree**2).  A sieve then
+ranks the Frobenius matrices Q_f - I of the rest in one `rank_many` call
+(Berlekamp: the kernel dimension counts the distinct irreducible factors of
+f).  Only its survivors, in scan order, meet `is_irreducible`, which alone
+accepts a polynomial: Berlekamp's count plus the squarefree test, two ranks.
+The tower is built with linear algebra only.  For s > 1 the GF(q) lookup
+tables are built with whole (q, q) array products of base-p digits.
 
 Every automorphism power b -> b**(q**i) is precomputed when the tower is
 built, as slice i of one read-only (n, n, n) array over K.  The conjugates
@@ -137,28 +139,10 @@ class Gf:
     array operations stay vectorized (fancy indexing instead of mod).
     """
 
-    def __init__(self, p: int, s: int = 1, modulus=None):
-        pp = PrimePower(p, s)
-        self.p = p
-        self.s = s
-        self.q = pp.q
+    def __init__(self, p: int, s: int = 1):
+        self.p, self.s, self.q = p, s, PrimePower(p, s).q
         if s == 1:
             self.modulus = np.array([0, 1], dtype=np.int64)
-        else:
-            prime = Gf(p)
-            if modulus is None:
-                modulus = find_irreducible(prime, s)
-            else:
-                # only a caller-given modulus is tested: the scan's winner is irreducible
-                modulus = np.asarray(modulus, dtype=np.int64) % p
-                if len(modulus) != s + 1 or modulus[-1] != 1:
-                    raise ValueError("modulus must be monic of degree s")
-                if not is_irreducible(prime, modulus):
-                    raise ValueError("modulus is reducible over GF(p)")
-            self.modulus = modulus
-        self.modulus.setflags(write=False)
-        self._inv_t = None
-        if s == 1:
             # a**(p - 2) for every a at once, by square-and-multiply
             base = np.arange(p, dtype=np.int64)
             inv = np.ones(p, dtype=np.int64)
@@ -173,7 +157,10 @@ class Gf:
             inv[0] = 0
             self._inv_t = inv
         else:
+            prime = Gf(p)
+            self.modulus = find_irreducible(prime, s)
             self._build_tables(prime)
+        self.modulus.setflags(write=False)
 
     # -- table construction (s > 1 only) ------------------------------------
 
@@ -512,7 +499,7 @@ class FieldTower:
     read-only, up to `MEMO_BYTES` (oldest out first); only the calling thread writes it.
     """
 
-    def __init__(self, p: int, s: int = 1, n: int = 1, base_poly=None, ext_poly=None):
+    def __init__(self, p: int, s: int = 1, n: int = 1):
         self.base = PrimePower(p, s)
         if n < 1:
             raise ValueError(f"extension degree n = {n} must be >= 1")
@@ -520,17 +507,9 @@ class FieldTower:
             raise ValueError(f"extension degree n = {n} needs {n**3} Frobenius matrix entries, "
                              f"past the limit of {MAX_TABLE_ENTRIES} (2**24)")
         self.n = n
-        self.K = Gf(p, s, modulus=base_poly)
+        self.K = Gf(p, s)
         self.base_poly = self.K.modulus
-        if ext_poly is None:
-            ext_poly = find_irreducible(self.K, n)
-        else:
-            ext_poly = np.asarray(ext_poly, dtype=np.int64)
-            if len(ext_poly) != n + 1 or ext_poly[-1] != 1 or np.any(ext_poly < 0) or np.any(ext_poly >= self.q):
-                raise ValueError("ext_poly must be monic of degree n with K codes")
-            if not is_irreducible(self.K, ext_poly):
-                raise ValueError("ext_poly is reducible over K")
-        self.ext_poly = ext_poly
+        self.ext_poly = find_irreducible(self.K, n)
         self.ext_poly.setflags(write=False)
         self._precompute()
         self._held, self._held_bytes = {}, 0  # `_memo`: key -> (value, bytes)
@@ -722,15 +701,6 @@ class FieldTower:
             "base_poly": [int(c) for c in self.base_poly],
             "ext_poly": self.element_to_digits(self.ext_poly),
         }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "FieldTower":
-        p, s, n = int(d["p"]), int(d["s"]), int(d["n"])
-        kf = Gf(p, s, modulus=d.get("base_poly"))
-        ext = d.get("ext_poly")
-        if ext is not None:
-            ext = kf.from_digits(np.asarray(ext, dtype=np.int64).reshape(n + 1, s))
-        return cls(p, s, n, base_poly=d.get("base_poly"), ext_poly=ext)
 
     def __repr__(self):
         return f"FieldTower(GF({self.q}^{self.n})/GF({self.q}))"

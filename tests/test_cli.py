@@ -1,7 +1,10 @@
 import hashlib
 import json
 import shutil
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -101,9 +104,17 @@ def test_refine_full(capsys):
     assert json.loads(out)["theorem_id"] == "full-refinement"
 
 
-def test_refine_full_odd_usage_error(capsys):
-    code, _, err = run(capsys, "refine", "--p", "3", "--n", "5", "--full")
-    assert code == 1 and "usage error" in err
+def test_refine_full_odd_degree_pinned(capsys):
+    # odd n: the central theorem, every family whole and of constant rank n
+    for argv, digest in [
+        ("--p 3 --n 5", "635721cf3b0a5b8c3dee95bc22929bcc3d61d278797d793b4f5c50f8e96e4efd"),
+        ("--p 3 --s 2 --n 3", "bfb338a94d5c563c1a1db0663b807b7d15e8eecf5eb670ceb2bdc5718ac33e37"),
+    ]:
+        code, out, err = run(capsys, "refine", "--full", *argv.split())
+        assert code == 0 and err == ""
+        cert = json.loads(out)
+        assert cert["theorem_id"] == "full-refinement" and cert["verdict"] == "pass"
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
 
 
 def test_refine_requires_i_or_full(capsys):
@@ -540,3 +551,28 @@ def test_nonsense_sizes_refused(capsys, argv, message):
 def test_negative_seed_usage_error(capsys, argv):
     code, out, err = run(capsys, *argv.split())
     assert (code, out, err) == (1, "", "usage error: seed must be >= 0\n")
+
+
+_ROOT = Path(__file__).resolve().parent.parent
+_HOOKED_RUN = """
+import importlib.util, json, sys
+sys.path.insert(0, sys.argv[1])
+import gsf.cli
+spec = importlib.util.spec_from_file_location("probe", sys.argv[2])
+probe = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(probe)
+gsf = sys.modules["gsf"]
+probe.Tracer(gsf)
+clock = probe.SetupClock(gsf)
+code = gsf.cli.main(["tower", "--p", "3", "--n", "2"])
+sys.exit(code or (len(clock.towers) != 1))
+"""
+
+
+def test_benchmark_probe_hooks_still_fit_gsf():
+    # the benchmark's probe rebinds gsf's functions by name; it runs in a child
+    # process so that the rebinding stays out of the test process
+    proc = subprocess.run([sys.executable, "-c", _HOOKED_RUN, str(_ROOT / "src"),
+                           str(_ROOT / "gsfbench" / "probe.py")], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["ext_poly"] == [1, 0, 1]

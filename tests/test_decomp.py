@@ -1,12 +1,14 @@
+import hashlib
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from gsf import decomp
 from gsf.decomp import (
     Certificate,
     Run,
-    TheoremCParams,
     _span_audit,
     claim_ok,
     min_rank_lower_bound,
@@ -19,6 +21,7 @@ from gsf.decomp import (
     verify_rank_laws,
 )
 from gsf.exactla import LSubspace, eigenspace_of_power, is_direct_sum
+from gsf.ffield import FieldTower, prime_factors, prime_power_decompose, two_adic
 
 
 def _claims_by_name(cert):
@@ -157,20 +160,24 @@ def test_refine_ai_mod2_gf3_10_sampled(tower):
 
 
 def test_theorem_c_case_examples():
-    assert theorem_c_case(TheoremCParams.from_qn(3, 4)) == "case1"
-    assert theorem_c_case(TheoremCParams.from_qn(3, 32)) == "case2"
-    assert theorem_c_case(TheoremCParams.from_qn(11, 32)) == "outside"
-    assert theorem_c_case(TheoremCParams.from_qn(7, 16)) == "case1"  # a = 3, alpha = 4
+    assert theorem_c_case(3, 4) == "case1"
+    assert theorem_c_case(3, 32) == "case2"
+    assert theorem_c_case(11, 32) == "outside"
+    assert theorem_c_case(7, 16) == "case1"  # a = 3, alpha = 4
 
 
-def test_theorem_c_params_validation():
-    with pytest.raises(ValueError):
-        TheoremCParams.from_qn(5, 4)  # q = 1 mod 4
-    with pytest.raises(ValueError):
-        TheoremCParams.from_qn(3, 6)  # alpha = 1
-    p = TheoremCParams.from_qn(11, 32)
-    assert (p.a, p.l, p.alpha, p.k) == (2, 3, 5, 1)
-    assert p.n == 32
+def test_theorem_c_case_values_pinned():
+    # every q = 3 mod 4 prime power below 200 against every n = 2**alpha * k
+    # <= 1024 with alpha >= 2; sha256 of the table taken when the case read
+    # a record class of (a, l, alpha, k)
+    qs = [q for q in range(3, 200, 4) if len(prime_factors(q)) == 1]
+    rows = []
+    for q in qs:
+        a, l = two_adic(q + 1)
+        rows += [(q, n, theorem_c_case(q, n), a, l) for n in range(4, 1025, 4)]
+    assert len(qs) == 25 and len(rows) == 6400
+    digest = hashlib.sha256(repr(rows).encode()).hexdigest()
+    assert digest == "1d2b4c9b82ca29920cf6caf4478019fa759b4087e4dd98f8c98ec06558cf9757"
 
 
 def test_refine_a1_pow4_gf81(tower):
@@ -260,9 +267,54 @@ def test_full_refined_relative_gate_gf3_8(tower):
     assert claims["E_1^3"]["claimed_ranks"] == [8]
 
 
-def test_full_refined_rejects_odd(tower):
-    with pytest.raises(ValueError):
-        verify_full_refined(tower(3, 1, 5))
+def _odd_degree_towers(limit=3**15):
+    """(p, s, n) for every odd n >= 3 and odd prime power q = p**s with q**n <= limit."""
+    out = []
+    for q in range(3, 244, 2):  # 243**3 = 3**15
+        if len(prime_factors(q)) == 1:
+            out += [(*prime_power_decompose(q), n) for n in range(3, 16, 2) if q**n <= limit]
+    return out
+
+
+def test_full_refined_odd_degree_central_theorem():
+    # Sym_K(L) = A^0 + A^1 + ... + A^((n-1)/2), each family of constant rank n
+    towers = _odd_degree_towers()
+    assert len(towers) == 81 and (3, 5, 3) in towers and (3, 1, 15) in towers
+    for p, s, n in towers:
+        cert = verify_full_refined(FieldTower(p, s, n))
+        names = [c["subspace_name"] for c in cert.claims]
+        assert cert.verdict == "pass" and cert.direct_sum_ok, (p, s, n)
+        assert names == [f"A^{i}" for i in range((n + 1) // 2)] + ["Sym_K(L)"]
+        for c in cert.claims[:-1]:
+            assert c["claimed_dim"] == c["observed_dim"] == n
+            assert c["claimed_ranks"] == [n] and list(c["observed_rank_histogram"]) == [n]
+            assert c["enumeration"] == {"mode": "exhaustive"}
+        assert cert.claims[-1]["observed_dim"] == n * (n + 1) // 2
+
+
+def test_full_refined_odd_degree_fails_a_false_rank_claim(monkeypatch, tower):
+    certify = decomp._certify
+
+    def lying(theorem_id, t, instance, pieces, audits, run, outside=False):
+        pieces = [replace(p, ranks=[t.n - 2]) if p.name == "A^1" else p for p in pieces]
+        return certify(theorem_id, t, instance, pieces, audits, run, outside)
+
+    monkeypatch.setattr(decomp, "_certify", lying)
+    cert = verify_full_refined(tower(3, 1, 5))
+    claims = _claims_by_name(cert)
+    assert cert.verdict == "fail" and cert.direct_sum_ok
+    assert claims["A^1"]["claimed_ranks"] == [3] and claims["A^1"]["observed_rank_histogram"] == {5: 242}
+    assert [name for name, c in claims.items() if not claim_ok(c)] == ["A^1"]
+
+
+def test_full_refined_odd_degree_fails_a_dropped_family(monkeypatch, tower):
+    pairs = decomp._pair_representatives
+    monkeypatch.setattr(decomp, "_pair_representatives", lambda n: (pairs(n)[0][:-1], pairs(n)[1]))
+    cert = verify_full_refined(tower(3, 1, 5))
+    claims = _claims_by_name(cert)
+    assert cert.verdict == "fail" and list(claims) == ["A^0", "A^1", "Sym_K(L)"]
+    assert claims["Sym_K(L)"]["claimed_dim"] == 15 and claims["Sym_K(L)"]["observed_dim"] == 10
+    assert [name for name, c in claims.items() if not claim_ok(c)] == ["Sym_K(L)"]
 
 
 # -- minimum rank over summed families --------------------------------------------

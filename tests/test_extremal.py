@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from gsf import cli, extremal, formspace
 from gsf.extremal import (
-    RhoDecomposition,
     SearchResult,
     block_construction,
     construct_regular_rep_subspace,
@@ -20,7 +19,6 @@ from gsf.extremal import (
     greedy_search,
     real_mu_interval,
     rho,
-    rho_decompose,
 )
 from gsf.cli import main
 from gsf.ffield import FieldTower, Gf, prime_power_decompose
@@ -42,13 +40,6 @@ def test_rho_odd_is_one():
         assert rho(n) == 1
 
 
-def test_rho_decomposition_reconstructs():
-    for n in range(1, 3000):
-        dec = rho_decompose(n)
-        assert dec.odd_part * 2 ** (dec.c + 4 * dec.d) == n
-        assert 0 <= dec.c <= 3 and dec.odd_part % 2 == 1
-
-
 def test_rho_bounded_by_n_with_equality_set():
     equal = [n for n in range(1, 2**16 + 1) if rho(n) == n]
     assert equal == [1, 2, 4, 8]
@@ -56,10 +47,16 @@ def test_rho_bounded_by_n_with_equality_set():
 
 
 def test_rho_decomposition_validation():
-    with pytest.raises(ValueError):
-        RhoDecomposition(12, 3, 4, 0)
-    with pytest.raises(ValueError):
-        rho_decompose(0)
+    # the 2-adic split of n is refused for n < 1
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        rho(0)
+
+
+def test_rho_and_real_mu_interval_values_pinned():
+    # sha256 of the table taken when both read a record class of (c, d)
+    rows = [(n, rho(n), real_mu_interval(n)) for n in range(1, 3001)]
+    digest = hashlib.sha256(repr(rows).encode()).hexdigest()
+    assert digest == "b56d399e8b6f106d58d193e4eb58606913b3cdf513db20daa6d080b993132da5"
 
 
 def test_real_mu_interval_table():
